@@ -167,6 +167,11 @@ def _fast_search_provenance(
     }
 
 
+def _num_patches(candidates: Sequence[FrameCandidate]) -> int:
+    """Image tokens the rerank scores over (a ``rerank_score`` span attribute)."""
+    return sum(len(candidate.patches) for candidate in candidates)
+
+
 def _merge_top_n(options: QueryOptions, top_n: object) -> QueryOptions:
     """Fold a legacy ``top_n`` value into options, rejecting conflicts."""
     if isinstance(top_n, bool) or not isinstance(top_n, int) or top_n <= 0:
@@ -372,19 +377,26 @@ class QueryStrategy:
                         union.setdefault(frame_id, None)
                 # Each distinct candidate frame is re-encoded exactly once for
                 # the whole batch, no matter how many queries retrieved it.
-                shared = {
-                    frame_id: self._frame_candidate(frame_id) for frame_id in union
-                }
-                for parsed in unique:
-                    candidate_frames, patch_hits = grouped[parsed]
-                    if not candidate_frames:
-                        results_by_query[parsed] = self._results_from_fast_search(
-                            patch_hits, top_n
-                        )
-                        continue
-                    candidates = [shared[frame_id] for frame_id in candidate_frames]
-                    reranked = self._reranker.rerank(parsed, candidates, top_n=top_n)
-                    results_by_query[parsed] = self._results_from_rerank(reranked)
+                with obs_span("candidate_build", frames=len(union)):
+                    shared = {
+                        frame_id: self._frame_candidate(frame_id) for frame_id in union
+                    }
+                with obs_span("rerank_score") as scoring:
+                    frames = patches = 0
+                    for parsed in unique:
+                        candidate_frames, patch_hits = grouped[parsed]
+                        if not candidate_frames:
+                            results_by_query[parsed] = self._results_from_fast_search(
+                                patch_hits, top_n
+                            )
+                            continue
+                        candidates = [shared[frame_id] for frame_id in candidate_frames]
+                        frames += len(candidates)
+                        patches += _num_patches(candidates)
+                        reranked = self._reranker.rerank(parsed, candidates, top_n=top_n)
+                        results_by_query[parsed] = self._results_from_rerank(reranked)
+                    scoring.set("frames", frames)
+                    scoring.set("patches", patches)
         else:
             for parsed in unique:
                 _, patch_hits = grouped[parsed]
@@ -476,8 +488,12 @@ class QueryStrategy:
         self, parsed: ParsedQuery, candidate_frames: List[str], top_n: int
     ) -> List[ObjectQueryResult]:
         """Stage 2: cross-modality rerank of the candidate frames."""
-        candidates = [self._frame_candidate(frame_id) for frame_id in candidate_frames]
-        reranked = self._reranker.rerank(parsed, candidates, top_n=top_n)
+        with obs_span("candidate_build", frames=len(candidate_frames)):
+            candidates = [self._frame_candidate(frame_id) for frame_id in candidate_frames]
+        with obs_span(
+            "rerank_score", frames=len(candidates), patches=_num_patches(candidates)
+        ):
+            reranked = self._reranker.rerank(parsed, candidates, top_n=top_n)
         return self._results_from_rerank(reranked)
 
     def _results_from_rerank(

@@ -111,6 +111,17 @@ class RerankerConfig:
     extra_relation_checks: Dict[str, float] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class _QueryFeatures:
+    """The query-only inputs of frame scoring, built once per rerank call."""
+
+    text_tokens: np.ndarray
+    unit_text_tokens: np.ndarray
+    mixture: np.ndarray
+    conjunctive_columns: np.ndarray  # text tokens the conjunctive term takes the min over
+    companion: Optional[np.ndarray]
+
+
 class CrossModalityReranker:
     """Re-scores candidate frames by fusing text and visual features."""
 
@@ -162,7 +173,8 @@ class CrossModalityReranker:
         top_n: int | None = None,
     ) -> List[RerankResult]:
         """Rerank candidate frames against the query (Algorithm 2, stage 2)."""
-        results = [self.score_frame(query, candidate) for candidate in candidates]
+        features = self._query_features(query)
+        results = [self._score_frame(query, features, candidate) for candidate in candidates]
         results = [result for result in results if result is not None]
         results.sort(key=lambda result: result.score, reverse=True)
         if top_n is not None:
@@ -173,21 +185,45 @@ class CrossModalityReranker:
         self, query: ParsedQuery, candidate: FrameCandidate
     ) -> Optional[RerankResult]:
         """Score a single candidate frame; ``None`` when it has no detections."""
+        return self._score_frame(query, self._query_features(query), candidate)
+
+    def _query_features(self, query: ParsedQuery) -> _QueryFeatures:
+        """Everything the frame scoring needs from the query alone."""
+        text_tokens, token_kinds, token_names = self._text_tokens(query)
+        discriminative = np.array(
+            [kind == "object" and not is_context_token(token)
+             for token, kind in zip(token_names, token_kinds)],
+            dtype=bool,
+        )
+        return _QueryFeatures(
+            text_tokens=text_tokens,
+            unit_text_tokens=self._normalised(text_tokens),
+            mixture=self._space.encode(
+                list(query.object_tokens), weights=query_token_weights(query.object_tokens)
+            ),
+            conjunctive_columns=(
+                discriminative if discriminative.any() else np.ones_like(discriminative)
+            ),
+            companion=(
+                self._space.encode(list(query.companion_tokens))
+                if query.companion_tokens else None
+            ),
+        )
+
+    def _score_frame(
+        self, query: ParsedQuery, features: _QueryFeatures, candidate: FrameCandidate
+    ) -> Optional[RerankResult]:
         patches = [
             patch for patch in candidate.patches
             if patch.objectness >= self._config.min_objectness
         ]
         if not patches:
             patches = list(candidate.patches)
-        if not patches:
+        if not patches or features.text_tokens.shape[0] == 0:
             return None
 
         image_tokens = np.stack([patch.embedding for patch in patches])
-        text_tokens, token_kinds, token_names = self._text_tokens(query)
-        if text_tokens.shape[0] == 0:
-            return None
-
-        enhanced_image, enhanced_text = image_tokens, text_tokens
+        enhanced_image, enhanced_text = image_tokens, features.text_tokens
         for layer in self._enhancer_layers:
             enhanced_image, enhanced_text = layer.apply(enhanced_image, enhanced_text)
         for layer in self._decoder_layers:
@@ -202,28 +238,20 @@ class CrossModalityReranker:
         #   discriminative tokens (category, attributes, activity; context is
         #   excluded) — so a grey car cannot outrank a red car on the query
         #   "red car" just because both are cars.
-        query_mixture = self._space.encode(
-            list(query.object_tokens), weights=query_token_weights(query.object_tokens)
-        )
-        raw_mixture_similarity = self._normalised(image_tokens) @ query_mixture
-        enhanced_mixture_similarity = self._normalised(enhanced_image) @ query_mixture
+        unit_image = self._normalised(image_tokens)
+        unit_enhanced_image = self._normalised(enhanced_image)
+        raw_mixture_similarity = unit_image @ features.mixture
+        enhanced_mixture_similarity = unit_enhanced_image @ features.mixture
         mixture_similarity = 0.7 * raw_mixture_similarity + 0.3 * enhanced_mixture_similarity
 
-        discriminative_mask = np.array(
-            [kind == "object" and not is_context_token(token)
-             for token, kind in zip(token_names, token_kinds)]
-        )
-        raw_similarity = self._normalised(image_tokens) @ self._normalised(text_tokens).T
-        enhanced_similarity = self._normalised(enhanced_image) @ self._normalised(enhanced_text).T
+        raw_similarity = unit_image @ features.unit_text_tokens.T
+        enhanced_similarity = unit_enhanced_image @ self._normalised(enhanced_text).T
         token_similarity = 0.7 * raw_similarity + 0.3 * enhanced_similarity
-        if discriminative_mask.any():
-            conjunctive = token_similarity[:, discriminative_mask].min(axis=1)
-        else:
-            conjunctive = token_similarity.min(axis=1)
+        conjunctive = token_similarity[:, features.conjunctive_columns].min(axis=1)
 
         appearance = 0.6 * mixture_similarity + 0.4 * conjunctive
 
-        relation = self._relation_scores(query, patches)
+        relation = self._relation_scores(query, patches, features.companion)
         combined = appearance + relation
         detections = self._decode_detections(patches, combined, appearance, relation)
         best = detections[0]
@@ -296,17 +324,16 @@ class CrossModalityReranker:
         return np.stack(tokens), kinds, names
 
     def _relation_scores(
-        self, query: ParsedQuery, patches: Sequence[CandidatePatch]
+        self,
+        query: ParsedQuery,
+        patches: Sequence[CandidatePatch],
+        companion_vector: Optional[np.ndarray],
     ) -> np.ndarray:
         """Geometric evaluation of relational tokens over predicted boxes."""
         scores = np.zeros(len(patches), dtype=np.float64)
         relations = set(query.relation_tokens)
         if not relations:
             return scores
-
-        companion_vector = None
-        if query.companion_tokens:
-            companion_vector = self._space.encode(list(query.companion_tokens))
 
         for index, patch in enumerate(patches):
             total = 0.0

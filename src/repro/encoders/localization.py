@@ -17,7 +17,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.utils.geometry import BoundingBox
+from repro.utils.geometry import BoundingBox, box_array
 from repro.utils.rng import rng_from_tokens
 
 
@@ -48,38 +48,53 @@ class SimulatedBoxHead:
         Returns:
             A predicted :class:`BoundingBox` per patch.
         """
-        rng = rng_from_tokens("boxhead", frame_id, base_seed=self._seed)
-        predictions: List[BoundingBox] = []
-        num_objects = len(object_boxes)
-        for patch_index, anchor in enumerate(anchors):
-            if num_objects == 0:
-                predictions.append(self._noisy(anchor, rng))
-                continue
-            weights = overlaps[patch_index]
-            total = float(weights.sum())
-            if total <= 1e-6:
-                predictions.append(self._noisy(anchor, rng))
-                continue
-            blended = np.zeros(4, dtype=np.float64)
-            for object_index, box in enumerate(object_boxes):
-                blended += weights[object_index] * box.to_array()
-            blended /= total
-            # Mostly-background patches regress toward their anchor, the way a
-            # real head's low-objectness predictions hug the default box; any
-            # patch with a substantial object overlap localises the object.
-            anchor_pull = max(0.0, 1.0 - min(total / 0.25, 1.0))
-            blended = (1.0 - anchor_pull) * blended + anchor_pull * anchor.to_array()
-            predictions.append(self._noisy(BoundingBox.from_array(blended), rng))
-        return predictions
-
-    def _noisy(self, box: BoundingBox, rng: np.random.Generator) -> BoundingBox:
-        if self._noise_scale <= 0:
-            return box.clipped()
-        jitter = rng.normal(scale=self._noise_scale, size=4)
-        perturbed = BoundingBox(
-            box.x + jitter[0],
-            box.y + jitter[1],
-            max(box.w * (1.0 + jitter[2]), 1e-4),
-            max(box.h * (1.0 + jitter[3]), 1e-4),
+        predicted = self.predict_array(
+            frame_id,
+            box_array(anchors),
+            box_array(object_boxes),
+            np.asarray(overlaps, dtype=np.float64).reshape(len(anchors), len(object_boxes)),
         )
-        return perturbed.clipped()
+        return [BoundingBox(*row) for row in predicted.tolist()]
+
+    def predict_array(
+        self,
+        frame_id: str,
+        anchors: np.ndarray,
+        object_boxes: np.ndarray,
+        overlaps: np.ndarray,
+    ) -> np.ndarray:
+        """Array form of :meth:`predict`: ``(P, 4)`` anchors and ``(O, 4)``
+        object boxes as ``[x, y, w, h]`` rows in, ``(P, 4)`` boxes out."""
+        total = overlaps.sum(axis=1)
+        covered = total > 1e-6
+        # Accumulate object by object, in the same order as a per-patch
+        # weighted sum, so every box is bit-for-bit the sequential result.
+        blended = np.zeros_like(anchors)
+        for index in range(object_boxes.shape[0]):
+            blended += overlaps[:, index:index + 1] * object_boxes[index]
+        blended /= np.where(covered, total, 1.0)[:, None]
+        # Mostly-background patches regress toward their anchor, the way a
+        # real head's low-objectness predictions hug the default box; any
+        # patch with a substantial object overlap localises the object.
+        anchor_pull = np.maximum(0.0, 1.0 - np.minimum(total / 0.25, 1.0))[:, None]
+        blended = (1.0 - anchor_pull) * blended + anchor_pull * anchors
+        boxes = np.where(covered[:, None], blended, anchors)
+        return self._noisy(boxes, rng_from_tokens("boxhead", frame_id, base_seed=self._seed))
+
+    def _noisy(self, boxes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        x, y, w, h = boxes.T
+        if self._noise_scale > 0:
+            # One draw of (P, 4) is the same stream as P draws of 4.
+            jitter = rng.normal(scale=self._noise_scale, size=boxes.shape)
+            x = x + jitter[:, 0]
+            y = y + jitter[:, 1]
+            w = np.maximum(w * (1.0 + jitter[:, 2]), 1e-4)
+            h = np.maximum(h * (1.0 + jitter[:, 3]), 1e-4)
+        # Clip to the unit frame, as BoundingBox.clipped does.
+        x1 = np.minimum(np.maximum(x, 0.0), 1.0)
+        y1 = np.minimum(np.maximum(y, 0.0), 1.0)
+        x2 = np.minimum(np.maximum(x + w, 0.0), 1.0)
+        y2 = np.minimum(np.maximum(y + h, 0.0), 1.0)
+        return np.stack(
+            [x1, y1, np.maximum(x2 - x1, 0.0), np.maximum(y2 - y1, 0.0)], axis=1
+        )

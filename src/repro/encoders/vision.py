@@ -23,7 +23,7 @@ from repro.config import EncoderConfig
 from repro.encoders.concepts import ConceptSpace
 from repro.encoders.localization import SimulatedBoxHead
 from repro.errors import EncodingError
-from repro.utils.geometry import BoundingBox
+from repro.utils.geometry import BoundingBox, box_array
 from repro.utils.rng import rng_from_tokens
 from repro.video.model import Frame, ObjectAnnotation
 
@@ -94,6 +94,7 @@ class VisionEncoder:
                 f"({concept_space.dim} != {self._config.embedding_dim})"
             )
         self._grid = PatchGrid(self._config.patch_grid)
+        self._anchors = box_array(self._grid.anchors())
         self._projection = concept_space.projection_matrix(self._config.class_embedding_dim)
         self._box_head = box_head or SimulatedBoxHead(seed=self._config.seed)
         self._object_embedding_cache: Dict[Tuple[str, ...], np.ndarray] = {}
@@ -120,9 +121,11 @@ class VisionEncoder:
         frame content (object annotations stand in for pixels) and the fixed
         "pretrained" concept space.
         """
-        anchors = self._grid.anchors()
+        anchors = self._anchors
+        num_patches = anchors.shape[0]
         objects = frame.visible_objects()
-        overlaps = self._overlap_matrix(anchors, objects)
+        object_boxes = box_array([obj.box for obj in objects])
+        overlaps = self._overlap_matrix(anchors, object_boxes)
         object_embeddings = self._object_embeddings(objects)
         background = self._space.vector(f"background:{scene}")
         rng = rng_from_tokens("vision", frame.frame_id, base_seed=self._config.seed)
@@ -130,42 +133,40 @@ class VisionEncoder:
         # whose magnitude is ``noise_scale`` times the signal magnitude, so
         # the encoder's imperfection is a fixed fraction of its output rather
         # than something that can swamp the semantic content.
-        noise_directions = rng.normal(size=(len(anchors), self._config.embedding_dim))
+        noise_directions = rng.normal(size=(num_patches, self._config.embedding_dim))
         noise_directions /= np.linalg.norm(noise_directions, axis=1, keepdims=True)
-        boxes = self._box_head.predict(frame.frame_id, anchors, [o.box for o in objects], overlaps)
+        boxes = self._box_head.predict_array(frame.frame_id, anchors, object_boxes, overlaps)
 
-        encodings: List[PatchEncoding] = []
-        for patch_index, _anchor in enumerate(anchors):
-            mixture = self._config.background_weight * background
-            if objects:
-                weights = overlaps[patch_index]
-                if weights.sum() > 0:
-                    mixture = mixture + weights @ object_embeddings
-            signal_norm = np.linalg.norm(mixture)
-            mixture = mixture + (
-                self._config.noise_scale * signal_norm * noise_directions[patch_index]
+        # Whole-frame array operations.  Row norms and row products go through
+        # stacked matmuls because those round exactly like the per-vector
+        # ``dot``/``gemv`` calls of encoding one patch at a time, so a patch's
+        # encoding never depends on the rest of the frame; ``norm(axis=1)`` or
+        # one ``(P, O) @ (O, D)`` GEMM would change the last bits.
+        mixture = np.broadcast_to(
+            self._config.background_weight * background, noise_directions.shape
+        )
+        objectness = overlaps.sum(axis=1)
+        mixed = mixture + np.matmul(overlaps[:, None, :], object_embeddings)[:, 0]
+        mixture = np.where((objectness > 0)[:, None], mixed, mixture)
+        signal_norm = _row_norms(mixture)
+        mixture = mixture + self._config.noise_scale * signal_norm * noise_directions
+        embeddings = _unit_rows(mixture)
+        class_embeddings = _unit_rows(
+            np.matmul(self._projection, embeddings[:, :, None])[:, :, 0]
+        )
+        objectness = np.minimum(objectness, 1.0)
+
+        frame_id, video_id = frame.frame_id, frame.video_id
+        # Positional fields, in PatchEncoding's declaration order.
+        return [
+            PatchEncoding(
+                f"{frame_id}/patch{patch_index:03d}", frame_id, video_id, patch_index,
+                embedding, class_embedding, BoundingBox(*box), patch_objectness,
             )
-            norm = np.linalg.norm(mixture)
-            if norm > 0:
-                mixture = mixture / norm
-            class_embedding = self._projection @ mixture
-            class_norm = np.linalg.norm(class_embedding)
-            if class_norm > 0:
-                class_embedding = class_embedding / class_norm
-            objectness = float(overlaps[patch_index].sum()) if objects else 0.0
-            encodings.append(
-                PatchEncoding(
-                    patch_id=f"{frame.frame_id}/patch{patch_index:03d}",
-                    frame_id=frame.frame_id,
-                    video_id=frame.video_id,
-                    patch_index=patch_index,
-                    embedding=mixture,
-                    class_embedding=class_embedding,
-                    box=boxes[patch_index],
-                    objectness=min(objectness, 1.0),
-                )
+            for patch_index, (embedding, class_embedding, box, patch_objectness) in enumerate(
+                zip(embeddings, class_embeddings, boxes.tolist(), objectness.tolist())
             )
-        return encodings
+        ]
 
     def encode_frames(
         self, frames: Sequence[Frame], scene: str = "generic"
@@ -206,27 +207,31 @@ class VisionEncoder:
         return np.stack([self.object_embedding(annotation) for annotation in objects])
 
     @staticmethod
-    def _overlap_matrix(
-        anchors: Sequence[BoundingBox], objects: Sequence[ObjectAnnotation]
-    ) -> np.ndarray:
-        """Fraction of each patch covered by each object, vectorised."""
-        num_patches = len(anchors)
-        num_objects = len(objects)
-        if num_objects == 0:
-            return np.zeros((num_patches, 0), dtype=np.float64)
-        anchor_array = np.array([anchor.to_array() for anchor in anchors])
-        object_array = np.array([obj.box.to_array() for obj in objects])
-        ax1 = anchor_array[:, None, 0]
-        ay1 = anchor_array[:, None, 1]
-        ax2 = ax1 + anchor_array[:, None, 2]
-        ay2 = ay1 + anchor_array[:, None, 3]
-        ox1 = object_array[None, :, 0]
-        oy1 = object_array[None, :, 1]
-        ox2 = ox1 + object_array[None, :, 2]
-        oy2 = oy1 + object_array[None, :, 3]
+    def _overlap_matrix(anchors: np.ndarray, object_boxes: np.ndarray) -> np.ndarray:
+        """Fraction of each patch covered by each object: ``(P, 4)`` anchor
+        and ``(O, 4)`` object ``[x, y, w, h]`` rows in, ``(P, O)`` out."""
+        ax1 = anchors[:, None, 0]
+        ay1 = anchors[:, None, 1]
+        ax2 = ax1 + anchors[:, None, 2]
+        ay2 = ay1 + anchors[:, None, 3]
+        ox1 = object_boxes[None, :, 0]
+        oy1 = object_boxes[None, :, 1]
+        ox2 = ox1 + object_boxes[None, :, 2]
+        oy2 = oy1 + object_boxes[None, :, 3]
         inter_w = np.clip(np.minimum(ax2, ox2) - np.maximum(ax1, ox1), 0.0, None)
         inter_h = np.clip(np.minimum(ay2, oy2) - np.maximum(ay1, oy1), 0.0, None)
-        patch_area = anchor_array[:, None, 2] * anchor_array[:, None, 3]
+        patch_area = anchors[:, None, 2] * anchors[:, None, 3]
         with np.errstate(divide="ignore", invalid="ignore"):
             overlaps = np.where(patch_area > 0, inter_w * inter_h / patch_area, 0.0)
         return overlaps
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """``(N, 1)`` Euclidean row norms, rounded exactly like ``norm`` of one row."""
+    return np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None]))[:, 0]
+
+
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; zero rows are left as they are."""
+    norms = _row_norms(matrix)
+    return matrix / np.where(norms > 0, norms, 1.0)

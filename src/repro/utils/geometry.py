@@ -111,12 +111,23 @@ class BoundingBox:
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """IoU between two boxes; 0 when either box is degenerate."""
+    """IoU between two boxes; 0 when either box is degenerate.
+
+    Capped at 1: the intersection's edges are recomputed from ``x + w``, so
+    for a near-degenerate box rounding can make it exceed the box's area.
+    """
     inter = a.intersection(b)
     union = a.area + b.area - inter
     if union <= 0.0:
         return 0.0
-    return inter / union
+    return min(inter / union, 1.0)
+
+
+def box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """Stack boxes into a ``(len(boxes), 4)`` array of ``[x, y, w, h]`` rows."""
+    return np.array([(box.x, box.y, box.w, box.h) for box in boxes], dtype=np.float64).reshape(
+        len(boxes), 4
+    )
 
 
 def iou_matrix(boxes_a: Sequence[BoundingBox], boxes_b: Sequence[BoundingBox]) -> np.ndarray:

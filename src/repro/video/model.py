@@ -44,10 +44,14 @@ class ObjectAnnotation:
         """All semantic tokens describing the object.
 
         The simulated encoders mix the concept vectors of these tokens into
-        the visual embedding of any patch the object overlaps.
+        the visual embedding of any patch the object overlaps.  Attribute
+        values come in attribute-key order, not dict insertion order: the
+        mixture is a floating-point sum, and snapshots store attributes with
+        sorted keys, so this keeps a loaded system's encodings bit-identical
+        to the live system's.
         """
         tokens: List[str] = [self.category]
-        tokens.extend(self.attributes.values())
+        tokens.extend(self.attributes[key] for key in sorted(self.attributes))
         tokens.extend(self.context)
         tokens.extend(self.activity)
         return tokens

@@ -566,6 +566,42 @@ class TestObsConfig:
 # ---------------------------------------------------------------------------
 
 
+class TestRerankSpans:
+    """The rerank span splits into candidate building and scoring."""
+
+    @staticmethod
+    def rerank_children(trace: Trace):
+        spans = trace.spans()
+        (rerank,) = [s for s in spans if s.name == "rerank"]
+        children = {s.name: s for s in spans if s.parent_id == rerank.span_id}
+        assert set(children) == {"candidate_build", "rerank_score"}
+        assert sum(s.duration_s for s in children.values()) <= rerank.duration_s
+        return children["candidate_build"], children["rerank_score"]
+
+    def test_serial_query(self, sharded_system):
+        trace = Trace()
+        with activate([trace]):
+            response = sharded_system.query("person")
+        build, score = self.rerank_children(trace)
+        frames = response.metadata["num_candidates"]
+        assert frames > 0
+        assert build.attributes == {"frames": frames}
+        assert score.attributes["frames"] == frames
+        assert score.attributes["patches"] >= frames
+
+    def test_batch_query(self, sharded_system):
+        trace = Trace()
+        with activate([trace]):
+            batch = sharded_system.query_batch(["person", "car", "person"])
+        build, score = self.rerank_children(trace)
+        assert build.attributes == {"frames": batch.metadata["num_unique_candidate_frames"]}
+        # Two unique queries: every candidate list is scored once.
+        assert score.attributes["frames"] == sum(
+            batch.responses[i].metadata["num_candidates"] for i in (0, 1)
+        )
+        assert score.attributes["patches"] >= score.attributes["frames"]
+
+
 class TestEngineTracing:
     REQUIRED_SPANS = {"queue_wait", "encode", "fast_search", "shard_search",
                       "merge", "rerank"}

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro import LOVO, LOVOConfig
+from repro import LOVO, LOVOConfig, QueryOptions, QueryRequest
 from repro.config import (
     EncoderConfig,
     IndexConfig,
@@ -67,8 +67,11 @@ def persist_config(index_type: str) -> LOVOConfig:
 
 
 def ingested_system(index_type: str) -> LOVO:
+    """A mixed-dataset system: Cityscapes annotations carry attribute dicts
+    whose insertion order is not key order, which a snapshot must survive."""
     system = LOVO(persist_config(index_type))
     system.ingest(make_bellevue(num_videos=1, frames_per_video=80))
+    system.ingest(make_cityscapes(num_videos=1, frames_per_video=60, seed=1))
     return system
 
 
@@ -99,6 +102,22 @@ class TestRoundTripParity:
         after = loaded.query_batch(QUERIES)
         for response_before, response_after in zip(before.responses, after.responses):
             assert result_tuples(response_after) == result_tuples(response_before)
+
+    def test_two_dataset_scores_exactly_equal(self, tmp_path):
+        # Every rerank score, not only the top results, must survive save ->
+        # load bit for bit; people and bicycles only occur in Cityscapes.
+        system = LOVO(LOVOConfig())
+        system.ingest(make_bellevue(num_videos=1, frames_per_video=150))
+        system.ingest(make_cityscapes(num_videos=1, frames_per_video=150))
+        system.save(tmp_path / "snap")
+        loaded = LOVO.load(tmp_path / "snap")
+        request = QueryRequest(
+            "A person walking next to a bicycle.", QueryOptions(top_n=1000)
+        )
+        live = [(r.patch_id, r.score) for r in system.query(request).results]
+        warm = [(r.patch_id, r.score) for r in loaded.query(request).results]
+        assert len(live) > 10
+        assert warm == live
 
     def test_counters_and_reports_survive(self, saved_system):
         index_type, system, root, manifest = saved_system

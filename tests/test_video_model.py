@@ -43,6 +43,15 @@ class TestObjectAnnotation:
         tokens = annotation.concept_tokens()
         assert tokens == ["car", "red", "road", "driving"]
 
+    def test_concept_tokens_order_attributes_by_key(self):
+        # Insertion order must not matter: snapshots store attributes with
+        # sorted keys, and the encoders sum token vectors in token order.
+        first = ObjectAnnotation("o1", "person", {"color": "dark", "clothing": "jacket"})
+        second = ObjectAnnotation("o1", "person", {"clothing": "jacket", "color": "dark"})
+        assert first.concept_tokens() == second.concept_tokens() == [
+            "person", "jacket", "dark",
+        ]
+
     def test_describe_mentions_attributes_and_category(self):
         annotation = ObjectAnnotation(
             object_id="o1",
