@@ -14,8 +14,7 @@ boxes are returned.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.config import QueryConfig
@@ -134,16 +133,16 @@ class QueryRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "QueryRequest":
-        """Parse the wire form, accepting the legacy top-level ``top_n``."""
+        """Parse the wire form; unknown fields are a :class:`QueryError`."""
         if not isinstance(payload, Mapping):
             raise QueryError("Query request must be a JSON object")
+        unknown = set(payload) - {"query", "options"}
+        if unknown:
+            raise QueryError(f"Unknown query request field(s): {sorted(unknown)}")
         text = payload.get("query")
         if not isinstance(text, str):
             raise QueryError('Query request must contain a string "query" field')
         options = QueryOptions.from_dict(payload.get("options"))  # type: ignore[arg-type]
-        legacy_top_n = payload.get("top_n")
-        if legacy_top_n is not None:
-            options = _merge_top_n(options, legacy_top_n)
         return cls(text=text, options=options)
 
 
@@ -172,61 +171,27 @@ def _num_patches(candidates: Sequence[FrameCandidate]) -> int:
     return sum(len(candidate.patches) for candidate in candidates)
 
 
-def _merge_top_n(options: QueryOptions, top_n: object) -> QueryOptions:
-    """Fold a legacy ``top_n`` value into options, rejecting conflicts."""
-    if isinstance(top_n, bool) or not isinstance(top_n, int) or top_n <= 0:
-        raise QueryError('"top_n" must be a positive integer')
-    if options.top_n is not None and options.top_n != top_n:
-        raise QueryError(
-            f"Conflicting top_n: options say {options.top_n}, legacy argument says {top_n}"
-        )
-    return replace(options, top_n=top_n)
-
-
-def _warn_top_n(caller: str) -> None:
-    warnings.warn(
-        f"{caller}(top_n=...) is deprecated; pass options=QueryOptions(top_n=...) "
-        "or a QueryRequest instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
 def as_query_request(
     request: Union[str, QueryRequest],
-    top_n: int | None = None,
     options: QueryOptions | None = None,
     *,
     caller: str = "query",
 ) -> QueryRequest:
-    """Coerce the public shim surface into one canonical :class:`QueryRequest`.
-
-    Accepts a bare query string (first-class, no warning) or a ready
-    :class:`QueryRequest`; the legacy ``top_n`` keyword keeps working but
-    emits a :class:`DeprecationWarning`.
-    """
-    if top_n is not None:
-        _warn_top_n(caller)
+    """Coerce a query string or a ready :class:`QueryRequest` into one request."""
     if isinstance(request, QueryRequest):
         if options is not None:
             raise QueryError(
                 f"{caller}() got both a QueryRequest and separate options; "
                 "put the options inside the request"
             )
-        if top_n is not None:
-            request = replace(request, options=_merge_top_n(request.options, top_n))
         return request
     if not isinstance(request, str):
         raise QueryError(f"{caller}() expects a query string or QueryRequest")
-    merged = options or QueryOptions()
-    if top_n is not None:
-        merged = _merge_top_n(merged, top_n)
-    return QueryRequest(text=request, options=merged)
+    return QueryRequest(text=request, options=options or QueryOptions())
 
 
 def as_query_batch(
     requests: Sequence[Union[str, QueryRequest]],
-    top_n: int | None = None,
     options: QueryOptions | None = None,
     *,
     caller: str = "query_batch",
@@ -235,15 +200,11 @@ def as_query_batch(
 
     A batch executes as one engine pass, so all requests must agree on their
     options: per-request options are allowed only when they are all equal
-    (and consistent with the batch-level ``options``/legacy ``top_n``).
+    (and consistent with the batch-level ``options``).
     """
     if isinstance(requests, (str, QueryRequest)):
         raise QueryError(f"{caller}() expects a sequence of queries, not a single one")
-    if top_n is not None:
-        _warn_top_n(caller)
     merged = options or QueryOptions()
-    if top_n is not None:
-        merged = _merge_top_n(merged, top_n)
     texts: List[str] = []
     explicit = merged != QueryOptions()
     for request in requests:
@@ -285,63 +246,25 @@ class QueryStrategy:
         """The query configuration (k, n, ablation switches)."""
         return self._config
 
-    def query(
-        self,
-        request: Union[str, QueryRequest],
-        top_n: int | None = None,
-        *,
-        options: QueryOptions | None = None,
-    ) -> QueryResponse:
-        """Execute a complex object query end to end.
-
-        Accepts a query string or a canonical :class:`QueryRequest`; the
-        ``top_n`` keyword is a deprecated shim for ``options``.
-        """
-        coerced = as_query_request(request, top_n, options, caller="QueryStrategy.query")
-        timer = PhaseTimer()
-        text = coerced.text
-        parsed = self._text_encoder.parse(text)
-        fast_k, top_n = coerced.options.resolved(self._config)
-
-        with timer.phase("fast_search"):
-            candidate_frames, patch_hits = self._fast_search(parsed, fast_k)
-
-        if self._config.rerank_enabled and candidate_frames:
-            with timer.phase("rerank"), obs_span(
-                "rerank", num_candidates=len(candidate_frames)
-            ):
-                results = self._rerank(parsed, candidate_frames, top_n)
-        else:
-            results = self._results_from_fast_search(patch_hits, top_n)
-
-        response = QueryResponse(query=text, results=results, timings=timer.as_dict())
-        response.metadata["parsed"] = parsed
-        response.metadata["num_candidates"] = len(candidate_frames)
-        response.metadata["rerank_enabled"] = self._config.rerank_enabled
-        response.metadata["ann_enabled"] = self._config.ann_enabled
-        response.metadata["fast_search"] = _fast_search_provenance(patch_hits, fast_k)
-        return response
-
     def query_batch(
         self,
         requests: Sequence[Union[str, QueryRequest]],
-        top_n: int | None = None,
         *,
         options: QueryOptions | None = None,
     ) -> BatchQueryResponse:
         """Execute ``m`` complex object queries in one engine pass.
 
+        This is the only query path: a single query is a batch of one.
         Stage 1 embeds every query with one vectorized text-encoder pass and
         runs one multi-query ANN search.  Stage 2 reranks over the *union* of
         the per-query candidate frames, so each distinct frame is re-encoded
-        exactly once no matter how many queries retrieved it — that sharing is
-        where the batch path beats ``m`` sequential :meth:`query` calls.  Each
-        query's hits and scores are identical to what a sequential call would
-        return.  Requests may be strings or :class:`QueryRequest` objects but
+        exactly once no matter how many queries retrieved it.  Each query's
+        hits and scores depend only on that query, never on the rest of the
+        batch.  Requests may be strings or :class:`QueryRequest` objects but
         must share one :class:`QueryOptions` (the batch runs as one pass).
         """
         texts, batch_options = as_query_batch(
-            requests, top_n, options, caller="QueryStrategy.query_batch"
+            requests, options, caller="QueryStrategy.query_batch"
         )
         timer = PhaseTimer()
         parsed_list = [self._text_encoder.parse(text) for text in texts]
@@ -352,8 +275,7 @@ class QueryStrategy:
 
         # Duplicate query strings are answered once: the whole pipeline runs
         # over the *unique* parsed queries and results fan back out by
-        # position.  Results are position-for-position identical to
-        # sequential calls because the pipeline is deterministic per query.
+        # position; the pipeline is deterministic per query.
         unique = list(dict.fromkeys(parsed_list))
 
         with timer.phase("fast_search"):
@@ -416,7 +338,6 @@ class QueryStrategy:
             response.metadata["num_candidates"] = len(candidate_frames)
             response.metadata["rerank_enabled"] = self._config.rerank_enabled
             response.metadata["ann_enabled"] = self._config.ann_enabled
-            response.metadata["batched"] = True
             response.metadata["fast_search"] = _fast_search_provenance(patch_hits, fast_k)
             responses.append(response)
         return BatchQueryResponse(
@@ -431,18 +352,6 @@ class QueryStrategy:
                 "ann_enabled": self._config.ann_enabled,
             },
         )
-
-    def _fast_search(
-        self, parsed: ParsedQuery, fast_k: int
-    ) -> Tuple[List[str], List[Tuple[str, float]]]:
-        """Stage 1: ANN top-k patches, grouped into candidate frames."""
-        with obs_span("encode", num_queries=1):
-            query_vector = self._text_encoder.encode(parsed)
-        with obs_span("fast_search", k=fast_k, ann=self._config.ann_enabled):
-            hits = self._storage.search(
-                query_vector, fast_k, use_ann=self._config.ann_enabled
-            )
-        return self._group_hits(hits)
 
     def _group_hits(
         self, hits: Sequence[SearchHit]
@@ -483,18 +392,6 @@ class QueryStrategy:
             for encoding in encodings
         )
         return FrameCandidate(frame_id=frame_id, patches=patches)
-
-    def _rerank(
-        self, parsed: ParsedQuery, candidate_frames: List[str], top_n: int
-    ) -> List[ObjectQueryResult]:
-        """Stage 2: cross-modality rerank of the candidate frames."""
-        with obs_span("candidate_build", frames=len(candidate_frames)):
-            candidates = [self._frame_candidate(frame_id) for frame_id in candidate_frames]
-        with obs_span(
-            "rerank_score", frames=len(candidates), patches=_num_patches(candidates)
-        ):
-            reranked = self._reranker.rerank(parsed, candidates, top_n=top_n)
-        return self._results_from_rerank(reranked)
 
     def _results_from_rerank(
         self, reranked: Sequence[RerankResult]

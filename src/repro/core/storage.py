@@ -22,6 +22,7 @@ from repro.errors import SnapshotCorruptionError, VectorDatabaseError
 from repro.shard.database import ShardedCollection, ShardedDatabase
 from repro.utils.serialization import load_json, save_json
 from repro.utils.timing import PhaseTimer
+from repro.vectordb.base import as_single_query
 from repro.vectordb.collection import SearchHit, VectorCollection
 from repro.vectordb.database import VectorDatabase
 from repro.vectordb.metadata import FrameRecord, MetadataStore, PatchRecord
@@ -162,15 +163,14 @@ class LOVOStorage:
             self._collection.flush()
 
     def search(self, query_vector: np.ndarray, k: int, use_ann: bool = True) -> List[SearchHit]:
-        """Top-``k`` patch search; exhaustive when ``use_ann`` is false."""
-        if use_ann:
-            return self._collection.search(query_vector, k)
-        return self._collection.search_exhaustive(query_vector, k)
+        """Top-``k`` patch search for one query vector: a batch of one."""
+        return self.search_batch(as_single_query(query_vector), k, use_ann)[0]
 
     def search_batch(
         self, query_vectors: np.ndarray, k: int, use_ann: bool = True
     ) -> List[List[SearchHit]]:
-        """Top-``k`` patch search for ``m`` query vectors at once."""
+        """Top-``k`` patch search for ``m`` query vectors at once; exhaustive
+        when ``use_ann`` is false."""
         if use_ann:
             return self._collection.search_batch(query_vectors, k)
         return self._collection.search_exhaustive_batch(query_vectors, k)

@@ -234,46 +234,35 @@ class LOVO:
     def query(
         self,
         request: str | QueryRequest,
-        top_n: int | None = None,
         *,
         options: QueryOptions | None = None,
     ) -> QueryResponse:
-        """Answer one complex object query (Algorithm 2).
+        """Answer one complex object query (Algorithm 2): a batch of one.
 
         Accepts a query string or a canonical :class:`~repro.core.query.
-        QueryRequest`.  The ``top_n`` keyword keeps working but is deprecated
-        in favour of ``options=QueryOptions(top_n=...)``.
+        QueryRequest`.
         """
-        if self._strategy is None:
-            raise SystemNotReadyError("Call ingest() before query()")
-        coerced = as_query_request(request, top_n, options, caller="LOVO.query")
-        response = self._strategy.query(coerced)
-        for phase, seconds in response.timings.items():
-            self._timer.add(phase, seconds)
-        return response
+        coerced = as_query_request(request, options, caller="LOVO.query")
+        return self.query_batch([coerced]).responses[0]
 
     def query_batch(
         self,
         requests: Sequence[str | QueryRequest],
-        top_n: int | None = None,
         *,
         options: QueryOptions | None = None,
     ) -> BatchQueryResponse:
         """Answer several complex object queries in one batched engine pass.
 
-        Per query, the hits and scores match :meth:`query`; the batch path
-        amortises text encoding, the ANN probes, and the re-encoding of
-        candidate frames shared between queries, so throughput scales with
-        query concurrency instead of paying the full pipeline per call.
+        The batch path amortises text encoding, the ANN probes, and the
+        re-encoding of candidate frames shared between queries, so throughput
+        scales with query concurrency instead of paying the full pipeline per
+        call; each query's hits and scores are the ones it gets on its own.
         Requests may be strings or :class:`~repro.core.query.QueryRequest`
-        objects sharing one :class:`~repro.core.query.QueryOptions`; the
-        ``top_n`` keyword is a deprecated shim.
+        objects sharing one :class:`~repro.core.query.QueryOptions`.
         """
         if self._strategy is None:
-            raise SystemNotReadyError("Call ingest() before query_batch()")
-        texts, batch_options = as_query_batch(
-            requests, top_n, options, caller="LOVO.query_batch"
-        )
+            raise SystemNotReadyError("Call ingest() before querying")
+        texts, batch_options = as_query_batch(requests, options, caller="LOVO.query_batch")
         batch = self._strategy.query_batch(texts, options=batch_options)
         for phase, seconds in batch.timings.items():
             self._timer.add(phase, seconds)

@@ -2,7 +2,6 @@
 
 from repro.eval.metrics import (
     GroundTruthInstance,
-    GroundTruthObject,
     average_precision,
     evaluate_results,
 )
@@ -18,7 +17,6 @@ from repro.eval.reporting import format_table
 
 __all__ = [
     "GroundTruthInstance",
-    "GroundTruthObject",
     "average_precision",
     "evaluate_results",
     "QuerySpec",

@@ -44,10 +44,6 @@ class GroundTruthInstance:
         return self.boxes.get(frame_id)
 
 
-#: Backwards-compatible alias used in earlier revisions of the API.
-GroundTruthObject = GroundTruthInstance
-
-
 def match_results(
     results: Sequence[ObjectQueryResult],
     ground_truth: Sequence[GroundTruthInstance],

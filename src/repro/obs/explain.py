@@ -138,7 +138,6 @@ def build_explain_report(
             "cache_hit": cache_hit,
             "sharded": bool(backend.get("sharded", False)),
             "num_shards": backend.get("num_shards", 1),
-            "batched": bool(response.metadata.get("batched", False)),
         },
     }
     if trace is not None and trace.duration_s is not None:

@@ -33,28 +33,16 @@ from repro.utils.locking import create_lock
 
 @dataclass
 class PendingQuery:
-    """One admitted query waiting to be coalesced into a micro-batch.
-
-    ``options`` is the canonical per-request state; ``top_n`` is kept as a
-    deprecated construction shim (it is folded into :meth:`effective_options`
-    when no explicit options were given).
-    """
+    """One admitted query waiting to be coalesced into a micro-batch."""
 
     text: str
-    top_n: Optional[int] = None
     future: Future = field(default_factory=Future)
     enqueued_at: float = field(default_factory=time.perf_counter)
-    options: Optional[QueryOptions] = None
+    options: QueryOptions = field(default_factory=QueryOptions)
     #: The request's trace (``None`` when tracing is disabled).  It rides
     #: along through the queue so the worker that picks the batch up can
     #: record the queue-wait span and fan engine spans into it.
     trace: Optional["Trace"] = None
-
-    def effective_options(self) -> QueryOptions:
-        """The canonical options of this query (legacy ``top_n`` folded in)."""
-        if self.options is not None:
-            return self.options
-        return QueryOptions(top_n=self.top_n)
 
 
 class MicroBatcher:

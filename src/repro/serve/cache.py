@@ -125,11 +125,10 @@ class ResultCache:
         """The cache key of a canonical request under a query config.
 
         Keyed on the *resolved* retrieval depths, so semantically identical
-        requests collide regardless of which API shim produced them — an
-        explicit ``QueryOptions(top_n=40)``, a legacy ``top_n=40`` kwarg,
-        and a bare string under a config whose default is 40 all share one
-        entry.  The key is also shard/replica-invariant by construction:
-        backend topology never enters it.
+        requests collide: an explicit ``QueryOptions(top_n=40)`` and a bare
+        string under a config whose default is 40 share one entry.  The key
+        is also shard/replica-invariant by construction: backend topology
+        never enters it.
         """
         fast_search_k, top_n = options.resolved(config)
         return ResultCache.make_key(text, fast_search_k, top_n, epoch)

@@ -305,22 +305,20 @@ class ServingEngine:
     def submit(
         self,
         request: "str | QueryRequest",
-        top_n: int | None = None,
         *,
         options: QueryOptions | None = None,
     ) -> "Future[QueryResponse]":
         """Submit one query; returns a future resolving to its response.
 
         Accepts a query string or a canonical :class:`~repro.core.query.
-        QueryRequest` (the ``top_n`` keyword is a deprecated shim).  Raises
-        :class:`~repro.errors.ServiceOverloadedError` when the admission
-        queue is full and :class:`~repro.errors.QueryError` for requests the
-        engine could never answer (validated here so one bad query cannot
-        fail the micro-batch it would have been coalesced into).
+        QueryRequest`.  Raises :class:`~repro.errors.ServiceOverloadedError`
+        when the admission queue is full and :class:`~repro.errors.QueryError`
+        for requests the engine could never answer (validated here so one bad
+        query cannot fail the micro-batch it would have been coalesced into).
         """
         if not self._running:
             raise ServingError("ServingEngine is not running; call start() first")
-        coerced = as_query_request(request, top_n, options, caller="ServingEngine.submit")
+        coerced = as_query_request(request, options, caller="ServingEngine.submit")
         text = coerced.text
         self._metrics.record_request()
 
@@ -358,7 +356,6 @@ class ServingEngine:
 
         pending = PendingQuery(
             text=text,
-            top_n=coerced.options.top_n,
             enqueued_at=started,
             options=coerced.options,
             trace=trace,
@@ -384,7 +381,6 @@ class ServingEngine:
     def query(
         self,
         request: "str | QueryRequest",
-        top_n: int | None = None,
         timeout: float | None = None,
         *,
         options: QueryOptions | None = None,
@@ -393,14 +389,11 @@ class ServingEngine:
         effective_timeout = (
             timeout if timeout is not None else self._config.request_timeout_seconds
         )
-        return self.submit(request, top_n=top_n, options=options).result(
-            timeout=effective_timeout
-        )
+        return self.submit(request, options=options).result(timeout=effective_timeout)
 
     def query_many(
         self,
         requests: Sequence["str | QueryRequest"],
-        top_n: int | None = None,
         timeout: float | None = None,
         *,
         options: QueryOptions | None = None,
@@ -418,7 +411,7 @@ class ServingEngine:
         # rejection cancel what was already admitted — otherwise a failed
         # batch would still consume worker capacity (exactly when overloaded).
         coerced = [
-            as_query_request(request, top_n, options, caller="ServingEngine.query_many")
+            as_query_request(request, options, caller="ServingEngine.query_many")
             for request in requests
         ]
         futures: List["Future[QueryResponse]"] = []
@@ -511,7 +504,7 @@ class ServingEngine:
         # group by it; almost every real batch is a single group.
         groups: Dict[QueryOptions, List[PendingQuery]] = {}
         for pending in live:
-            groups.setdefault(pending.effective_options(), []).append(pending)
+            groups.setdefault(pending.options, []).append(pending)
         for group_options, group in groups.items():
             self._process_group(group_options, group)
 

@@ -9,9 +9,10 @@ Endpoints (all under ``/v1``):
 
 * ``POST /v1/query`` — body is the :class:`~repro.core.query.QueryRequest`
   wire form ``{"query": str, "options": {"top_n": int?, "fast_search_k":
-  int?}?}``; the legacy top-level ``"top_n"`` field is still accepted.
-* ``POST /v1/query_batch`` — ``{"queries": [str, ...], "options": {...}?}``
-  (legacy top-level ``"top_n"`` accepted).
+  int?, "explain": bool?}?}``.  Any other top-level field (such as the
+  removed legacy ``"top_n"``) is a 400.
+* ``POST /v1/query_batch`` — ``{"queries": [str, ...], "options": {...}?}``,
+  with unknown top-level fields rejected the same way.
 * ``GET /v1/healthz`` — liveness/readiness (503 until data is ingested or
   loaded); includes backend topology (shard and replica health) when the
   system runs on the sharded scatter-gather database.  A backend with some
@@ -55,10 +56,9 @@ error envelope, and attaches it to the request's stored trace.  Query
 responses carry the request's ``trace_id`` in the JSON body and the
 ``X-Trace-Id`` header.
 
-The unversioned paths (``/query``, ``/query_batch``, ``/healthz``,
-``/stats``) answer **308 Permanent Redirect** to their ``/v1`` equivalents
-for one release and will then be removed; 308 preserves the method and body,
-so a client that follows redirects keeps working unchanged.
+Unversioned paths (``/query``, ``/healthz``, ...) are unknown paths: they
+answer 404 with the error envelope below, like any other path outside
+``/v1``.
 
 Every error answers a consistent JSON envelope mapped from the typed error
 hierarchy in :mod:`repro.errors`::
@@ -107,14 +107,6 @@ MAX_REQUEST_ID_CHARS = 128
 
 #: Current (and only) API version prefix.
 API_PREFIX = "/v1"
-
-#: Unversioned paths kept as permanent redirects for one release.
-LEGACY_REDIRECTS = {
-    "/query": f"{API_PREFIX}/query",
-    "/query_batch": f"{API_PREFIX}/query_batch",
-    "/healthz": f"{API_PREFIX}/healthz",
-    "/stats": f"{API_PREFIX}/stats",
-}
 
 
 def response_payload(response: QueryResponse) -> Dict[str, object]:
@@ -177,8 +169,6 @@ class LOVORequestHandler(BaseHTTPRequestHandler):
                 self._guarded(lambda: self._handle_subscription_events(sub_id, query))
             else:
                 self._guarded(lambda: self._handle_subscription_get(tail))
-        elif path in LEGACY_REDIRECTS:
-            self._send_redirect(LEGACY_REDIRECTS[path])
         else:
             self._send_error(404, "not_found", f"Unknown path {self.path!r}")
 
@@ -190,8 +180,6 @@ class LOVORequestHandler(BaseHTTPRequestHandler):
             self._guarded(self._handle_query_batch)
         elif self.path == f"{API_PREFIX}/subscriptions":
             self._guarded(self._handle_subscription_create)
-        elif self.path in LEGACY_REDIRECTS:
-            self._send_redirect(LEGACY_REDIRECTS[self.path])
         else:
             self._send_error(404, "not_found", f"Unknown path {self.path!r}")
 
@@ -263,19 +251,16 @@ class LOVORequestHandler(BaseHTTPRequestHandler):
 
     def _handle_query_batch(self) -> None:
         body = self._read_json_body()
+        unknown = set(body) - {"queries", "options"}
+        if unknown:
+            raise _BadRequest(f"Unknown query batch field(s): {sorted(unknown)}")
         texts = body.get("queries")
         if not isinstance(texts, list) or not all(
             isinstance(text, str) for text in texts
         ):
             raise _BadRequest('Body must contain a "queries" list of strings')
         options = QueryOptions.from_dict(body.get("options"))  # type: ignore[arg-type]
-        legacy_top_n = body.get("top_n")
-        requests = [
-            QueryRequest.from_dict(
-                {"query": text, "options": options.to_dict(), "top_n": legacy_top_n}
-            )
-            for text in texts
-        ]
+        requests = [QueryRequest(text, options) for text in texts]
         responses = self.server.engine.query_many(requests)
         for response in responses:
             self._annotate_trace(response, "/v1/query_batch")
@@ -495,23 +480,6 @@ class LOVORequestHandler(BaseHTTPRequestHandler):
             self.send_header("X-Request-ID", self._request_id)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(encoded)
-
-    def _send_redirect(self, location: str) -> None:
-        """308 Permanent Redirect (method- and body-preserving) to ``/v1``."""
-        # The request body (if any) is intentionally left unread; close the
-        # connection so HTTP/1.1 keep-alive cannot desynchronise.
-        self.close_connection = True
-        payload = {"redirect": location, "deprecated": self.path}
-        encoded = json.dumps(payload).encode("utf-8")
-        self.send_response(308)
-        self.send_header("Location", location)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(encoded)))
-        if self._request_id:
-            self.send_header("X-Request-ID", self._request_id)
-        self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(encoded)
 

@@ -46,14 +46,9 @@ from repro.errors import (
 )
 from repro.obs.trace import span as obs_span
 from repro.shard.partition import Partitioner, make_partitioner
-from repro.shard.router import (
-    ReplicaGroup,
-    ShardRouter,
-    merge_top_k,
-    merge_top_k_batches,
-)
+from repro.shard.router import ReplicaGroup, ShardRouter, merge_top_k_batches
 from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
-from repro.vectordb.base import as_query_matrix
+from repro.vectordb.base import as_query_matrix, as_single_query
 from repro.vectordb.collection import SearchHit, VectorCollection
 from repro.vectordb.database import VectorDatabase
 from repro.vectordb.ivfpq import IVFPQIndex
@@ -280,17 +275,8 @@ class ShardedCollection:
         return self._global_position.get(hit.id, len(self._order))
 
     def search(self, query: np.ndarray, k: int) -> List[SearchHit]:
-        """Scatter a single query to every shard and merge exact top-``k``."""
-        if self.num_entities == 0 or k <= 0:
-            return []
-        self.flush()
-        vector = np.asarray(query, dtype=np.float64)
-        name = self._name
-        per_shard = self._router.scatter(
-            lambda backend: backend.get_collection(name).search(vector, k)
-        )
-        with obs_span("merge", num_shards=self.num_shards, k=k):
-            return merge_top_k(per_shard, k, self._tie_rank)
+        """Scatter-gather search for one query vector: a batch of one."""
+        return self.search_batch(as_single_query(query), k)[0]
 
     def search_batch(self, queries: np.ndarray, k: int) -> List[List[SearchHit]]:
         """Scatter a query batch to every shard and merge row-wise top-``k``."""
@@ -309,8 +295,7 @@ class ShardedCollection:
 
     def search_exhaustive(self, query: np.ndarray, k: int) -> List[SearchHit]:
         """Exact brute-force search, scattered and merged (w/o-ANNS ablation)."""
-        vector = np.asarray(query, dtype=np.float64).reshape(-1)
-        return self.search_exhaustive_batch(vector[None, :], k)[0]
+        return self.search_exhaustive_batch(as_single_query(query), k)[0]
 
     def search_exhaustive_batch(self, queries: np.ndarray, k: int) -> List[List[SearchHit]]:
         """Exact brute-force multi-query search across every shard."""

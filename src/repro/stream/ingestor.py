@@ -337,9 +337,9 @@ class StreamingIngestor:
             if item is _STOP:
                 continue
             ticket = item[0]
-            ticket._resolve(None, StreamClosedError("Streaming ingestor stopped"))
             with self._state:
                 self._failed += 1
+                ticket._resolve(None, StreamClosedError("Streaming ingestor stopped"))
                 self._state.notify_all()
 
     def stats(self) -> Dict[str, object]:
@@ -472,13 +472,15 @@ class StreamingIngestor:
         summary: Optional[SummaryOutput],
         error: Optional[BaseException],
     ) -> None:
-        ticket._resolve(summary, error)
+        # Resolved under the state lock, after the counters: a caller woken
+        # by the ticket must never read stats() that predate its segment.
         with self._state:
             if error is None:
                 self._completed += 1
             else:
                 self._failed += 1
                 self._failures_counter.inc()
+            ticket._resolve(summary, error)
             self._update_gauges_locked()
             self._state.notify_all()
 

@@ -36,6 +36,11 @@ def as_query_matrix(queries: np.ndarray, dim: int, context: str = "queries") -> 
     return batch
 
 
+def as_single_query(query: np.ndarray) -> np.ndarray:
+    """One query vector as a ``(1, n)`` batch, for the batch-of-one wrappers."""
+    return np.asarray(query, dtype=np.float64).reshape(1, -1)
+
+
 #: Fixed GEMM tile shape used by :func:`exact_scores`.  Every tile the BLAS
 #: ever sees is exactly ``(_SCORE_ROW_BLOCK, dim) @ (dim, _SCORE_QUERY_BLOCK)``,
 #: so kernel selection — and with it the floating-point reduction order —
@@ -115,29 +120,21 @@ class VectorIndex(abc.ABC):
     def build(self) -> None:
         """Finalise the index (train quantizers, build graphs); idempotent."""
 
-    @abc.abstractmethod
     def search(self, query: np.ndarray, k: int) -> List[IndexHit]:
-        """Return the top-``k`` hits by inner-product similarity.
+        """Top-``k`` hits for one query vector: a batch of one."""
+        return self.search_batch(as_single_query(query), k)[0]
 
-        Every index follows the same edge-case contract: ``k <= 0`` and an
-        empty index both yield ``[]``, and ``k > ntotal`` returns at most
-        ``ntotal`` hits (approximate indexes may return fewer).
-        """
-
+    @abc.abstractmethod
     def search_batch(self, queries: np.ndarray, k: int) -> List[List[IndexHit]]:
         """Answer ``m`` queries at once; one hit list per query row.
 
-        ``queries`` is an ``(m, dim)`` array.  The default implementation
-        falls back to ``m`` sequential :meth:`search` calls; concrete indexes
-        override it to amortise work across the batch (one matrix product on
-        the flat index, shared coarse-quantizer scoring on IVF-PQ, shared
-        validation and vector storage on HNSW).  The edge-case contract
-        matches :meth:`search` per query row.
+        ``queries`` is an ``(m, dim)`` array (a 1-D vector is a batch of
+        one).  Every index follows the same contract: a query of the wrong
+        dimension raises :class:`DimensionMismatchError` whatever the index
+        holds; ``k <= 0`` and an empty index both yield ``[]`` per row; and
+        ``k > ntotal`` returns at most ``ntotal`` hits per row (approximate
+        indexes may return fewer).
         """
-        batch = self._validate_query_batch(queries)
-        if k <= 0 or self.ntotal == 0:
-            return [[] for _ in range(batch.shape[0])]
-        return [self.search(row, k) for row in batch]
 
     def to_state(self) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
         """Serialise the built index as ``(meta, arrays)``.
@@ -173,14 +170,6 @@ class VectorIndex(abc.ABC):
                 f"Expected vectors of dimension {self._dim}, got {data.shape[1]}"
             )
         return data
-
-    def _validate_query(self, query: np.ndarray) -> np.ndarray:
-        vector = np.asarray(query, dtype=np.float64).reshape(-1)
-        if vector.shape[0] != self._dim:
-            raise DimensionMismatchError(
-                f"Expected query of dimension {self._dim}, got {vector.shape[0]}"
-            )
-        return vector
 
     def _validate_query_batch(self, queries: np.ndarray) -> np.ndarray:
         return as_query_matrix(queries, self._dim)

@@ -17,7 +17,13 @@ import numpy as np
 from repro.config import IndexConfig
 from repro.errors import SnapshotCorruptionError, VectorDatabaseError
 from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
-from repro.vectordb.base import IndexHit, VectorIndex, as_query_matrix, exact_scores
+from repro.vectordb.base import (
+    IndexHit,
+    VectorIndex,
+    as_query_matrix,
+    as_single_query,
+    exact_scores,
+)
 from repro.vectordb.flat import FlatIndex
 from repro.vectordb.hnsw import HNSWIndex
 from repro.vectordb.ivfpq import IVFPQIndex
@@ -134,21 +140,23 @@ class VectorCollection:
         # maps and metadata are appended *before* the index sees the new
         # internal ids, so any hit a racing search gets back from the index
         # already resolves to a complete (external id, metadata, vector) row —
-        # never a torn read.
+        # never a torn read.  Every id is checked before anything is written,
+        # so a rejected batch leaves the collection exactly as it was.
         with self._insert_lock:
-            internal_ids: List[int] = []
-            for position, external_id in enumerate(ids):
-                if external_id in self._external_to_internal:
+            seen = set()
+            for external_id in ids:
+                if external_id in self._external_to_internal or external_id in seen:
                     raise VectorDatabaseError(
                         f"Duplicate id {external_id!r} in collection {self._name!r}"
                     )
-                internal = len(self._internal_to_external)
-                self._external_to_internal[external_id] = internal
+                seen.add(external_id)
+            start = len(self._internal_to_external)
+            for position, external_id in enumerate(ids):
+                self._external_to_internal[external_id] = start + position
                 self._internal_to_external.append(external_id)
                 self._metadata.append(dict(metadata[position]) if metadata is not None else {})
                 self._vectors.append(data[position])
-                internal_ids.append(internal)
-            self._index.add(internal_ids, data)
+            self._index.add(list(range(start, start + len(ids))), data)
             self._built = False
 
     def flush(self) -> None:
@@ -164,13 +172,8 @@ class VectorCollection:
             self._built = True
 
     def search(self, query: np.ndarray, k: int) -> List[SearchHit]:
-        """ANN search returning external ids, scores, and metadata."""
-        if self.num_entities == 0 or k <= 0:
-            return []
-        if not self._built:
-            self.flush()
-        hits = self._index.search(np.asarray(query, dtype=np.float64), k)
-        return [self._to_search_hit(hit) for hit in hits]
+        """ANN search for one query vector: a batch of one."""
+        return self.search_batch(as_single_query(query), k)[0]
 
     def search_batch(self, queries: np.ndarray, k: int) -> List[List[SearchHit]]:
         """ANN search for ``m`` queries at once; one hit list per query row.
@@ -193,8 +196,7 @@ class VectorCollection:
 
         Used by the "w/o ANNS" ablation of Table IV.
         """
-        vector = np.asarray(query, dtype=np.float64).reshape(-1)
-        return self.search_exhaustive_batch(vector[None, :], k)[0]
+        return self.search_exhaustive_batch(as_single_query(query), k)[0]
 
     def search_exhaustive_batch(self, queries: np.ndarray, k: int) -> List[List[SearchHit]]:
         """Exact brute-force multi-query search (batched w/o-ANNS ablation)."""

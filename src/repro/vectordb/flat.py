@@ -78,14 +78,6 @@ class FlatIndex(VectorIndex):
     def build(self) -> None:
         """No-op: rolling segments are always searchable."""
 
-    def search(self, query: np.ndarray, k: int) -> List[IndexHit]:
-        blocks, ids = self._view
-        if ids.shape[0] == 0 or k <= 0:
-            return []
-        vector = self._validate_query(query)
-        scores = self._score_segments(blocks, vector[None, :])[:, 0]
-        return self._rank_row(scores, ids, k)
-
     def search_batch(self, queries: np.ndarray, k: int) -> List[List[IndexHit]]:
         """Exact multi-query search: one tiled matrix-matrix product per segment.
 

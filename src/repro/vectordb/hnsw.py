@@ -73,31 +73,12 @@ class HNSWIndex(VectorIndex):
     def build(self) -> None:
         """HNSW builds incrementally on insert; nothing further to do."""
 
-    def search(self, query: np.ndarray, k: int) -> List[IndexHit]:
-        if k <= 0 or not self._vectors or self._entry_point is None:
-            return []
-        vector = self._validate_query(query)
-        if not tracing_active():
-            return self._search_validated(vector, k)
-        started = time.perf_counter()
-        hits = self._search_validated(vector, k)
-        record_span(
-            "graph_search",
-            started,
-            time.perf_counter(),
-            num_queries=1,
-            ef_search=self._ef_search,
-        )
-        return hits
-
     def search_batch(self, queries: np.ndarray, k: int) -> List[List[IndexHit]]:
         """Answer ``m`` queries with one validation pass and shared graph state.
 
-        The beam search itself is inherently per-query, but the batch entry
-        point validates the whole ``(m, dim)`` block once and starts every
-        query from the same entry point, so the per-call overhead of the
-        sequential loop is amortised.  Each row runs exactly the same
-        algorithm as :meth:`search`, so results match query for query.
+        The beam search itself is inherently per-query: every row descends
+        from the same entry point, so a row's hits do not depend on the
+        other rows of the batch.
         """
         batch = self._validate_query_batch(queries)
         if k <= 0 or not self._vectors or self._entry_point is None:

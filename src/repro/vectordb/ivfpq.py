@@ -150,10 +150,6 @@ class IVFPQIndex(VectorIndex):
         self._pending_ids = []
         self._pending_vectors = []
 
-    def search(self, query: np.ndarray, k: int) -> List[IndexHit]:
-        vector = self._validate_query(query)
-        return self._search_validated_batch(vector[None, :], k)[0]
-
     def search_batch(self, queries: np.ndarray, k: int) -> List[List[IndexHit]]:
         """Answer ``m`` queries with shared coarse-quantizer work.
 
@@ -163,9 +159,6 @@ class IVFPQIndex(VectorIndex):
         exact re-score remain per row.
         """
         batch = self._validate_query_batch(queries)
-        return self._search_validated_batch(batch, k)
-
-    def _search_validated_batch(self, batch: np.ndarray, k: int) -> List[List[IndexHit]]:
         num_queries = batch.shape[0]
         if k <= 0 or self.ntotal == 0:
             return [[] for _ in range(num_queries)]

@@ -37,6 +37,7 @@ from repro.analysis import (
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.engine import Analyzer, analyze_paths
 from repro.config import IndexConfig
+from repro.core.query import QueryOptions
 from repro.core.results import BatchQueryResponse, QueryResponse
 from repro.core.summary import SummaryOutput
 from repro.serve import PendingQuery, ServingEngine
@@ -788,7 +789,7 @@ class _EngineStub:
         self.config = LOVOConfig()
         self.error = error
 
-    def query_batch(self, texts: Sequence[str], top_n=None, *, options=None):
+    def query_batch(self, texts: Sequence[str], *, options=None):
         if self.error is not None:
             raise self.error
         responses = [
@@ -799,7 +800,10 @@ class _EngineStub:
 
 def _pending(text: str = "a red car") -> PendingQuery:
     return PendingQuery(
-        text=text, top_n=3, enqueued_at=time.perf_counter(), options=None, trace=None
+        text=text,
+        enqueued_at=time.perf_counter(),
+        options=QueryOptions(top_n=3),
+        trace=None,
     )
 
 
@@ -814,13 +818,13 @@ class TestEngineControlFlowRegression:
         # The fix: the future is failed AND the interrupt still propagates
         # (pre-fix it was swallowed, leaving a worker that ignored Ctrl-C).
         with pytest.raises(KeyboardInterrupt):
-            engine._process_group(pending.effective_options(), [pending])
+            engine._process_group(pending.options, [pending])
         assert isinstance(pending.future.exception(), KeyboardInterrupt)
 
     def test_plain_exception_is_contained(self):
         engine = self._engine(ValueError("boom"))
         pending = _pending()
-        engine._process_group(pending.effective_options(), [pending])
+        engine._process_group(pending.options, [pending])
         assert isinstance(pending.future.exception(), ValueError)
 
     def test_attach_streaming_race_returns_single_ingestor(self):

@@ -156,9 +156,9 @@ def test_run_queries_auto_detects_batch_support(bellevue_dataset, monkeypatch):
     calls = {"batch": 0}
     original = system.query_batch
 
-    def counting_batch(texts, top_n=None):
+    def counting_batch(texts):
         calls["batch"] += 1
-        return original(texts, top_n=top_n)
+        return original(texts)
 
     monkeypatch.setattr(system, "query_batch", counting_batch)
     specs = queries_for_dataset("bellevue")[:2]

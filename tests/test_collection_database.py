@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import IndexConfig
+from repro.config import IndexConfig, ShardConfig
 from repro.errors import (
     CollectionExistsError,
     CollectionNotFoundError,
     MetadataError,
     VectorDatabaseError,
 )
+from repro.shard.database import ShardedDatabase
 from repro.utils.geometry import BoundingBox
 from repro.vectordb.collection import VectorCollection
 from repro.vectordb.database import VectorDatabase
@@ -95,6 +96,49 @@ class TestVectorCollection:
         hits = collection.search(vectors[10], 5)
         assert len(hits) == 5
         assert any(hit.id == "p10" for hit in hits)
+
+
+class TestRejectedInsert:
+    """A rejected insert leaves the collection exactly as it was."""
+
+    @staticmethod
+    def make(index_type, num_shards):
+        config = IndexConfig(index_type=index_type, num_subspaces=4, num_centroids=8,
+                             num_coarse_clusters=4, nprobe=4)
+        if num_shards == 1:
+            return VectorCollection("c", 16, config)
+        database = ShardedDatabase(ShardConfig(num_shards=num_shards))
+        return database.create_collection("c", 16, config)
+
+    @staticmethod
+    def snapshot(collection, query):
+        return (
+            collection.num_entities,
+            [(hit.id, hit.score) for hit in collection.search(query, 10)],
+            [(hit.id, hit.score) for hit in collection.search_exhaustive(query, 10)],
+        )
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    @pytest.mark.parametrize("index_type", ["flat", "ivfpq", "hnsw"])
+    def test_duplicate_in_batch_changes_nothing(self, index_type, num_shards):
+        collection = self.make(index_type, num_shards)
+        vectors = unit_vectors(42, 16, seed=3)
+        collection.insert([f"p{i}" for i in range(40)] + ["a"], vectors[:41])
+        b_vector = vectors[41]
+        before = self.snapshot(collection, b_vector)
+
+        with pytest.raises(VectorDatabaseError, match="Duplicate id 'a'"):
+            collection.insert(["b", "a"], np.stack([b_vector, vectors[40]]))
+        with pytest.raises(VectorDatabaseError, match="Duplicate id 'b'"):
+            collection.insert(["b", "b"], np.stack([b_vector, b_vector]))
+
+        assert self.snapshot(collection, b_vector) == before
+        assert "b" not in collection.ids()
+
+        collection.insert(["b"], b_vector[None, :])
+        assert collection.num_entities == before[0] + 1
+        assert collection.search_exhaustive(b_vector, 1)[0].id == "b"
+        assert "b" in [hit.id for hit in collection.search(b_vector, 5)]
 
 
 class TestVectorDatabase:

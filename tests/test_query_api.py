@@ -1,7 +1,7 @@
 """Tests for the canonical v1 query API (:class:`QueryRequest` / :class:`QueryOptions`).
 
-Covers validation, JSON wire round-trips, the deprecation shims on every
-entry point, options-aware cache keying, and the full HTTP round trip of a
+Covers validation, JSON wire round-trips, request coercion on every entry
+point, options-aware cache keying, and the full HTTP round trip of a
 ``QueryRequest`` through the ``/v1`` endpoints.
 """
 
@@ -80,21 +80,20 @@ class TestQueryRequest:
         assert QueryRequest.from_dict(bare.to_dict()) == bare
         assert "options" not in bare.to_dict()
 
-    def test_from_dict_accepts_legacy_top_n(self):
-        request = QueryRequest.from_dict({"query": "a car", "top_n": 5})
-        assert request.options == QueryOptions(top_n=5)
-
-    def test_from_dict_rejects_conflicting_top_n(self):
-        with pytest.raises(QueryError, match="Conflicting top_n"):
-            QueryRequest.from_dict(
-                {"query": "a car", "options": {"top_n": 3}, "top_n": 9}
-            )
-
-    def test_from_dict_agreeing_top_n_ok(self):
-        request = QueryRequest.from_dict(
-            {"query": "a car", "options": {"top_n": 3}, "top_n": 3}
-        )
-        assert request.options.top_n == 3
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"query": "a car", "top_n": 5},
+            {"query": "a car", "options": {"top_n": 3}, "top_n": 9},
+            {"query": "a car", "options": {"top_n": 3}, "top_n": 3},
+            {"query": "a car", "depth": 3},
+        ],
+    )
+    def test_from_dict_rejects_unknown_fields(self, payload):
+        # The legacy top-level "top_n" is gone: it must fail loudly rather
+        # than be silently ignored.
+        with pytest.raises(QueryError, match="Unknown query request field"):
+            QueryRequest.from_dict(payload)
 
 
 class TestCoercionShims:
@@ -103,11 +102,6 @@ class TestCoercionShims:
             warnings.simplefilter("error")
             request = as_query_request("a car")
         assert request == QueryRequest("a car")
-
-    def test_top_n_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            request = as_query_request("a car", 5, caller="LOVO.query")
-        assert request.options.top_n == 5
 
     def test_query_request_with_separate_options_rejected(self):
         with pytest.raises(QueryError, match="both"):
@@ -189,40 +183,46 @@ def tiny_system():
 
 
 class TestEntryPointShims:
-    def test_lovo_query_accepts_request_and_warns_on_top_n(self, tiny_system):
+    def test_lovo_query_accepts_request_or_options(self, tiny_system):
         text = "A red car driving in the center of the road"
         via_request = tiny_system.query(QueryRequest(text, QueryOptions(top_n=5)))
-        with pytest.warns(DeprecationWarning):
-            via_kwarg = tiny_system.query(text, top_n=5)
+        via_options = tiny_system.query(text, options=QueryOptions(top_n=5))
         assert [(r.frame_id, r.score) for r in via_request.results] == [
-            (r.frame_id, r.score) for r in via_kwarg.results
+            (r.frame_id, r.score) for r in via_options.results
         ]
+        with pytest.raises(TypeError):
+            tiny_system.query(text, top_n=5)
 
     def test_lovo_query_batch_accepts_options(self, tiny_system):
         texts = ["A red car driving in the center of the road", "a car"]
         batch = tiny_system.query_batch(texts, options=QueryOptions(top_n=5))
-        with pytest.warns(DeprecationWarning):
-            legacy = tiny_system.query_batch(texts, top_n=5)
+        via_requests = tiny_system.query_batch(
+            [QueryRequest(text, QueryOptions(top_n=5)) for text in texts]
+        )
         assert [
             [(r.frame_id, r.score) for r in response.results]
             for response in batch.responses
         ] == [
             [(r.frame_id, r.score) for r in response.results]
-            for response in legacy.responses
+            for response in via_requests.responses
         ]
+        with pytest.raises(TypeError):
+            tiny_system.query_batch(texts, top_n=5)
 
     def test_engine_submit_accepts_request(self, tiny_system):
         config = ServeConfig(num_workers=1, cache_size=16, max_wait_ms=1.0)
         text = "A red car driving in the center of the road"
         with ServingEngine(tiny_system, config) as engine:
             direct = engine.query(QueryRequest(text, QueryOptions(top_n=5)))
-            with pytest.warns(DeprecationWarning):
-                legacy = engine.query(text, top_n=5)
+            via_options = engine.query(text, options=QueryOptions(top_n=5))
+            with pytest.raises(TypeError):
+                engine.submit(text, top_n=5)
         assert [(r.frame_id, r.score) for r in direct.results] == [
-            (r.frame_id, r.score) for r in legacy.results
+            (r.frame_id, r.score) for r in via_options.results
         ]
-        # The second call hit the cache: options and legacy kwarg share a key.
-        assert legacy.metadata.get("cache_hit") is True
+        # The second call hit the cache: a request and separate options
+        # share a key.
+        assert via_options.metadata.get("cache_hit") is True
 
 
 class TestHTTPRoundTrip:

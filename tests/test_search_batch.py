@@ -1,9 +1,11 @@
 """Batch/sequential parity and edge-case contract of the ANN indexes.
 
-Every index must answer ``search_batch(queries, k)`` with exactly the hits a
-sequential ``search`` loop would produce, and all indexes share one edge-case
-contract: ``k <= 0`` and an empty index yield empty results, ``k > ntotal``
-returns at most ``ntotal`` hits, and malformed query shapes raise.
+``search`` is a batch of one, so every index must answer
+``search_batch(queries, k)`` with exactly the hits a sequential ``search``
+loop would produce: a row's hits never depend on the rest of the batch.  All
+indexes share one edge-case contract: ``k <= 0`` and an empty index yield
+empty results, ``k > ntotal`` returns at most ``ntotal`` hits, and malformed
+query shapes raise from every entry point, on empty and populated stores.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import IndexConfig
+from repro.config import IndexConfig, ShardConfig
+from repro.core.storage import LOVOStorage
 from repro.errors import DimensionMismatchError
+from repro.shard.database import ShardedDatabase
 from repro.vectordb.base import VectorIndex
 from repro.vectordb.collection import VectorCollection
 from repro.vectordb.flat import FlatIndex
@@ -120,42 +124,62 @@ class TestEdgeCaseContract:
             index.search_batch(np.ones((2, DIM + 1)), 3)
 
 
-class TestDefaultSearchBatch:
-    """The base-class fallback loops ``search`` with the shared contract."""
+def make_store(kind: str, populated: bool):
+    """An index, collection, sharded collection, or storage over DIM-d vectors."""
+    if kind in INDEX_TYPES:
+        store = make_index(kind)
+        if populated:
+            store.add(list(range(60)), unit_vectors(60))
+            store.build()
+        return store
+    config = IndexConfig(index_type="flat")
+    if kind == "collection":
+        store = VectorCollection("c", DIM, config)
+    elif kind == "sharded":
+        store = ShardedDatabase(ShardConfig(num_shards=2)).create_collection("c", DIM, config)
+    else:
+        store = LOVOStorage(DIM, config)
+    if populated:
+        target = store.collection if kind == "storage" else store
+        target.insert([f"p{i}" for i in range(60)], unit_vectors(60))
+    return store
 
-    class LoopingIndex(VectorIndex):
-        def __init__(self, dim):
-            super().__init__(dim)
-            self._flat = FlatIndex(dim)
 
-        @property
-        def ntotal(self):
-            return self._flat.ntotal
+def search_entry_points(store):
+    """Every (name, single, batch) search pair a store exposes."""
+    pairs = [("search", store.search, store.search_batch)]
+    if isinstance(store, LOVOStorage):
+        pairs.append((
+            "exhaustive",
+            lambda query, k: store.search(query, k, use_ann=False),
+            lambda queries, k: store.search_batch(queries, k, use_ann=False),
+        ))
+    elif hasattr(store, "search_exhaustive"):
+        pairs.append(("exhaustive", store.search_exhaustive, store.search_exhaustive_batch))
+    return pairs
 
-        def add(self, ids, vectors):
-            self._flat.add(ids, vectors)
 
-        def build(self):
-            self._flat.build()
+class TestMalformedQueryParity:
+    """A wrong-dimension query raises alike from ``search`` and ``search_batch``."""
 
-        def search(self, query, k):
-            return self._flat.search(query, k)
-
-    def test_fallback_matches_sequential(self):
-        vectors = unit_vectors(60)
-        index = self.LoopingIndex(DIM)
-        index.add(list(range(60)), vectors)
-        index.build()
-        queries = unit_vectors(4, seed=9)
-        for row, hits in zip(queries, index.search_batch(queries, 7)):
-            assert_hits_match(index.search(row, 7), hits)
-
-    def test_fallback_edge_cases(self):
-        empty = self.LoopingIndex(DIM)
-        assert empty.search_batch(unit_vectors(2, seed=3), 5) == [[], []]
-        populated = self.LoopingIndex(DIM)
-        populated.add([0], unit_vectors(1))
-        assert populated.search_batch(unit_vectors(2, seed=3), 0) == [[], []]
+    @pytest.mark.parametrize("populated", [False, True], ids=["empty", "populated"])
+    @pytest.mark.parametrize(
+        "kind", [*INDEX_TYPES, "collection", "sharded", "storage"]
+    )
+    def test_wrong_dimension_raises_everywhere(self, kind, populated):
+        store = make_store(kind, populated)
+        bad = np.ones(DIM + 1) / np.sqrt(DIM + 1)
+        for name, single, batch in search_entry_points(store):
+            for k in (5, 0):
+                with pytest.raises(DimensionMismatchError):
+                    single(bad, k)
+                with pytest.raises(DimensionMismatchError):
+                    batch(bad[None, :], k)
+                with pytest.raises(DimensionMismatchError):
+                    batch(np.stack([bad, bad]), k)
+            # A well-formed query still answers from both, identically.
+            good = unit_vectors(1, seed=5)[0]
+            assert single(good, 5) == batch(good[None, :], 5)[0], name
 
 
 class TestFlatBatchProperty:

@@ -13,7 +13,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import pytest
 
@@ -73,8 +73,7 @@ class StubSystem:
         self.block = block
         self._lock = threading.Lock()
 
-    def query_batch(self, texts: Sequence[str], top_n: Optional[int] = None,
-                    *, options=None):
+    def query_batch(self, texts: Sequence[str], *, options=None):
         with self._lock:
             self.calls.append(list(texts))
         self.started.set()
@@ -475,7 +474,7 @@ class TestServingEngineWithStub:
 
     def test_engine_error_propagates_to_every_future_in_group(self):
         class ExplodingSystem(StubSystem):
-            def query_batch(self, texts, top_n=None, *, options=None):
+            def query_batch(self, texts, *, options=None):
                 raise RuntimeError("index melted")
 
         with stub_engine(ExplodingSystem(), max_batch_size=4, max_wait_ms=20.0) as engine:
@@ -587,15 +586,6 @@ class TestHTTPFrontend:
         assert payload["batch_size"] == 3
         assert [entry["query"] for entry in payload["responses"]] == texts
 
-    def test_legacy_top_n_still_accepted(self, http_service, lovo_system):
-        base, _ = http_service
-        text = BELLEVUE_QUERIES[0]
-        payload = self._post(base, "/v1/query", {"query": text, "top_n": 5})
-        direct = lovo_system.query(QueryRequest(text, QueryOptions(top_n=5)))
-        assert [r["frame_id"] for r in payload["results"]] == [
-            r.frame_id for r in direct.results
-        ]
-
     def test_healthz_and_stats(self, http_service):
         base, _ = http_service
         health = self._get(base, "/v1/healthz")
@@ -614,6 +604,8 @@ class TestHTTPFrontend:
         "path", ["/query", "/query_batch", "/healthz", "/stats"]
     )
     def test_unversioned_paths_redirect_to_v1(self, http_service, method, path):
+        """Unversioned paths are unknown paths: they get the 404 error
+        envelope and no Location header."""
         base, _ = http_service
         body = b'{"query": "a car"}' if method == "POST" else b""
         raw = self._raw_request(
@@ -624,9 +616,11 @@ class TestHTTPFrontend:
             ).encode("ascii") + body,
         )
         head, _, payload = raw.partition(b"\r\n\r\n")
-        assert b"308" in head.split(b"\r\n", 1)[0]
-        assert f"Location: /v1{path}".encode("ascii") in head
-        assert json.loads(payload)["redirect"] == f"/v1{path}"
+        assert b"404" in head.split(b"\r\n", 1)[0]
+        assert b"location:" not in head.lower()
+        envelope = json.loads(payload)["error"]
+        assert envelope["code"] == "not_found"
+        assert envelope["retryable"] is False
 
     @pytest.mark.parametrize(
         "path,payload,expected_status,expected_code",
@@ -640,6 +634,9 @@ class TestHTTPFrontend:
              400, "invalid_query"),
             ("/v1/query_batch", {"queries": "not a list"}, 400, "bad_request"),
             ("/v1/unknown", {"query": "car"}, 404, "not_found"),
+            # A top-level "top_n" is rejected, never silently ignored.
+            ("/v1/query", {"query": "car", "top_n": 5}, 400, "invalid_query"),
+            ("/v1/query_batch", {"queries": ["car"], "top_n": 5}, 400, "bad_request"),
         ],
     )
     def test_bad_requests_use_error_envelope(
