@@ -8,10 +8,14 @@ reproduction tractable while preserving the system's behaviour.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Mapping
 
 from repro.errors import ConfigurationError
+
+
+BACKGROUND_WEIGHT = 0.35  # weight of the background concept in each patch embedding
+ENCODER_NOISE_SCALE = 0.08  # visual-embedding noise, relative to the signal's magnitude
 
 
 @dataclass(frozen=True)
@@ -26,18 +30,12 @@ class EncoderConfig:
             embeddings stored in the vector database (paper §IV-C).
         patch_grid: Number of patches per frame side; a frame yields
             ``patch_grid ** 2`` patch tokens.
-        noise_scale: Standard deviation of the isotropic noise added to every
-            visual embedding, modelling encoder imperfection.
-        background_weight: Relative weight of the background/context concept
-            mixed into each patch embedding.
         seed: Base seed for all "pretrained" weights and concept vectors.
     """
 
     embedding_dim: int = 128
     class_embedding_dim: int = 64
     patch_grid: int = 8
-    noise_scale: float = 0.08
-    background_weight: float = 0.35
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -49,8 +47,11 @@ class EncoderConfig:
             )
         if self.patch_grid <= 0:
             raise ConfigurationError("patch_grid must be positive")
-        if self.noise_scale < 0:
-            raise ConfigurationError("noise_scale must be non-negative")
+
+
+MOTION_THRESHOLD = 0.3  # MVmed: relative change of motion magnitude that marks a key frame
+CONTENT_THRESHOLD = 0.06  # content: mean absolute pixel difference that marks a key frame
+KEYFRAME_MIN_GAP = 3  # MVmed and content: fewest frames between two key frames
 
 
 @dataclass(frozen=True)
@@ -60,26 +61,22 @@ class KeyframeConfig:
     Attributes:
         strategy: One of ``"mvmed"``, ``"uniform"``, ``"content"`` or
             ``"all"`` (the w/o-key-frame ablation keeps every frame).
-        uniform_stride: Frame stride for the uniform strategy.
-        motion_threshold: Relative change of aggregate motion magnitude that
-            marks a key frame for the MVmed strategy.
-        content_threshold: Mean absolute pixel difference that marks a key
-            frame for the content strategy.
-        min_gap: Minimum number of frames between two key frames.
+        uniform_stride: Frame stride for the uniform strategy (and the
+            MVmed strategy's fallback stride).
     """
 
     strategy: str = "mvmed"
     uniform_stride: int = 10
-    motion_threshold: float = 0.3
-    content_threshold: float = 0.06
-    min_gap: int = 3
 
     def __post_init__(self) -> None:
         allowed = {"mvmed", "uniform", "content", "all"}
         if self.strategy not in allowed:
             raise ConfigurationError(f"Unknown keyframe strategy {self.strategy!r}; expected one of {sorted(allowed)}")
-        if self.uniform_stride <= 0 or self.min_gap < 0:
-            raise ConfigurationError("uniform_stride must be positive and min_gap non-negative")
+        if self.uniform_stride <= 0:
+            raise ConfigurationError("uniform_stride must be positive")
+
+
+IVFPQ_KMEANS_ITERATIONS = 12  # Lloyd iterations training IVF-PQ centroids and codebooks
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,6 @@ class IndexConfig:
         num_centroids: Number of centroids ``M`` per subspace codebook.
         num_coarse_clusters: Number of inverted-list (coarse) clusters.
         nprobe: Number of coarse clusters ``A`` visited per query.
-        kmeans_iterations: Lloyd iterations used when training codebooks.
         hnsw_m: Out-degree of HNSW graph nodes.
         hnsw_ef_construction: Candidate-list size used while building HNSW.
         hnsw_ef_search: Candidate-list size used while searching HNSW.
@@ -105,7 +101,6 @@ class IndexConfig:
     num_centroids: int = 32
     num_coarse_clusters: int = 16
     nprobe: int = 4
-    kmeans_iterations: int = 12
     hnsw_m: int = 12
     hnsw_ef_construction: int = 64
     hnsw_ef_search: int = 48
@@ -119,6 +114,9 @@ class IndexConfig:
             raise ConfigurationError("num_coarse_clusters and nprobe must be positive")
         if self.nprobe > self.num_coarse_clusters:
             raise ConfigurationError("nprobe cannot exceed num_coarse_clusters")
+
+
+IOU_THRESHOLD = 0.5  # IoU at which an answer box matches (MSCOCO convention, as the paper)
 
 
 @dataclass(frozen=True)
@@ -135,8 +133,6 @@ class QueryConfig:
         rerank_enabled: Disable to reproduce the "w/o Rerank" ablation.
         ann_enabled: Disable to reproduce the "w/o ANNS" ablation (exhaustive
             search over the collection).
-        iou_threshold: IoU above which a retrieved box counts as a positive
-            match (0.5 per MSCOCO convention used in the paper).
     """
 
     fast_search_k: int = 256
@@ -144,15 +140,16 @@ class QueryConfig:
     rerank_n: int = 40
     rerank_enabled: bool = True
     ann_enabled: bool = True
-    iou_threshold: float = 0.5
 
     def __post_init__(self) -> None:
         if self.fast_search_k <= 0 or self.rerank_n <= 0:
             raise ConfigurationError("fast_search_k and rerank_n must be positive")
         if self.max_candidate_frames <= 0:
             raise ConfigurationError("max_candidate_frames must be positive")
-        if not 0.0 < self.iou_threshold < 1.0:
-            raise ConfigurationError("iou_threshold must lie strictly between 0 and 1")
+
+
+PARTITION_SEED = 11  # seed of the k-means shard partitioner
+PARTITION_ITERATIONS = 8  # Lloyd iterations of the k-means shard partitioner
 
 
 @dataclass(frozen=True)
@@ -171,18 +168,13 @@ class ShardConfig:
             the router can exercise round-robin routing and failover; use
             ``ShardedDatabase.add_replica`` to attach physically distinct
             backends (e.g. separately loaded snapshot copies).
-        max_parallel: Worker threads used to fan searches (and snapshot
-            loads) out across shards.  ``0`` means "one thread per shard".
-        partition_seed: Seed of the k-means partitioner (ignored by hash).
-        partition_iterations: Lloyd iterations of the k-means partitioner.
+
+    Searches (and snapshot loads) fan out over one thread per shard.
     """
 
     num_shards: int = 1
     partitioner: str = "hash"
     num_replicas: int = 1
-    max_parallel: int = 0
-    partition_seed: int = 11
-    partition_iterations: int = 8
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
@@ -193,10 +185,10 @@ class ShardConfig:
             )
         if self.num_replicas <= 0:
             raise ConfigurationError("num_replicas must be positive")
-        if self.max_parallel < 0:
-            raise ConfigurationError("max_parallel must be non-negative (0 = one per shard)")
-        if self.partition_iterations <= 0:
-            raise ConfigurationError("partition_iterations must be positive")
+
+
+REQUEST_TIMEOUT_SECONDS = 30.0  # how long a synchronous caller (and HTTP) waits for an answer
+METRICS_WINDOW = 2048  # recent request latencies kept for the service's percentiles
 
 
 @dataclass(frozen=True)
@@ -218,10 +210,6 @@ class ServeConfig:
         cache_size: Maximum entries of the TTL+LRU result cache; ``0``
             disables response caching entirely.
         cache_ttl_seconds: How long a cached response stays valid.
-        request_timeout_seconds: How long a synchronous caller (including the
-            HTTP frontend) waits for its future before giving up.
-        metrics_window: Number of most-recent request latencies kept for the
-            percentile estimates in the service metrics.
         host: Bind address of the HTTP frontend.
         port: TCP port of the HTTP frontend (``0`` picks an ephemeral port).
     """
@@ -232,8 +220,6 @@ class ServeConfig:
     queue_size: int = 256
     cache_size: int = 1024
     cache_ttl_seconds: float = 30.0
-    request_timeout_seconds: float = 30.0
-    metrics_window: int = 2048
     host: str = "127.0.0.1"
     port: int = 8080
 
@@ -250,12 +236,14 @@ class ServeConfig:
             raise ConfigurationError("cache_size must be non-negative (0 disables)")
         if self.cache_ttl_seconds <= 0:
             raise ConfigurationError("cache_ttl_seconds must be positive")
-        if self.request_timeout_seconds <= 0:
-            raise ConfigurationError("request_timeout_seconds must be positive")
-        if self.metrics_window <= 0:
-            raise ConfigurationError("metrics_window must be positive")
         if not 0 <= self.port <= 65535:
             raise ConfigurationError("port must lie in [0, 65535]")
+
+
+INDEX_QUEUE_SIZE = 8  # capacity of the queue between the encode and index stages
+MAX_SUBSCRIPTIONS = 128  # most standing queries registered at once
+DEFAULT_POLL_SECONDS = 2.0  # long-poll wait of ``GET .../events`` when the request names none
+MAX_POLL_SECONDS = 30.0  # ceiling on one long-poll wait, whatever the request asks
 
 
 @dataclass(frozen=True)
@@ -265,23 +253,15 @@ class StreamConfig:
     Attributes:
         encode_queue_size: Capacity of the bounded queue feeding the encode
             stage (submitted segments waiting to be summarized).
-        index_queue_size: Capacity of the bounded queue between the encode
-            and index stages (summaries waiting to be appended to the live
-            indexes).
         backpressure: What a full encode queue does to ``submit``:
             ``"block"`` waits for space; ``"reject"`` raises
             :class:`~repro.errors.StreamBackpressureError` immediately.
         subscription_buffer_size: Per-subscriber bounded event buffer; when a
             slow consumer falls this far behind, the oldest undelivered
             matches are dropped (and counted).
-        max_subscriptions: Upper bound on concurrently registered standing
-            queries.
         max_matches_per_segment: At most this many matches are pushed to one
             subscriber per ingested segment (the best-scoring ones win), so a
             broad standing query cannot flood its buffer with one segment.
-        default_poll_seconds: How long ``GET .../events`` long-polls when the
-            request does not say.
-        max_poll_seconds: Hard ceiling on one long-poll wait.
         max_duty_cycle: Optional cap on the fraction of wall-clock time the
             ingest pipeline may spend doing work (encode + index combined).
             ``None`` (the default) runs ingest at full speed; ``0.25`` leaves
@@ -290,18 +270,14 @@ class StreamConfig:
     """
 
     encode_queue_size: int = 8
-    index_queue_size: int = 8
     backpressure: str = "block"
     subscription_buffer_size: int = 256
-    max_subscriptions: int = 128
     max_matches_per_segment: int = 32
-    default_poll_seconds: float = 2.0
-    max_poll_seconds: float = 30.0
     max_duty_cycle: float | None = None
 
     def __post_init__(self) -> None:
-        if self.encode_queue_size <= 0 or self.index_queue_size <= 0:
-            raise ConfigurationError("Stream queue sizes must be positive")
+        if self.encode_queue_size <= 0:
+            raise ConfigurationError("encode_queue_size must be positive")
         if self.backpressure not in {"block", "reject"}:
             raise ConfigurationError(
                 f"Unknown backpressure mode {self.backpressure!r}; "
@@ -309,20 +285,24 @@ class StreamConfig:
             )
         if self.subscription_buffer_size <= 0:
             raise ConfigurationError("subscription_buffer_size must be positive")
-        if self.max_subscriptions <= 0:
-            raise ConfigurationError("max_subscriptions must be positive")
         if self.max_matches_per_segment <= 0:
             raise ConfigurationError("max_matches_per_segment must be positive")
-        if self.default_poll_seconds < 0 or self.max_poll_seconds <= 0:
-            raise ConfigurationError(
-                "default_poll_seconds must be non-negative and max_poll_seconds positive"
-            )
-        if self.default_poll_seconds > self.max_poll_seconds:
-            raise ConfigurationError(
-                "default_poll_seconds cannot exceed max_poll_seconds"
-            )
         if self.max_duty_cycle is not None and not 0 < self.max_duty_cycle <= 1:
             raise ConfigurationError("max_duty_cycle must lie in (0, 1]")
+
+
+TRACE_STORE_SIZE = 512  # recent traces kept (FIFO)
+SLOW_LOG_SIZE = 64  # slow traces kept; they outlive eviction from the main store
+MAX_SPANS_PER_TRACE = 512  # spans beyond it are counted (``dropped_spans``), not stored
+SHADOW_RECALL_K = 10  # the k of the shadow sampler's recall@k and rank displacement
+SHADOW_WINDOW = 256  # recent shadow samples the windowed estimates aggregate
+DRIFT_THRESHOLD = 4.0  # reference standard deviations a windowed mean may move before an alert
+HISTORY_CAPACITY = 360  # snapshots the metrics-history ring keeps
+SLO_LATENCY_MS = 250.0  # latency SLO: a request is fast when it completes within this
+SLO_RECALL_TARGET = 0.8  # recall@k a shadow sample must reach to count as good
+SLO_FAST_WINDOW_SECONDS = 60.0  # the short burn-rate window
+SLO_SLOW_WINDOW_SECONDS = 600.0  # the long burn-rate window
+SLO_MAX_EVENTS = 4096  # events kept per SLO (oldest evicted)
 
 
 @dataclass(frozen=True)
@@ -334,102 +314,44 @@ class ObsConfig:
             engine never creates traces and every instrumentation point
             reduces to a no-op context-variable read, so the disabled
             configuration costs effectively nothing on the query path.
-        trace_store_size: Maximum number of recent traces retained in the
-            bounded in-memory trace store (older traces are evicted FIFO).
         slow_query_ms: End-to-end latency threshold above which a finished
             trace is also pinned into the slow-query log.
-        slow_log_size: Maximum number of slow traces retained.  Slow traces
-            survive eviction from the main store, so a burst of fast queries
-            cannot wash out the evidence of a slow one.
-        max_spans_per_trace: Per-trace span budget; spans beyond it are
-            counted (``dropped_spans``) instead of stored, bounding memory
-            under pathological fan-out.
         shadow_sample_rate: Fraction of served queries re-run through an
             exact flat scan by the background shadow sampler
             (:class:`~repro.obs.quality.ShadowSampler`) to estimate online
             recall.  ``0.0`` (the default) disables shadow sampling.
-        shadow_recall_k: The ``k`` of the shadow sampler's recall@k /
-            rank-displacement estimates.
         shadow_queue_size: Bounded hand-off queue between the serving path
             and the shadow worker; a full queue *drops* the sample (counted)
             instead of blocking a served query.
-        shadow_window: Number of most-recent shadow samples the windowed
-            recall / margin / displacement estimates aggregate over.
-        drift_threshold: How many reference standard deviations a windowed
-            mean (shadow score distribution, streamed embedding norms) may
-            move before a drift alert is counted.
         history_interval_seconds: Period of the metrics-history ticker that
             snapshots the registry into the bounded time-series ring.
-        history_capacity: Number of snapshots the history ring retains
-            (``capacity * interval`` is the lookback window).
-        slo_latency_ms: Latency SLO threshold: a request is "fast" when it
-            completes within this many milliseconds.
-        slo_latency_target: Fraction of requests that must be fast.
+        slo_latency_target: Fraction of requests that must complete within
+            :data:`SLO_LATENCY_MS`.
         slo_availability_target: Fraction of requests that must succeed
             (not error and not be rejected by admission control).
-        slo_recall_target: Shadow-sampled recall@k each sample must reach.
-        slo_fast_window_seconds: The short burn-rate evaluation window.
-        slo_slow_window_seconds: The long burn-rate evaluation window.
-        slo_max_events: Bounded per-SLO event retention (oldest evicted).
     """
 
     enabled: bool = True
-    trace_store_size: int = 512
     slow_query_ms: float = 250.0
-    slow_log_size: int = 64
-    max_spans_per_trace: int = 512
     shadow_sample_rate: float = 0.0
-    shadow_recall_k: int = 10
     shadow_queue_size: int = 64
-    shadow_window: int = 256
-    drift_threshold: float = 4.0
     history_interval_seconds: float = 10.0
-    history_capacity: int = 360
-    slo_latency_ms: float = 250.0
     slo_latency_target: float = 0.99
     slo_availability_target: float = 0.999
-    slo_recall_target: float = 0.8
-    slo_fast_window_seconds: float = 60.0
-    slo_slow_window_seconds: float = 600.0
-    slo_max_events: int = 4096
 
     def __post_init__(self) -> None:
-        if self.trace_store_size <= 0:
-            raise ConfigurationError("trace_store_size must be positive")
         if self.slow_query_ms < 0:
             raise ConfigurationError("slow_query_ms must be non-negative")
-        if self.slow_log_size <= 0:
-            raise ConfigurationError("slow_log_size must be positive")
-        if self.max_spans_per_trace <= 0:
-            raise ConfigurationError("max_spans_per_trace must be positive")
         if not 0.0 <= self.shadow_sample_rate <= 1.0:
             raise ConfigurationError("shadow_sample_rate must lie in [0, 1]")
-        if self.shadow_recall_k <= 0:
-            raise ConfigurationError("shadow_recall_k must be positive")
         if self.shadow_queue_size <= 0:
             raise ConfigurationError("shadow_queue_size must be positive")
-        if self.shadow_window <= 0:
-            raise ConfigurationError("shadow_window must be positive")
-        if self.drift_threshold <= 0:
-            raise ConfigurationError("drift_threshold must be positive")
         if self.history_interval_seconds <= 0:
             raise ConfigurationError("history_interval_seconds must be positive")
-        if self.history_capacity <= 0:
-            raise ConfigurationError("history_capacity must be positive")
-        if self.slo_latency_ms <= 0:
-            raise ConfigurationError("slo_latency_ms must be positive")
-        for name in ("slo_latency_target", "slo_availability_target", "slo_recall_target"):
+        for name in ("slo_latency_target", "slo_availability_target"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ConfigurationError(f"{name} must lie strictly between 0 and 1")
-        if self.slo_fast_window_seconds <= 0 or self.slo_slow_window_seconds <= 0:
-            raise ConfigurationError("SLO windows must be positive")
-        if self.slo_fast_window_seconds > self.slo_slow_window_seconds:
-            raise ConfigurationError(
-                "slo_fast_window_seconds cannot exceed slo_slow_window_seconds"
-            )
-        if self.slo_max_events <= 0:
-            raise ConfigurationError("slo_max_events must be positive")
 
 
 @dataclass(frozen=True)
@@ -482,32 +404,85 @@ class LOVOConfig:
     def from_dict(payload: Mapping[str, Any]) -> "LOVOConfig":
         """Rebuild a :class:`LOVOConfig` from :meth:`to_dict` output.
 
-        Raises :class:`~repro.errors.ConfigurationError` on unknown keys or
-        values that fail the sub-configuration validators.
+        Each section goes through :func:`parse_section`.  Snapshots written
+        before the serving, sharding, observability, or streaming subsystems
+        carry no "serve"/"shard"/"obs"/"stream" section; a missing section
+        gets its defaults.
+
+        Raises :class:`~repro.errors.ConfigurationError` on a payload that is
+        not an object, unknown keys, or values that fail the sub-configuration
+        validators.
         """
-        sections = {
-            "encoder": EncoderConfig,
-            "keyframes": KeyframeConfig,
-            "index": IndexConfig,
-            "query": QueryConfig,
-            # Snapshots written before the serving, sharding, observability,
-            # or streaming subsystems carry no "serve"/"shard"/"obs"/"stream"
-            # section; ``payload.get`` below falls back to the defaults.
-            "serve": ServeConfig,
-            "shard": ShardConfig,
-            "obs": ObsConfig,
-            "stream": StreamConfig,
-        }
-        unknown = set(payload) - set(sections)
+        stored = _as_object("The configuration", payload)
+        unknown = set(stored) - set(SECTIONS)
         if unknown:
             raise ConfigurationError(f"Unknown configuration sections: {sorted(unknown)}")
-        kwargs = {}
-        for name, cls in sections.items():
-            section = payload.get(name, {})
-            try:
-                kwargs[name] = cls(**section)
-            except TypeError as error:
-                raise ConfigurationError(
-                    f"Invalid {name!r} configuration section: {error}"
-                ) from error
-        return LOVOConfig(**kwargs)
+        return LOVOConfig(
+            **{name: parse_section(name, stored.get(name, {})) for name in SECTIONS}
+        )
+
+
+#: Configuration section classes by their key in :meth:`LOVOConfig.to_dict`.
+SECTIONS: Dict[str, type] = {f.name: f.default_factory for f in fields(LOVOConfig)}
+
+#: Fields that earlier versions had and stored in snapshots, by section, with
+#: the fixed value each now has.  A stored payload may still carry them, but
+#: only at that value.  (``max_parallel=0`` meant one thread per shard, now
+#: the only mode.)
+RETIRED_FIELDS: Dict[str, Dict[str, Any]] = {
+    "encoder": {"noise_scale": ENCODER_NOISE_SCALE, "background_weight": BACKGROUND_WEIGHT},
+    "keyframes": {"motion_threshold": MOTION_THRESHOLD, "content_threshold": CONTENT_THRESHOLD,
+                  "min_gap": KEYFRAME_MIN_GAP},
+    "index": {"kmeans_iterations": IVFPQ_KMEANS_ITERATIONS},
+    "query": {"iou_threshold": IOU_THRESHOLD},
+    "serve": {"request_timeout_seconds": REQUEST_TIMEOUT_SECONDS, "metrics_window": METRICS_WINDOW},
+    "shard": {"max_parallel": 0, "partition_seed": PARTITION_SEED,
+              "partition_iterations": PARTITION_ITERATIONS},
+    "stream": {"index_queue_size": INDEX_QUEUE_SIZE, "max_subscriptions": MAX_SUBSCRIPTIONS,
+               "default_poll_seconds": DEFAULT_POLL_SECONDS, "max_poll_seconds": MAX_POLL_SECONDS},
+    "obs": {
+        "trace_store_size": TRACE_STORE_SIZE, "slow_log_size": SLOW_LOG_SIZE,
+        "max_spans_per_trace": MAX_SPANS_PER_TRACE, "shadow_recall_k": SHADOW_RECALL_K,
+        "shadow_window": SHADOW_WINDOW, "drift_threshold": DRIFT_THRESHOLD,
+        "history_capacity": HISTORY_CAPACITY, "slo_latency_ms": SLO_LATENCY_MS,
+        "slo_recall_target": SLO_RECALL_TARGET, "slo_max_events": SLO_MAX_EVENTS,
+        "slo_fast_window_seconds": SLO_FAST_WINDOW_SECONDS,
+        "slo_slow_window_seconds": SLO_SLOW_WINDOW_SECONDS,
+    },
+}
+
+
+def _as_object(what: str, payload: Any) -> Dict[str, Any]:
+    if not isinstance(payload, Mapping):
+        raise ConfigurationError(f"{what} must be an object, not {type(payload).__name__}")
+    return dict(payload)
+
+
+def parse_section(name: str, payload: Any) -> Any:
+    """Build configuration section ``name`` (a :data:`SECTIONS` key) from its
+    stored form: a ``config.json`` section, or the index / shard config that
+    ``storage.json``, ``collection.json`` and ``sharded.json`` embed.
+
+    A retired key (:data:`RETIRED_FIELDS`) holding its fixed value is
+    dropped, so snapshots written while it was a field still load.
+
+    Raises:
+        ConfigurationError: ``payload`` is not an object, a retired key holds
+            another value, a key is unknown, or a value fails validation.
+    """
+    stored = _as_object(f"Configuration section {name!r}", payload)
+    for key, fixed in RETIRED_FIELDS[name].items():
+        if key not in stored:
+            continue
+        value = stored.pop(key)
+        if value != fixed:
+            raise ConfigurationError(
+                f"Configuration section {name!r} stores {key}={value!r}, "
+                f"but {key} is no longer configurable and is fixed at {fixed!r}"
+            )
+    try:
+        return SECTIONS[name](**stored)
+    except TypeError as error:
+        raise ConfigurationError(
+            f"Invalid {name!r} configuration section: {error}"
+        ) from error

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
-from repro.config import IndexConfig, ShardConfig
+from repro.config import IndexConfig, ShardConfig, parse_section
 from repro.encoders.vision import PatchEncoding
 from repro.errors import SnapshotCorruptionError, VectorDatabaseError
 from repro.shard.database import ShardedCollection, ShardedDatabase
@@ -199,7 +199,7 @@ class LOVOStorage:
         """Restore storage saved by :meth:`save` without touching ingest."""
         root = Path(path)
         document = load_json(root / "storage.json")
-        index_config = IndexConfig(**document["index_config"])
+        index_config = parse_section("index", document["index_config"])
         # The sharded backend leaves a `sharded.json` marker at its root;
         # dispatch on it so one load path covers both snapshot layouts
         # (sharded loads fan the per-shard reads across a thread pool).

@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import EncoderConfig
+from repro.config import BACKGROUND_WEIGHT, ENCODER_NOISE_SCALE, EncoderConfig
 from repro.encoders.concepts import ConceptSpace
 from repro.encoders.localization import SimulatedBoxHead
 from repro.errors import EncodingError
@@ -130,7 +130,7 @@ class VisionEncoder:
         background = self._space.vector(f"background:{scene}")
         rng = rng_from_tokens("vision", frame.frame_id, base_seed=self._config.seed)
         # Noise is applied as a *relative* perturbation: a random direction
-        # whose magnitude is ``noise_scale`` times the signal magnitude, so
+        # whose magnitude is ``ENCODER_NOISE_SCALE`` times the signal magnitude, so
         # the encoder's imperfection is a fixed fraction of its output rather
         # than something that can swamp the semantic content.
         noise_directions = rng.normal(size=(num_patches, self._config.embedding_dim))
@@ -142,14 +142,12 @@ class VisionEncoder:
         # ``dot``/``gemv`` calls of encoding one patch at a time, so a patch's
         # encoding never depends on the rest of the frame; ``norm(axis=1)`` or
         # one ``(P, O) @ (O, D)`` GEMM would change the last bits.
-        mixture = np.broadcast_to(
-            self._config.background_weight * background, noise_directions.shape
-        )
+        mixture = np.broadcast_to(BACKGROUND_WEIGHT * background, noise_directions.shape)
         objectness = overlaps.sum(axis=1)
         mixed = mixture + np.matmul(overlaps[:, None, :], object_embeddings)[:, 0]
         mixture = np.where((objectness > 0)[:, None], mixed, mixture)
         signal_norm = _row_norms(mixture)
-        mixture = mixture + self._config.noise_scale * signal_norm * noise_directions
+        mixture = mixture + ENCODER_NOISE_SCALE * signal_norm * noise_directions
         embeddings = _unit_rows(mixture)
         class_embeddings = _unit_rows(
             np.matmul(self._projection, embeddings[:, :, None])[:, :, 0]

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence
 
+from repro.config import IOU_THRESHOLD
 from repro.core.results import ObjectQueryResult
 from repro.errors import EvaluationError
 from repro.utils.geometry import BoundingBox, iou
@@ -47,7 +48,7 @@ class GroundTruthInstance:
 def match_results(
     results: Sequence[ObjectQueryResult],
     ground_truth: Sequence[GroundTruthInstance],
-    iou_threshold: float = 0.5,
+    iou_threshold: float = IOU_THRESHOLD,
 ) -> List[bool | None]:
     """Greedy matching of ranked results against ground-truth instances.
 
@@ -132,7 +133,7 @@ def precision_recall_points(
 def evaluate_results(
     results: Sequence[ObjectQueryResult],
     ground_truth: Sequence[GroundTruthInstance],
-    iou_threshold: float = 0.5,
+    iou_threshold: float = IOU_THRESHOLD,
     top_multiplier: int = 10,
 ) -> float:
     """AveP of ranked results against ground truth, following the paper.
@@ -155,7 +156,7 @@ def recall_at_k(
     results: Sequence[ObjectQueryResult],
     ground_truth: Sequence[GroundTruthInstance],
     k: int,
-    iou_threshold: float = 0.5,
+    iou_threshold: float = IOU_THRESHOLD,
 ) -> float:
     """Fraction of ground-truth instances recovered within the top ``k`` results."""
     if not ground_truth:

@@ -48,13 +48,7 @@ def make_extractor(config: KeyframeConfig) -> KeyframeExtractor:
     if config.strategy == "uniform":
         return UniformKeyframeExtractor(stride=config.uniform_stride)
     if config.strategy == "content":
-        return ContentDiffKeyframeExtractor(
-            threshold=config.content_threshold, min_gap=config.min_gap
-        )
+        return ContentDiffKeyframeExtractor()
     if config.strategy == "mvmed":
-        return MVMedKeyframeExtractor(
-            motion_threshold=config.motion_threshold,
-            min_gap=config.min_gap,
-            fallback_stride=config.uniform_stride,
-        )
+        return MVMedKeyframeExtractor(fallback_stride=config.uniform_stride)
     return AllFramesExtractor()

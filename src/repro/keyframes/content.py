@@ -12,6 +12,7 @@ from typing import List
 
 import numpy as np
 
+from repro.config import CONTENT_THRESHOLD, KEYFRAME_MIN_GAP
 from repro.keyframes.base import KeyframeExtractor
 from repro.video.model import Frame, Video
 from repro.video.renderer import FrameRenderer
@@ -22,8 +23,8 @@ class ContentDiffKeyframeExtractor(KeyframeExtractor):
 
     def __init__(
         self,
-        threshold: float = 0.06,
-        min_gap: int = 3,
+        threshold: float = CONTENT_THRESHOLD,
+        min_gap: int = KEYFRAME_MIN_GAP,
         renderer: FrameRenderer | None = None,
     ) -> None:
         if threshold <= 0:

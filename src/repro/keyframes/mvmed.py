@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.config import KEYFRAME_MIN_GAP, MOTION_THRESHOLD
 from repro.keyframes.base import KeyframeExtractor
 from repro.video.model import Frame, Video
 from repro.video.motion import estimate_motion
@@ -25,8 +26,8 @@ class MVMedKeyframeExtractor(KeyframeExtractor):
 
     def __init__(
         self,
-        motion_threshold: float = 0.3,
-        min_gap: int = 3,
+        motion_threshold: float = MOTION_THRESHOLD,
+        min_gap: int = KEYFRAME_MIN_GAP,
         fallback_stride: int = 15,
         renderer: FrameRenderer | None = None,
         block_size: int = 8,

@@ -15,7 +15,7 @@ measures it continuously.  Two pieces do that here:
   when full — the shadow path must never perturb served latency.
 * :class:`DriftMonitor` — watches a stream of scalar observations (streamed
   embedding norms, shadow exact-scan scores) and counts drift alerts when a
-  recent window's mean wanders more than ``drift_threshold`` reference
+  recent window's mean wanders more than :data:`~repro.config.DRIFT_THRESHOLD` reference
   standard deviations from the baseline established earlier, re-baselining
   after each alert so a genuine distribution shift is counted once, not on
   every subsequent observation.
@@ -34,7 +34,7 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.config import ObsConfig
+from repro.config import DRIFT_THRESHOLD, SHADOW_RECALL_K, SHADOW_WINDOW, ObsConfig
 from repro.obs.registry import MetricsRegistry, REGISTRY
 from repro.utils.locking import create_lock
 
@@ -60,7 +60,7 @@ class DriftMonitor:
         self,
         signal: str,
         counter,
-        threshold: float = 4.0,
+        threshold: float = DRIFT_THRESHOLD,
         baseline: int = 32,
         window: int = 16,
     ) -> None:
@@ -171,7 +171,7 @@ class ShadowSampler:
     estimates:
 
     * **recall@k** — fraction of the exact top-``k`` ids the served top-``k``
-      also returned (``k`` = ``ObsConfig.shadow_recall_k``, clamped to what
+      also returned (``k`` = :data:`~repro.config.SHADOW_RECALL_K`, clamped to what
       was served);
     * **score margin** — exact top-1 score minus served top-1 score (0 when
       the ANN search found the true best patch);
@@ -199,7 +199,7 @@ class ShadowSampler:
         self._on_sample = on_sample
         registry = registry or REGISTRY
         self._rate = self._config.shadow_sample_rate
-        self._recall_k = self._config.shadow_recall_k
+        self._recall_k = SHADOW_RECALL_K
         self._queue: "queue.Queue[object]" = queue.Queue(self._config.shadow_queue_size)
         self._lock = create_lock("ShadowSampler._lock")
         self._accumulator = 0.0
@@ -259,9 +259,7 @@ class ShadowSampler:
             "Drift alerts from the quality monitors, by signal.",
             ("signal",),
         )
-        self._score_drift = DriftMonitor(
-            "shadow_score", drift_counter, threshold=self._config.drift_threshold
-        )
+        self._score_drift = DriftMonitor("shadow_score", drift_counter)
         self._worker = threading.Thread(
             target=self._worker_loop, name="lovo-shadow-sampler", daemon=True
         )
@@ -425,7 +423,7 @@ class ShadowSampler:
             window = self._windows.get(key)
             if window is None:
                 # lovo: ignore[LOVO005] keyed by (family, sharded) — at most a handful of windows
-                window = self._windows[key] = _RecallWindow(self._config.shadow_window)
+                window = self._windows[key] = _RecallWindow(SHADOW_WINDOW)
             window.add(recall, margin, displacement)
             window_recall, window_margin, window_displacement = window.means()
         self._recall_gauge.set(window_recall, k=str(self._recall_k), **labels)

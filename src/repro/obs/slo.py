@@ -4,11 +4,11 @@ Three service-level objectives are derived from :class:`~repro.config.
 ObsConfig` and tracked from the serving engine's per-request events:
 
 * **latency** — a fraction ``slo_latency_target`` of successful requests
-  must complete within ``slo_latency_ms``;
+  must complete within :data:`~repro.config.SLO_LATENCY_MS`;
 * **availability** — a fraction ``slo_availability_target`` of submissions
   must succeed (errors and admission rejections are "bad");
 * **recall** — a fraction :data:`RECALL_OBJECTIVE` of shadow-sampled queries
-  must reach recall@k ``slo_recall_target`` (events come from the
+  must reach recall@k :data:`~repro.config.SLO_RECALL_TARGET` (events come from the
   :class:`~repro.obs.quality.ShadowSampler`).
 
 Evaluation follows the multi-window burn-rate pattern: for each SLO the bad
@@ -31,12 +31,19 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.config import ObsConfig
+from repro.config import (
+    SLO_FAST_WINDOW_SECONDS,
+    SLO_LATENCY_MS,
+    SLO_MAX_EVENTS,
+    SLO_RECALL_TARGET,
+    SLO_SLOW_WINDOW_SECONDS,
+    ObsConfig,
+)
 from repro.obs.registry import MetricsRegistry, REGISTRY
 from repro.utils.locking import create_lock
 
 #: Good-event fraction the recall SLO targets (the per-sample threshold is
-#: ``ObsConfig.slo_recall_target``; this is how often it must be met).
+#: :data:`~repro.config.SLO_RECALL_TARGET`; this is how often it must be met).
 RECALL_OBJECTIVE = 0.95
 
 #: Rank of the status states, worst last.
@@ -83,7 +90,7 @@ class SLOTracker:
             "latency": SLODefinition(
                 "latency",
                 self._config.slo_latency_target,
-                f"requests under {self._config.slo_latency_ms:g} ms",
+                f"requests under {SLO_LATENCY_MS:g} ms",
             ),
             "availability": SLODefinition(
                 "availability",
@@ -93,12 +100,12 @@ class SLOTracker:
             "recall": SLODefinition(
                 "recall",
                 RECALL_OBJECTIVE,
-                f"shadow samples at recall@k >= {self._config.slo_recall_target:g}",
+                f"shadow samples at recall@k >= {SLO_RECALL_TARGET:g}",
             ),
         }
         # Per SLO: (wall time, good) events, oldest first, bounded.
         self._events: Dict[str, Deque[Tuple[float, bool]]] = {
-            name: deque(maxlen=self._config.slo_max_events) for name in self._slos
+            name: deque(maxlen=SLO_MAX_EVENTS) for name in self._slos
         }
         self._lock = create_lock("SLOTracker._lock")
         self._last_status: Dict[str, str] = {name: "ok" for name in self._slos}
@@ -144,7 +151,7 @@ class SLOTracker:
         latency_ms = latency_seconds * 1000.0
         self._record("availability", ok, now)
         if ok:
-            fast_enough = latency_ms <= self._config.slo_latency_ms
+            fast_enough = latency_ms <= SLO_LATENCY_MS
             self._record("latency", fast_enough, now)
             if not fast_enough:
                 _log(
@@ -153,7 +160,7 @@ class SLOTracker:
                     trace_id=trace_id,
                     request_id=request_id,
                     latency_ms=round(latency_ms, 3),
-                    threshold_ms=self._config.slo_latency_ms,
+                    threshold_ms=SLO_LATENCY_MS,
                 )
         else:
             _log(
@@ -173,7 +180,7 @@ class SLOTracker:
         now: Optional[float] = None,
     ) -> None:
         """Fold one shadow-recall sample into the recall SLO."""
-        good = recall >= self._config.slo_recall_target
+        good = recall >= SLO_RECALL_TARGET
         self._record("recall", good, now)
         if not good:
             _log(
@@ -182,7 +189,7 @@ class SLOTracker:
                 trace_id=trace_id,
                 family=family,
                 recall=round(recall, 4),
-                target=self._config.slo_recall_target,
+                target=SLO_RECALL_TARGET,
             )
 
     def _window_burn(
@@ -216,12 +223,8 @@ class SLOTracker:
         for name, slo in self._slos.items():
             with self._lock:
                 events = deque(self._events[name])
-            fast = self._window_burn(
-                events, slo, t, self._config.slo_fast_window_seconds
-            )
-            slow = self._window_burn(
-                events, slo, t, self._config.slo_slow_window_seconds
-            )
+            fast = self._window_burn(events, slo, t, SLO_FAST_WINDOW_SECONDS)
+            slow = self._window_burn(events, slo, t, SLO_SLOW_WINDOW_SECONDS)
             fast_burning = fast["burn_rate"] >= 1.0 and fast["events"] > 0
             slow_burning = slow["burn_rate"] >= 1.0 and slow["events"] > 0
             if fast_burning and slow_burning:

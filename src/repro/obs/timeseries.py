@@ -16,8 +16,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from typing import Callable, Deque, Dict, Iterable, List
 
+from repro.config import HISTORY_CAPACITY
 from repro.obs.registry import MetricFamily
 from repro.utils.locking import create_lock
 
@@ -50,7 +51,7 @@ class MetricsHistory:
         self,
         collect: Callable[[], Iterable[MetricFamily]],
         interval_seconds: float = 10.0,
-        capacity: int = 360,
+        capacity: int = HISTORY_CAPACITY,
     ) -> None:
         if interval_seconds <= 0:
             raise ValueError("MetricsHistory interval must be positive")

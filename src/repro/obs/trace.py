@@ -34,7 +34,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.config import ObsConfig
+from repro.config import MAX_SPANS_PER_TRACE, SLOW_LOG_SIZE, TRACE_STORE_SIZE, ObsConfig
 from repro.utils.locking import create_lock
 
 
@@ -69,7 +69,9 @@ class Span:
 class Trace:
     """A bounded, thread-safe collection of spans for one request."""
 
-    def __init__(self, trace_id: str | None = None, max_spans: int = 512) -> None:
+    def __init__(
+        self, trace_id: str | None = None, max_spans: int = MAX_SPANS_PER_TRACE
+    ) -> None:
         self.trace_id = trace_id or uuid.uuid4().hex
         self.attributes: Dict[str, object] = {}
         self.dropped_spans = 0
@@ -331,9 +333,9 @@ class TraceStore:
 
     def __init__(
         self,
-        capacity: int = 512,
+        capacity: int = TRACE_STORE_SIZE,
         slow_threshold_ms: float = 250.0,
-        slow_capacity: int = 64,
+        slow_capacity: int = SLOW_LOG_SIZE,
     ) -> None:
         if capacity <= 0 or slow_capacity <= 0:
             raise ValueError("TraceStore capacities must be positive")
@@ -402,11 +404,7 @@ class Tracer:
 
     def __init__(self, config: ObsConfig | None = None) -> None:
         self._config = config or ObsConfig()
-        self._store = TraceStore(
-            capacity=self._config.trace_store_size,
-            slow_threshold_ms=self._config.slow_query_ms,
-            slow_capacity=self._config.slow_log_size,
-        )
+        self._store = TraceStore(slow_threshold_ms=self._config.slow_query_ms)
 
     @property
     def enabled(self) -> bool:
@@ -431,7 +429,7 @@ class Tracer:
         """
         if not self._config.enabled:
             return None
-        trace = Trace(max_spans=self._config.max_spans_per_trace)
+        trace = Trace()
         if attributes:
             trace.attributes.update(attributes)
         return trace

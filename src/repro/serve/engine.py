@@ -28,7 +28,7 @@ from concurrent.futures import Future
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.config import ObsConfig, ServeConfig
+from repro.config import REQUEST_TIMEOUT_SECONDS, ObsConfig, ServeConfig
 from repro.core.query import QueryOptions, QueryRequest, as_query_request
 from repro.core.results import QueryResponse
 from repro.core.system import LOVO
@@ -70,7 +70,7 @@ class ServingEngine:
                 maxsize=self._config.cache_size,
                 ttl_seconds=self._config.cache_ttl_seconds,
             )
-        self._metrics = ServiceMetrics(latency_window=self._config.metrics_window)
+        self._metrics = ServiceMetrics()
         # Share the system's tracer when it has one (one trace store per
         # system), else build our own from the system's obs configuration;
         # duck-typed stand-in systems without either get a default Tracer.
@@ -92,7 +92,6 @@ class ServingEngine:
         self._history = MetricsHistory(
             self.metric_families,
             interval_seconds=obs_config.history_interval_seconds,
-            capacity=obs_config.history_capacity,
         )
         # Burn-rate gauges refresh on the history's cadence.
         self._history.add_listener(self._slo.on_tick)
@@ -386,9 +385,7 @@ class ServingEngine:
         options: QueryOptions | None = None,
     ) -> QueryResponse:
         """Submit one query and block for its response (HTTP-path helper)."""
-        effective_timeout = (
-            timeout if timeout is not None else self._config.request_timeout_seconds
-        )
+        effective_timeout = REQUEST_TIMEOUT_SECONDS if timeout is None else timeout
         return self.submit(request, options=options).result(timeout=effective_timeout)
 
     def query_many(
@@ -404,9 +401,7 @@ class ServingEngine:
         the shared micro-batcher, so the queries may be coalesced with other
         callers' — or rejected under overload like any other submission.
         """
-        effective_timeout = (
-            timeout if timeout is not None else self._config.request_timeout_seconds
-        )
+        effective_timeout = REQUEST_TIMEOUT_SECONDS if timeout is None else timeout
         # Validate everything before admitting anything, and on a mid-loop
         # rejection cancel what was already admitted — otherwise a failed
         # batch would still consume worker capacity (exactly when overloaded).

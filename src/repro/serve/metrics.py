@@ -16,13 +16,13 @@ import time
 from collections import Counter, deque
 from typing import Callable, Deque, Dict, Optional
 
+from repro.config import METRICS_WINDOW
 # One percentile implementation for the whole package: the service metrics
-# and the observability histograms must agree on rank selection.  Re-exported
-# here because this was its historical import location.
+# and the observability histograms must agree on rank selection.
 from repro.obs.registry import percentile
 from repro.utils.locking import create_lock
 
-__all__ = ["ServiceMetrics", "percentile"]
+__all__ = ["ServiceMetrics"]
 
 
 class ServiceMetrics:
@@ -30,7 +30,7 @@ class ServiceMetrics:
 
     def __init__(
         self,
-        latency_window: int = 2048,
+        latency_window: int = METRICS_WINDOW,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if latency_window <= 0:

@@ -36,7 +36,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.config import IndexConfig, ShardConfig
+from repro.config import IndexConfig, ShardConfig, parse_section
 from repro.errors import (
     CollectionExistsError,
     CollectionNotFoundError,
@@ -357,7 +357,7 @@ class ShardedDatabase:
         for group, shard in zip(self._groups, self._shards):
             for _ in range(self._config.num_replicas):
                 group.add(shard)
-        self._router = ShardRouter(self._groups, self._config.max_parallel)
+        self._router = ShardRouter(self._groups)
 
     @property
     def num_shards(self) -> int:
@@ -543,7 +543,7 @@ class ShardedDatabase:
         """Restore a sharded database, loading all shards in parallel."""
         root = Path(path)
         payload = load_json(root / "sharded.json")
-        config = ShardConfig(**payload["shard_config"])
+        config = parse_section("shard", payload["shard_config"])
         shard_dirs = [
             root / cls.SHARD_DIR / f"{index:04d}" for index in range(config.num_shards)
         ]

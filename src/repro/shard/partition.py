@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import ShardConfig
+from repro.config import PARTITION_ITERATIONS, PARTITION_SEED, ShardConfig
 from repro.errors import ShardError, SnapshotCorruptionError
 from repro.vectordb.kmeans import lloyd_kmeans
 
@@ -67,11 +67,7 @@ class Partitioner(abc.ABC):
         if kind == HashPartitioner.kind:
             return HashPartitioner(num_shards)
         if kind == KMeansPartitioner.kind:
-            partitioner = KMeansPartitioner(
-                num_shards,
-                seed=config.partition_seed,
-                iterations=config.partition_iterations,
-            )
+            partitioner = KMeansPartitioner(num_shards)
             centroids = arrays.get("partition_centroids")
             if centroids is not None and centroids.size:
                 partitioner._centroids = np.asarray(centroids, dtype=np.float64)
@@ -101,7 +97,12 @@ class KMeansPartitioner(Partitioner):
 
     kind = "kmeans"
 
-    def __init__(self, num_shards: int, seed: int = 11, iterations: int = 8) -> None:
+    def __init__(
+        self,
+        num_shards: int,
+        seed: int = PARTITION_SEED,
+        iterations: int = PARTITION_ITERATIONS,
+    ) -> None:
         super().__init__(num_shards)
         self._seed = seed
         self._iterations = iterations
@@ -145,9 +146,5 @@ class KMeansPartitioner(Partitioner):
 def make_partitioner(config: ShardConfig) -> Partitioner:
     """Instantiate the partitioner named by a :class:`ShardConfig`."""
     if config.partitioner == "kmeans":
-        return KMeansPartitioner(
-            config.num_shards,
-            seed=config.partition_seed,
-            iterations=config.partition_iterations,
-        )
+        return KMeansPartitioner(config.num_shards)
     return HashPartitioner(config.num_shards)

@@ -140,15 +140,15 @@ class ReplicaGroup:
 class ShardRouter:
     """Fan calls out across shard replica groups and merge their answers."""
 
-    def __init__(self, groups: Sequence[ReplicaGroup], max_parallel: int = 0) -> None:
+    def __init__(self, groups: Sequence[ReplicaGroup]) -> None:
         if not groups:
             raise ShardError("ShardRouter needs at least one replica group")
         self._groups = list(groups)
-        workers = max_parallel if max_parallel > 0 else len(self._groups)
         # A single shard is answered inline — no pool, no dispatch overhead —
-        # so the 1-shard configuration behaves like the classic database.
+        # so the 1-shard configuration behaves like the classic database;
+        # otherwise one thread per shard.
         self._executor: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(max_workers=workers, thread_name_prefix="lovo-shard")
+            ThreadPoolExecutor(max_workers=len(self._groups), thread_name_prefix="lovo-shard")
             if len(self._groups) > 1
             else None
         )

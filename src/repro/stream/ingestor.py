@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
-from repro.config import StreamConfig
+from repro.config import INDEX_QUEUE_SIZE, StreamConfig
 from repro.core.summary import SummaryOutput
 from repro.errors import StreamBackpressureError, StreamClosedError, StreamError
 from repro.obs.quality import DriftMonitor
@@ -172,9 +172,7 @@ class StreamingIngestor:
         self._encode_queue: "queue.Queue[object]" = queue.Queue(
             self._config.encode_queue_size
         )
-        self._index_queue: "queue.Queue[object]" = queue.Queue(
-            self._config.index_queue_size
-        )
+        self._index_queue: "queue.Queue[object]" = queue.Queue(INDEX_QUEUE_SIZE)
         self._state = create_condition("StreamingIngestor._state")
         self._sequence = 0
         self._submitted = 0
@@ -213,9 +211,7 @@ class StreamingIngestor:
             "End-to-end submit-to-queryable latency per segment",
         )
         # Embedding-distribution drift under streaming ingest: the per-patch
-        # L2 norms feed a windowed monitor whose alerts count genuine shifts
-        # (threshold from the system's obs config when it has one).
-        obs_config = getattr(getattr(system, "config", None), "obs", None)
+        # L2 norms feed a windowed monitor whose alerts count genuine shifts.
         self._norm_gauge = registry.gauge(
             "lovo_stream_embedding_norm",
             "Mean patch-embedding L2 norm of the most recent indexed segment",
@@ -227,7 +223,6 @@ class StreamingIngestor:
                 "Streaming embedding-distribution drift alerts, by signal",
                 ("signal",),
             ),
-            threshold=getattr(obs_config, "drift_threshold", 4.0),
         )
 
         self._encode_thread = threading.Thread(

@@ -26,7 +26,12 @@ from typing import Callable, Deque, Dict, List, Sequence
 
 import numpy as np
 
-from repro.config import StreamConfig
+from repro.config import (
+    DEFAULT_POLL_SECONDS,
+    MAX_POLL_SECONDS,
+    MAX_SUBSCRIPTIONS,
+    StreamConfig,
+)
 from repro.encoders.vision import PatchEncoding
 from repro.errors import (
     StreamError,
@@ -147,9 +152,9 @@ class SubscriptionManager:
         threshold = float(threshold)
         vector = np.asarray(self._encode(text), dtype=np.float64).reshape(-1)
         with self._condition:
-            if len(self._subscriptions) >= self._config.max_subscriptions:
+            if len(self._subscriptions) >= MAX_SUBSCRIPTIONS:
                 raise SubscriptionLimitError(
-                    f"At most {self._config.max_subscriptions} standing queries "
+                    f"At most {MAX_SUBSCRIPTIONS} standing queries "
                     "may be registered at once"
                 )
             subscription = Subscription(
@@ -267,8 +272,8 @@ class SubscriptionManager:
         subscription is deleted *while* the caller is parked.
         """
         if timeout is None:
-            timeout = self._config.default_poll_seconds
-        timeout = min(max(float(timeout), 0.0), self._config.max_poll_seconds)
+            timeout = DEFAULT_POLL_SECONDS
+        timeout = min(max(float(timeout), 0.0), MAX_POLL_SECONDS)
         max_events = max(1, int(max_events))
         deadline = time.monotonic() + timeout
         with self._condition:

@@ -14,7 +14,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Type
 
 import numpy as np
 
-from repro.config import IndexConfig
+from repro.config import IndexConfig, parse_section
 from repro.errors import SnapshotCorruptionError, VectorDatabaseError
 from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
 from repro.vectordb.base import (
@@ -306,7 +306,7 @@ class VectorCollection:
         """Restore a collection saved by :meth:`save`."""
         root = Path(path)
         document = load_json(root / "collection.json")
-        config = IndexConfig(**document["index_config"])
+        config = parse_section("index", document["index_config"])
         collection = cls(str(document["name"]), int(document["dim"]), config)
         entities = load_arrays(root / "entities.npz")
         ids = [str(external_id) for external_id in entities["ids"]]

@@ -26,7 +26,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import IndexConfig
+from repro.config import IVFPQ_KMEANS_ITERATIONS, IndexConfig
 from repro.errors import IndexNotBuiltError, SnapshotCorruptionError, VectorDatabaseError
 from repro.obs.trace import record_span, tracing_active
 from repro.vectordb.base import IndexHit, VectorIndex, exact_scores
@@ -93,7 +93,7 @@ class IVFPQIndex(VectorIndex):
         self._quantizer = ProductQuantizer(
             num_subspaces=self._config.num_subspaces,
             num_centroids=self._config.num_centroids,
-            kmeans_iterations=self._config.kmeans_iterations,
+            kmeans_iterations=IVFPQ_KMEANS_ITERATIONS,
         )
         self._built = False
         self._count = 0
@@ -136,7 +136,7 @@ class IVFPQIndex(VectorIndex):
         coarse = lloyd_kmeans(
             vectors,
             num_clusters=num_clusters,
-            max_iterations=self._config.kmeans_iterations,
+            max_iterations=IVFPQ_KMEANS_ITERATIONS,
             seed=1,
         )
         self._coarse_centroids = coarse.centroids
@@ -308,7 +308,7 @@ class IVFPQIndex(VectorIndex):
             arrays,
             num_subspaces=index_config.num_subspaces,
             num_centroids=index_config.num_centroids,
-            kmeans_iterations=index_config.kmeans_iterations,
+            kmeans_iterations=IVFPQ_KMEANS_ITERATIONS,
         )
         clusters = np.asarray(arrays["list_clusters"], dtype=np.int64)
         offsets = np.asarray(arrays["list_offsets"], dtype=np.int64)

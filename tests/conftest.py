@@ -15,6 +15,38 @@ from repro.encoders.concepts import ConceptSpace
 from repro.video.datasets import make_bellevue, make_cityscapes, make_qvhighlights
 
 
+#: The fields earlier versions had, with the default each had then.  Each is
+#: now a module constant in ``repro.config`` with that same value.
+RETIRED_AT_OLD_DEFAULTS = {
+    "encoder": {"noise_scale": 0.08, "background_weight": 0.35},
+    "keyframes": {"motion_threshold": 0.3, "content_threshold": 0.06, "min_gap": 3},
+    "index": {"kmeans_iterations": 12},
+    "query": {"iou_threshold": 0.5},
+    "serve": {"request_timeout_seconds": 30.0, "metrics_window": 2048},
+    "shard": {"max_parallel": 0, "partition_seed": 11, "partition_iterations": 8},
+    "stream": {
+        "index_queue_size": 8,
+        "max_subscriptions": 128,
+        "default_poll_seconds": 2.0,
+        "max_poll_seconds": 30.0,
+    },
+    "obs": {
+        "trace_store_size": 512,
+        "slow_log_size": 64,
+        "max_spans_per_trace": 512,
+        "shadow_recall_k": 10,
+        "shadow_window": 256,
+        "drift_threshold": 4.0,
+        "history_capacity": 360,
+        "slo_latency_ms": 250.0,
+        "slo_recall_target": 0.8,
+        "slo_fast_window_seconds": 60.0,
+        "slo_slow_window_seconds": 600.0,
+        "slo_max_events": 4096,
+    },
+}
+
+
 def small_config() -> LOVOConfig:
     """A LOVO configuration sized for fast tests."""
     return LOVOConfig(

@@ -1,17 +1,26 @@
-"""Validation tests for the configuration dataclasses."""
+"""Validation tests for the configuration dataclasses and stored payloads."""
 
 from __future__ import annotations
 
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.config import (
+    RETIRED_FIELDS,
+    SECTIONS,
     EncoderConfig,
     IndexConfig,
     KeyframeConfig,
     LOVOConfig,
     QueryConfig,
+    parse_section,
 )
 from repro.errors import ConfigurationError
+from tests.conftest import RETIRED_AT_OLD_DEFAULTS
 
 
 class TestEncoderConfig:
@@ -32,8 +41,6 @@ class TestEncoderConfig:
     def test_rejects_bad_grid_and_noise(self):
         with pytest.raises(ConfigurationError):
             EncoderConfig(patch_grid=0)
-        with pytest.raises(ConfigurationError):
-            EncoderConfig(noise_scale=-0.1)
 
 
 class TestKeyframeConfig:
@@ -83,12 +90,6 @@ class TestQueryConfig:
         with pytest.raises(ConfigurationError):
             QueryConfig(max_candidate_frames=0)
 
-    def test_bad_iou_threshold(self):
-        with pytest.raises(ConfigurationError):
-            QueryConfig(iou_threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            QueryConfig(iou_threshold=1.0)
-
 
 class TestLOVOConfig:
     def test_with_overrides_replaces_only_given_parts(self):
@@ -102,3 +103,83 @@ class TestLOVOConfig:
         config = LOVOConfig()
         assert config.index.index_type == "ivfpq"
         assert config.keyframes.strategy == "mvmed"
+
+
+# ---------------------------------------------------------------------------
+# Stored payloads, retired fields, and dead knobs
+# ---------------------------------------------------------------------------
+
+class TestRetiredFields:
+    def test_sections_hold_42_fields_and_no_retired_one(self):
+        assert set(SECTIONS) == set(RETIRED_AT_OLD_DEFAULTS)
+        assert sum(len(fields(cls)) for cls in SECTIONS.values()) == 42
+        for name, cls in SECTIONS.items():
+            names = {f.name for f in fields(cls)}
+            assert names.isdisjoint(RETIRED_AT_OLD_DEFAULTS[name]), name
+
+    def test_fixed_values_equal_the_old_defaults(self):
+        assert RETIRED_FIELDS == RETIRED_AT_OLD_DEFAULTS
+        assert sum(len(keys) for keys in RETIRED_FIELDS.values()) == 28
+
+    def test_retired_key_at_fixed_value_is_dropped(self):
+        payload = LOVOConfig().to_dict()
+        for section, keys in RETIRED_AT_OLD_DEFAULTS.items():
+            payload[section].update(keys)
+        assert LOVOConfig.from_dict(payload) == LOVOConfig()
+        stored = {"index_type": "flat", "kmeans_iterations": 12}
+        assert parse_section("index", stored) == IndexConfig(index_type="flat")
+        assert stored == {"index_type": "flat", "kmeans_iterations": 12}
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("index", "kmeans_iterations", 20), ("obs", "slo_max_events", 1),
+         ("shard", "max_parallel", 2), ("query", "iou_threshold", 0.7)],
+    )
+    def test_retired_key_at_other_value_is_rejected(self, section, key, value):
+        fixed = RETIRED_AT_OLD_DEFAULTS[section][key]
+        with pytest.raises(ConfigurationError) as caught:
+            LOVOConfig.from_dict({section: {key: value}})
+        message = str(caught.value)
+        for part in (repr(section), key, repr(value), repr(fixed)):
+            assert part in message
+
+    def test_other_unknown_keys_still_rejected(self):
+        with pytest.raises(ConfigurationError, match="unexpected keyword"):
+            LOVOConfig.from_dict({"index": {"kmeans_iters": 12}})
+        with pytest.raises(ConfigurationError, match="Unknown configuration sections"):
+            LOVOConfig.from_dict({"tracing": {}})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[], ["serve"], "encoder", None, {"serve": []}, {"obs": "enabled"}],
+        ids=["empty-list", "list-of-section-names", "string", "null",
+             "list-section", "string-section"],
+    )
+    def test_non_object_payload_is_a_configuration_error(self, payload):
+        with pytest.raises(ConfigurationError, match="must be an object"):
+            LOVOConfig.from_dict(payload)
+
+
+def attribute_reads(root: Path) -> set:
+    """Every ``x.<name>`` read in the package's modules except ``config.py``."""
+    names = set()
+    for path in root.rglob("*.py"):
+        if path == root / "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_config_field_is_read_outside_config():
+    """A field that nothing reads is a knob that silently does nothing."""
+    reads = attribute_reads(Path(repro.__file__).parent)
+    assert len(SECTIONS) == 8
+    dead = [
+        f"{cls.__name__}.{f.name}"
+        for cls in SECTIONS.values()
+        for f in fields(cls)
+        if f.name not in reads
+    ]
+    assert dead == []

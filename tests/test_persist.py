@@ -12,6 +12,7 @@ arbitrary values (hypothesis property test).
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,21 +28,29 @@ from repro.config import (
     KeyframeConfig,
     QueryConfig,
     ServeConfig,
+    ShardConfig,
 )
 from repro.core.storage import LOVOStorage
 from repro.errors import (
+    ConfigurationError,
     PersistenceError,
     ReproError,
     SnapshotCorruptionError,
     SnapshotVersionError,
 )
 from repro.persist import SNAPSHOT_SCHEMA_VERSION, read_manifest
-from repro.persist.manifest import config_payload_hash, sha256_file
+from repro.persist.manifest import (
+    collect_artifacts,
+    config_payload_hash,
+    sha256_file,
+    write_manifest,
+)
 from repro.utils.geometry import BoundingBox
 from repro.vectordb.collection import VectorCollection
 from repro.vectordb.database import VectorDatabase
 from repro.vectordb.metadata import FrameRecord, MetadataStore, PatchRecord
 from repro.video.datasets import make_bellevue, make_cityscapes
+from tests.conftest import RETIRED_AT_OLD_DEFAULTS
 
 QUERIES = [
     "A red car driving in the center of the road",
@@ -302,6 +311,98 @@ class TestManifest:
         assert issubclass(PersistenceError, ReproError)
         assert issubclass(SnapshotVersionError, PersistenceError)
         assert issubclass(SnapshotCorruptionError, PersistenceError)
+
+
+def _update_json(path: Path, update) -> dict:
+    document = json.loads(path.read_text())
+    update(document)
+    path.write_text(json.dumps(document, sort_keys=True))
+    return document
+
+
+def write_retired_keys(root: Path, **changed: object) -> None:
+    """Make a fresh snapshot look like one written while the retired config
+    fields existed: every file that stores a config section gets the retired
+    keys at their old defaults (or at ``changed``), and the manifest is
+    rewritten to match."""
+    retired = {
+        section: {key: changed.get(key, value) for key, value in keys.items()}
+        for section, keys in RETIRED_AT_OLD_DEFAULTS.items()
+    }
+
+    def add_sections(document):
+        for section, keys in retired.items():
+            document[section].update(keys)
+
+    config_doc = _update_json(root / "config.json", add_sections)
+    storage_files = [root / "storage" / "storage.json", *root.rglob("collection.json")]
+    for path in storage_files:
+        _update_json(path, lambda document: document["index_config"].update(retired["index"]))
+    for path in root.rglob("sharded.json"):
+        _update_json(path, lambda document: document["shard_config"].update(retired["shard"]))
+    manifest = read_manifest(root)
+    write_manifest(
+        root,
+        replace(
+            manifest,
+            config_hash=config_payload_hash(config_doc),
+            artifacts=collect_artifacts(root),
+        ),
+    )
+
+
+@pytest.fixture(scope="module", params=[("flat", 1), ("flat", 2), ("ivfpq", 1), ("ivfpq", 2)],
+                ids=["flat-1", "flat-2", "ivfpq-1", "ivfpq-2"])
+def live_system(request):
+    index_type, num_shards = request.param
+    system = LOVO(persist_config(index_type).with_overrides(
+        shard=ShardConfig(num_shards=num_shards)
+    ))
+    system.ingest(make_bellevue(num_videos=1, frames_per_video=80))
+    system.ingest(make_cityscapes(num_videos=1, frames_per_video=60, seed=1))
+    return system
+
+
+class TestRetiredConfigKeys:
+    """Snapshots written while the retired config fields existed still load."""
+
+    def test_old_snapshot_answers_equal_live(self, live_system, tmp_path):
+        live_system.save(tmp_path)
+        write_retired_keys(tmp_path)
+        assert "kmeans_iterations" in (tmp_path / "storage" / "storage.json").read_text()
+        loaded = LOVO.load(tmp_path)
+        assert loaded.config == live_system.config
+        before = live_system.query_batch(QUERIES)
+        after = loaded.query_batch(QUERIES)
+        for response_before, response_after in zip(before.responses, after.responses):
+            assert result_tuples(response_after) == result_tuples(response_before)
+
+    @pytest.mark.parametrize("key, value", [("kmeans_iterations", 20), ("slo_max_events", 1)])
+    def test_retired_key_at_other_value_is_rejected(self, live_system, tmp_path, key, value):
+        live_system.save(tmp_path)
+        write_retired_keys(tmp_path, **{key: value})
+        with pytest.raises(ConfigurationError, match=f"{key}={value}"):
+            LOVO.load(tmp_path)
+
+    @pytest.mark.parametrize(
+        "filename, section, key",
+        [
+            ("storage.json", "index_config", "kmeans_iterations"),
+            ("collection.json", "index_config", "kmeans_iterations"),
+            ("sharded.json", "shard_config", "partition_seed"),
+        ],
+    )
+    def test_each_storage_parser_checks_retired_keys(self, tmp_path, filename, section, key):
+        # config.json is left alone, so the storage-level parser is the one
+        # that must notice the changed value.
+        system = LOVO(persist_config("ivfpq").with_overrides(shard=ShardConfig(num_shards=2)))
+        system.ingest(make_bellevue(num_videos=1, frames_per_video=40))
+        system.save(tmp_path)
+        paths = list(tmp_path.rglob(filename))
+        assert paths
+        _update_json(paths[0], lambda document: document[section].update({key: 99}))
+        with pytest.raises(ConfigurationError, match=f"{key}=99"):
+            LOVOStorage.load(tmp_path / "storage")
 
 
 class TestVectorLayers:

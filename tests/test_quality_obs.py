@@ -66,7 +66,7 @@ def quality_config(
     **obs_overrides: object,
 ) -> LOVOConfig:
     """A small configuration with shadow sampling switched on."""
-    obs_defaults: dict = {"shadow_sample_rate": 1.0, "shadow_recall_k": 10}
+    obs_defaults: dict = {"shadow_sample_rate": 1.0}
     obs_defaults.update(obs_overrides)
     return LOVOConfig(
         encoder=EncoderConfig(embedding_dim=64, class_embedding_dim=32, patch_grid=6),
@@ -161,17 +161,20 @@ class TestObsConfigValidation:
         ],
     )
     def test_invalid_values_rejected(self, overrides):
+        # Parsed as a stored payload: a field that is still configurable
+        # fails its validator, and a retired one is rejected because it
+        # holds a value other than its fixed constant.
         with pytest.raises(ConfigurationError):
-            ObsConfig(**overrides)
+            LOVOConfig.from_dict({"obs": overrides})
 
     def test_round_trips_through_config_dict(self):
         config = quality_config(
-            shadow_sample_rate=0.25, slo_latency_ms=100.0, history_capacity=12
+            shadow_sample_rate=0.25, slo_latency_target=0.95, history_interval_seconds=12.0
         )
         restored = LOVOConfig.from_dict(config.to_dict())
         assert restored.obs.shadow_sample_rate == 0.25
-        assert restored.obs.slo_latency_ms == 100.0
-        assert restored.obs.history_capacity == 12
+        assert restored.obs.slo_latency_target == 0.95
+        assert restored.obs.history_interval_seconds == 12.0
 
 
 # ---------------------------------------------------------------------------
@@ -613,14 +616,7 @@ class TestMetricsHistory:
 class TestSLOTracker:
     @staticmethod
     def _tracker(**overrides):
-        defaults = {
-            "slo_latency_ms": 250.0,
-            "slo_latency_target": 0.9,
-            "slo_availability_target": 0.9,
-            "slo_recall_target": 0.8,
-            "slo_fast_window_seconds": 60.0,
-            "slo_slow_window_seconds": 600.0,
-        }
+        defaults = {"slo_latency_target": 0.9, "slo_availability_target": 0.9}
         defaults.update(overrides)
         registry = MetricsRegistry()
         return SLOTracker(ObsConfig(**defaults), registry=registry), registry

@@ -31,7 +31,8 @@ from repro.eval.workloads import queries_for_dataset
 from repro.serve import MicroBatcher, PendingQuery, ResultCache, ServingEngine, TTLLRUCache
 from repro.serve.cache import normalize_query_text
 from repro.serve.http import make_server
-from repro.serve.metrics import ServiceMetrics, percentile
+from repro.obs.registry import percentile
+from repro.serve.metrics import ServiceMetrics
 from repro.utils.cache import LRUCache
 from repro.utils.timing import PhaseTimer
 
@@ -310,8 +311,6 @@ class TestServeConfig:
             dict(queue_size=0),
             dict(cache_size=-1),
             dict(cache_ttl_seconds=0.0),
-            dict(request_timeout_seconds=0.0),
-            dict(metrics_window=0),
             dict(port=70000),
         ):
             with pytest.raises(ConfigurationError):

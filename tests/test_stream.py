@@ -217,8 +217,6 @@ class TestStreamingParity:
         with pytest.raises(ConfigurationError):
             StreamConfig(backpressure="drop")
         with pytest.raises(ConfigurationError):
-            StreamConfig(default_poll_seconds=60.0, max_poll_seconds=30.0)
-        with pytest.raises(ConfigurationError):
             StreamConfig(max_duty_cycle=0.0)
         with pytest.raises(ConfigurationError):
             StreamConfig(max_duty_cycle=1.5)

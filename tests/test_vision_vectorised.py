@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import EncoderConfig, KeyframeConfig
+from repro.config import BACKGROUND_WEIGHT, ENCODER_NOISE_SCALE, EncoderConfig, KeyframeConfig
 from repro.encoders.concepts import ConceptSpace
 from repro.encoders.localization import SimulatedBoxHead
 from repro.encoders.vision import PatchEncoding, VisionEncoder
@@ -130,14 +130,14 @@ def reference_encode_frame(
 
     encodings: List[PatchEncoding] = []
     for patch_index, _anchor in enumerate(anchors):
-        mixture = config.background_weight * background
+        mixture = BACKGROUND_WEIGHT * background
         if objects:
             weights = overlaps[patch_index]
             if weights.sum() > 0:
                 mixture = mixture + weights @ object_embeddings
         signal_norm = np.linalg.norm(mixture)
         mixture = mixture + (
-            config.noise_scale * signal_norm * noise_directions[patch_index]
+            ENCODER_NOISE_SCALE * signal_norm * noise_directions[patch_index]
         )
         norm = np.linalg.norm(mixture)
         if norm > 0:
