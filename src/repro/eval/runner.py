@@ -8,6 +8,7 @@ the paper's experiments uniformly.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence
 
@@ -15,7 +16,6 @@ from repro.core.results import QueryResponse
 from repro.errors import EvaluationError, UnsupportedQueryError
 from repro.eval.metrics import GroundTruthInstance, evaluate_results
 from repro.eval.workloads import QuerySpec, build_ground_truth
-from repro.utils.timing import Stopwatch
 from repro.video.model import VideoDataset
 
 
@@ -101,7 +101,7 @@ def run_queries(
         _resolve_ground_truth(dataset, spec, ground_truth_cache) for spec in specs
     ]
     if use_batch and specs:
-        stopwatch = Stopwatch().start()
+        started = time.perf_counter()
         try:
             responses = system.query_batch([spec.text for spec in specs])  # type: ignore[attr-defined]
         except UnsupportedQueryError:
@@ -109,7 +109,7 @@ def run_queries(
             # which records unsupported queries individually.
             pass
         else:
-            per_query_elapsed = stopwatch.stop() / len(specs)
+            per_query_elapsed = (time.perf_counter() - started) / len(specs)
             return [
                 _make_record(
                     system_name, spec, response, ground_truth,
@@ -120,14 +120,14 @@ def run_queries(
 
     records: List[ExperimentRecord] = []
     for spec, ground_truth in zip(specs, ground_truths):
-        stopwatch = Stopwatch().start()
+        started = time.perf_counter()
         try:
             response = system.query(spec.text)
             supported = True
         except UnsupportedQueryError:
             response = QueryResponse(query=spec.text, results=[], timings={})
             supported = False
-        elapsed = stopwatch.stop()
+        elapsed = time.perf_counter() - started
         records.append(
             _make_record(
                 system_name, spec, response, ground_truth,

@@ -8,12 +8,12 @@ Three pieces, used together by the serving → shard → index stack:
   per shard call, annotated with the serving replica and any failover), and
   the rerank stage; finished traces land in a bounded store with a
   slow-query log.
-* :mod:`repro.obs.registry` — labelled counters / gauges / histograms in a
-  unified, thread-safe registry, plus the shared ceil-based nearest-rank
-  :func:`~repro.obs.registry.percentile`.
+* :mod:`repro.obs.registry` — labelled counters / gauges / histograms /
+  windowed summaries in a unified, thread-safe registry, plus the shared
+  ceil-based nearest-rank :func:`~repro.obs.registry.percentile`.
 * :mod:`repro.obs.exposition` — Prometheus text rendering (``GET
-  /v1/metrics``) and the mapping from engine stats and ingest phase totals
-  to metric families.
+  /v1/metrics``) and the mapping from the engine's point-in-time stats and
+  ingest phase totals to metric families.
 
 On top of those, the answer-quality and cost layer:
 
@@ -57,6 +57,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     REGISTRY,
     Sample,
+    Summary,
     percentile,
 )
 from repro.obs.trace import (
@@ -91,6 +92,7 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "Sample",
+    "Summary",
     "percentile",
     "DEFAULT_BUCKETS",
     "CONTENT_TYPE",

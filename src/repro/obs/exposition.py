@@ -6,11 +6,12 @@ Two halves:
   MetricFamily` into the Prometheus text format (``# HELP``/``# TYPE``
   headers, escaped label values, ``_bucket``/``_sum``/``_count`` histogram
   series, summary quantiles);
-* :func:`service_families` — map the serving engine's ``stats()`` snapshot
-  (requests, latency percentiles, micro-batch histogram, cache, backend
-  health) and the system's ingest :class:`~repro.utils.timing.PhaseTimer`
-  totals into families, so the whole stack surfaces through one
-  ``GET /v1/metrics`` scrape.
+* :func:`service_families` — map the point-in-time part of the serving
+  engine's ``stats()`` snapshot (uptime, queue, cache, backend health,
+  traces) and the system's ingest :class:`~repro.utils.timing.PhaseTimer`
+  totals into families.  The engine's request counters, latency summary and
+  micro-batch histogram are registry instruments, so they need no copy; the
+  whole stack surfaces through one ``GET /v1/metrics`` scrape.
 """
 
 from __future__ import annotations
@@ -127,29 +128,12 @@ def service_families(
     stats: Mapping[str, object],
     phase_totals: Optional[Mapping[str, float]] = None,
 ) -> List[MetricFamily]:
-    """Metric families derived from one engine ``stats()`` snapshot.
+    """Point-in-time metric families derived from one engine ``stats()``.
 
-    Everything is re-derived per scrape from the snapshot (the single source
-    of truth), so no second set of counters can drift from ``/v1/stats``.
+    Re-derived per scrape from the snapshot, so no second copy of the state
+    can drift from ``/v1/stats``.
     """
     families: List[MetricFamily] = [
-        _counter(
-            "lovo_requests_total", "Query submissions admitted or rejected.",
-            stats.get("requests_total", 0),
-        ),
-        _counter(
-            "lovo_requests_completed_total", "Queries answered successfully.",
-            stats.get("completed_total", 0),
-        ),
-        _counter(
-            "lovo_requests_rejected_total",
-            "Submissions rejected by admission control (backpressure).",
-            stats.get("rejected_total", 0),
-        ),
-        _counter(
-            "lovo_request_errors_total", "Queries that failed with an engine error.",
-            stats.get("errors_total", 0),
-        ),
         _gauge("lovo_uptime_seconds", "Engine uptime.", stats.get("uptime_seconds", 0.0)),
         _gauge("lovo_qps", "Completed queries per second since start.", stats.get("qps", 0.0)),
         _gauge(
@@ -162,57 +146,6 @@ def service_families(
         ),
         _gauge("lovo_workers", "Worker threads serving batches.", stats.get("num_workers", 0)),
     ]
-
-    latency = stats.get("latency_ms")
-    if isinstance(latency, Mapping):
-        name = "lovo_request_latency_seconds"
-        samples = [
-            Sample(name, {"quantile": quantile}, float(latency.get(key, 0.0)) / 1000.0)
-            for quantile, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99"))
-        ]
-        samples.append(
-            Sample(f"{name}_sum", {}, float(stats.get("latency_seconds_sum", 0.0)))
-        )
-        samples.append(Sample(f"{name}_count", {}, float(stats.get("completed_total", 0))))
-        families.append(
-            MetricFamily(
-                name,
-                "summary",
-                "End-to-end request latency (windowed quantiles).",
-                samples,
-            )
-        )
-
-    batches = stats.get("batches")
-    if isinstance(batches, Mapping):
-        histogram = batches.get("histogram")
-        name = "lovo_microbatch_size"
-        samples: List[Sample] = []
-        if isinstance(histogram, Mapping) and histogram:
-            # The stats histogram is exact (count per observed batch size), so
-            # the cumulative buckets can use the observed sizes themselves.
-            cumulative = 0
-            total_queries = 0.0
-            for size, count in sorted(
-                ((int(size), int(count)) for size, count in histogram.items())
-            ):
-                cumulative += count
-                total_queries += size * count
-                samples.append(
-                    Sample(f"{name}_bucket", {"le": format_float(float(size))}, float(cumulative))
-                )
-            samples.append(Sample(f"{name}_bucket", {"le": "+Inf"}, float(cumulative)))
-            samples.append(Sample(f"{name}_sum", {}, total_queries))
-            samples.append(Sample(f"{name}_count", {}, float(cumulative)))
-        else:
-            samples.append(Sample(f"{name}_bucket", {"le": "+Inf"}, 0.0))
-            samples.append(Sample(f"{name}_sum", {}, 0.0))
-            samples.append(Sample(f"{name}_count", {}, 0.0))
-        families.append(
-            MetricFamily(
-                name, "histogram", "Queries coalesced per executed micro-batch.", samples
-            )
-        )
 
     cache = stats.get("cache")
     if isinstance(cache, Mapping):
@@ -259,46 +192,17 @@ def service_families(
         )
         shards = backend.get("shards")
         if isinstance(shards, list):
-            replica_samples: List[Sample] = []
-            healthy_samples: List[Sample] = []
-            entity_samples: List[Sample] = []
-            for entry in shards:
-                if not isinstance(entry, Mapping):
-                    continue
-                shard = str(entry.get("shard", ""))
-                replica_samples.append(
-                    Sample(
-                        "lovo_shard_replicas", {"shard": shard}, float(entry.get("replicas", 0))
-                    )
-                )
-                healthy_samples.append(
-                    Sample(
-                        "lovo_shard_healthy_replicas",
-                        {"shard": shard},
-                        float(entry.get("healthy_replicas", 0)),
-                    )
-                )
-                entity_samples.append(
-                    Sample(
-                        "lovo_shard_entities", {"shard": shard}, float(entry.get("entities", 0))
-                    )
-                )
-            families.extend(
-                [
-                    MetricFamily(
-                        "lovo_shard_replicas", "gauge", "Registered replicas per shard.",
-                        replica_samples,
-                    ),
-                    MetricFamily(
-                        "lovo_shard_healthy_replicas", "gauge", "Healthy replicas per shard.",
-                        healthy_samples,
-                    ),
-                    MetricFamily(
-                        "lovo_shard_entities", "gauge", "Stored entities per shard.",
-                        entity_samples,
-                    ),
+            entries = [entry for entry in shards if isinstance(entry, Mapping)]
+            for name, key, help in (
+                ("lovo_shard_replicas", "replicas", "Registered replicas per shard."),
+                ("lovo_shard_healthy_replicas", "healthy_replicas", "Healthy replicas per shard."),
+                ("lovo_shard_entities", "entities", "Stored entities per shard."),
+            ):
+                samples = [
+                    Sample(name, {"shard": str(entry.get("shard", ""))}, float(entry.get(key, 0)))
+                    for entry in entries
                 ]
-            )
+                families.append(MetricFamily(name, "gauge", help, samples))
 
     traces = stats.get("traces")
     if isinstance(traces, Mapping):

@@ -1,11 +1,12 @@
-"""Unified metrics registry: labelled counters, gauges, and histograms.
+"""Unified metrics registry: labelled counters, gauges, histograms, summaries.
 
 One registry replaces the scattered per-subsystem counters with a single
-queryable surface: the serving engine absorbs :class:`~repro.serve.metrics.
-ServiceMetrics`, cache effectiveness, and backend health through registry
-collectors, while the shard router records its per-replica call latencies and
-failovers into module-level instruments here.  Everything the registry holds
-is rendered by :mod:`repro.obs.exposition` as Prometheus text.
+queryable surface: the serving engine counts its requests, latencies and
+micro-batch sizes straight into instruments here (and adds cache and backend
+health as point-in-time collectors), while the shard router records its
+per-replica call latencies and failovers into module-level instruments.
+Everything the registry holds is rendered by :mod:`repro.obs.exposition` as
+Prometheus text.
 
 The instrument model follows the Prometheus client conventions: an instrument
 has a name, help text, and a fixed tuple of label names; each distinct
@@ -18,9 +19,12 @@ from __future__ import annotations
 
 import math
 import re
-from repro.utils.locking import create_lock
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from repro.config import METRICS_WINDOW
+from repro.utils.locking import create_lock
 
 
 def percentile(sorted_values: Sequence[float], fraction: float) -> float:
@@ -112,25 +116,21 @@ class _Instrument:
         raise NotImplementedError
 
 
-class Counter(_Instrument):
-    """A monotonically increasing sum, per label combination."""
-
-    kind = "counter"
+class _Scalar(_Instrument):
+    """Shared body of :class:`Counter` and :class:`Gauge`: one float per label
+    combination, exposed as a zero sample when unlabelled and never touched."""
 
     def __init__(self, name: str, help: str, label_names: Sequence[str] = ()) -> None:
         super().__init__(name, help, label_names)
         self._values: Dict[Tuple[str, ...], float] = {}
 
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        """Add ``amount`` (must be non-negative) to the labelled series."""
-        if amount < 0:
-            raise ValueError(f"Counter {self.name!r} cannot decrease")
+    def _add(self, amount: float, labels: Mapping[str, object]) -> None:
         key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels: object) -> float:
-        """Current value of the labelled series (0 when never incremented)."""
+        """Current value of the labelled series (0 when never touched)."""
         key = self._key(labels)
         with self._lock:
             return self._values.get(key, 0.0)
@@ -146,14 +146,22 @@ class Counter(_Instrument):
         return MetricFamily(self.name, self.kind, self.help, samples)
 
 
-class Gauge(_Instrument):
+class Counter(_Scalar):
+    """A monotonically increasing sum, per label combination."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        """Add ``amount`` (must be non-negative) to the labelled series."""
+        if amount < 0:
+            raise ValueError(f"Counter {self.name!r} cannot decrease")
+        self._add(amount, labels)
+
+
+class Gauge(_Scalar):
     """A value that can go up and down, per label combination."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str, label_names: Sequence[str] = ()) -> None:
-        super().__init__(name, help, label_names)
-        self._values: Dict[Tuple[str, ...], float] = {}
 
     def set(self, value: float, **labels: object) -> None:
         """Set the labelled series to ``value``."""
@@ -163,25 +171,7 @@ class Gauge(_Instrument):
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         """Add ``amount`` (may be negative) to the labelled series."""
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: object) -> float:
-        """Current value of the labelled series (0 when never set)."""
-        key = self._key(labels)
-        with self._lock:
-            return self._values.get(key, 0.0)
-
-    def collect(self) -> MetricFamily:
-        with self._lock:
-            samples = [
-                Sample(self.name, self._labels_of(key), value)
-                for key, value in sorted(self._values.items())
-            ]
-        if not samples and not self.label_names:
-            samples = [Sample(self.name, {}, 0.0)]
-        return MetricFamily(self.name, self.kind, self.help, samples)
+        self._add(amount, labels)
 
 
 class Histogram(_Instrument):
@@ -224,19 +214,23 @@ class Histogram(_Instrument):
             sum_count[0] += value
             sum_count[1] += 1.0
 
-    def value(self, **labels: object) -> Dict[str, float]:
-        """The labelled series' ``{"sum": ..., "count": ...}`` totals."""
+    def value(self, **labels: object) -> Dict[str, object]:
+        """The labelled series' ``sum`` and ``count`` totals, plus ``counts``:
+        the observations per bucket (not cumulative), ``+Inf`` last."""
         key = self._key(labels)
         with self._lock:
             series = self._series.get(key)
             if series is None:
-                return {"sum": 0.0, "count": 0.0}
-            return {"sum": series[1][0], "count": series[1][1]}
+                return {"sum": 0.0, "count": 0.0, "counts": [0] * (len(self.buckets) + 1)}
+            return {"sum": series[1][0], "count": series[1][1], "counts": list(series[0])}
 
     def collect(self) -> MetricFamily:
         samples: List[Sample] = []
         with self._lock:
-            for key, (counts, sum_count) in sorted(self._series.items()):
+            series = sorted(self._series.items())
+            if not series and not self.label_names:
+                series = [((), ([0] * (len(self.buckets) + 1), [0.0, 0.0]))]
+            for key, (counts, sum_count) in series:
                 labels = self._labels_of(key)
                 cumulative = 0
                 for position, bound in enumerate(self.buckets):
@@ -254,6 +248,75 @@ class Histogram(_Instrument):
                 )
                 samples.append(Sample(f"{self.name}_sum", dict(labels), sum_count[0]))
                 samples.append(Sample(f"{self.name}_count", dict(labels), sum_count[1]))
+        return MetricFamily(self.name, self.kind, self.help, samples)
+
+
+class Summary(_Instrument):
+    """Windowed quantiles with un-windowed ``_sum``/``_count``, per labels.
+
+    The quantiles and the mean describe the last :data:`~repro.config.
+    METRICS_WINDOW` observations; ``_sum`` and ``_count`` cover every one.
+    """
+
+    kind = "summary"
+    QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
+
+    def __init__(self, name: str, help: str, label_names: Sequence[str] = ()) -> None:
+        super().__init__(name, help, label_names)
+        # Per label key: the recent-observation window, and [sum, count].
+        self._series: Dict[Tuple[str, ...], Tuple[Deque[float], List[float]]] = {}
+
+    def observe(self, value: float, **labels: object) -> None:
+        """Record one observation into the labelled series."""
+        key = self._key(labels)
+        with self._lock:
+            series = self._series.get(key)
+            if series is None:
+                series = (deque(maxlen=METRICS_WINDOW), [0.0, 0.0])
+                self._series[key] = series
+            series[0].append(value)
+            series[1][0] += value
+            series[1][1] += 1.0
+
+    def _copy(self, key: Tuple[str, ...]) -> Tuple[List[float], List[float]]:
+        series = self._series.get(key)
+        if series is None:
+            return [], [0.0, 0.0]
+        return list(series[0]), list(series[1])
+
+    def value(self, **labels: object) -> Dict[str, object]:
+        """The labelled series' ``quantiles`` (by fraction), windowed ``mean``
+        and ``window`` size, and un-windowed ``sum`` and ``count``."""
+        key = self._key(labels)
+        with self._lock:
+            window, (total, count) = self._copy(key)
+        ordered = sorted(window)
+        return {
+            "quantiles": {q: percentile(ordered, q) for q in self.QUANTILES},
+            "mean": sum(ordered) / len(ordered) if ordered else 0.0,
+            "window": len(ordered),
+            "sum": total,
+            "count": count,
+        }
+
+    def collect(self) -> MetricFamily:
+        with self._lock:
+            keys = sorted(self._series) or ([] if self.label_names else [()])
+            copies = [(key, self._copy(key)) for key in keys]
+        samples: List[Sample] = []
+        for key, (window, (total, count)) in copies:
+            labels = self._labels_of(key)
+            ordered = sorted(window)
+            for fraction in self.QUANTILES:
+                samples.append(
+                    Sample(
+                        self.name,
+                        {**labels, "quantile": format_float(fraction)},
+                        percentile(ordered, fraction),
+                    )
+                )
+            samples.append(Sample(f"{self.name}_sum", dict(labels), total))
+            samples.append(Sample(f"{self.name}_count", dict(labels), count))
         return MetricFamily(self.name, self.kind, self.help, samples)
 
 
@@ -330,6 +393,10 @@ class MetricsRegistry:
         return self._get_or_create(
             Histogram, name, help, label_names, buckets=buckets or DEFAULT_BUCKETS
         )
+
+    def summary(self, name: str, help: str, label_names: Sequence[str] = ()) -> Summary:
+        """Get or create a :class:`Summary`."""
+        return self._get_or_create(Summary, name, help, label_names)
 
     def register_collector(
         self, collector: Callable[[], Iterable[MetricFamily]]

@@ -5,9 +5,11 @@ micro-batching scheduler coalesces concurrently submitted queries into
 batched engine passes (:mod:`repro.serve.batcher`), a worker pool with
 bounded-queue admission control executes them (:mod:`repro.serve.engine`), a
 TTL+LRU cache answers repeated queries for free (:mod:`repro.serve.cache`),
-service metrics expose QPS / latency percentiles / batch sizes
-(:mod:`repro.serve.metrics`), and a stdlib-only HTTP frontend serves it all
-over the wire (:mod:`repro.serve.http`).
+and a stdlib-only HTTP frontend serves it all over the wire
+(:mod:`repro.serve.http`).  The engine counts each request once, in its
+:class:`~repro.obs.registry.MetricsRegistry`: request outcomes, a latency
+summary and a micro-batch size histogram back both ``/v1/stats`` and
+``/v1/metrics``.
 
 Quick start (in-process)::
 
@@ -27,7 +29,6 @@ from repro.serve.batcher import MicroBatcher, PendingQuery
 from repro.serve.cache import ResultCache, TTLLRUCache, normalize_query_text
 from repro.serve.engine import ServingEngine
 from repro.serve.http import LOVOHTTPServer, make_server, serve_forever
-from repro.serve.metrics import ServiceMetrics
 
 __all__ = [
     "ServeConfig",
@@ -38,7 +39,6 @@ __all__ = [
     "ResultCache",
     "TTLLRUCache",
     "normalize_query_text",
-    "ServiceMetrics",
     "LOVOHTTPServer",
     "make_server",
     "serve_forever",

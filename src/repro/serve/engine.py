@@ -43,10 +43,9 @@ from repro.obs.quality import ShadowSampler
 from repro.obs.registry import REGISTRY, MetricFamily, MetricsRegistry
 from repro.obs.slo import SLOTracker
 from repro.obs.timeseries import MetricsHistory
-from repro.obs.trace import Tracer, activate
+from repro.obs.trace import Trace, Tracer, activate
 from repro.serve.batcher import MicroBatcher, PendingQuery
 from repro.serve.cache import ResultCache
-from repro.serve.metrics import ServiceMetrics
 from repro.utils.locking import create_lock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,25 +69,47 @@ class ServingEngine:
                 maxsize=self._config.cache_size,
                 ttl_seconds=self._config.cache_ttl_seconds,
             )
-        self._metrics = ServiceMetrics()
-        # Share the system's tracer when it has one (one trace store per
-        # system), else build our own from the system's obs configuration;
-        # duck-typed stand-in systems without either get a default Tracer.
-        tracer = getattr(system, "tracer", None)
-        if not isinstance(tracer, Tracer):
-            obs_config = getattr(getattr(system, "config", None), "obs", None)
-            tracer = Tracer(obs_config)
-        self._tracer = tracer
+        # Duck-typed stand-in systems without an obs configuration get the
+        # defaults; the system's tracer is shared when it has one (one trace
+        # store per system).
         obs_config = getattr(getattr(system, "config", None), "obs", None)
         if not isinstance(obs_config, ObsConfig):
             obs_config = ObsConfig()
         self._obs_config = obs_config
-        self._registry = MetricsRegistry()
-        self._registry.register_collector(self._collect_service_families)
+        tracer = getattr(system, "tracer", None)
+        self._tracer = tracer if isinstance(tracer, Tracer) else Tracer(obs_config)
+        self._registry = registry = MetricsRegistry()
+        registry.register_collector(self._collect_service_families)
+        # Each request is counted once, here; stats() and the /v1/metrics
+        # scrape both read these instruments.
+        self._requests = registry.counter(
+            "lovo_requests_total", "Query submissions admitted or rejected."
+        )
+        self._outcomes = {
+            "completed": registry.counter(
+                "lovo_requests_completed_total", "Queries answered successfully."
+            ),
+            "rejected": registry.counter(
+                "lovo_requests_rejected_total",
+                "Submissions rejected by admission control (backpressure).",
+            ),
+            "error": registry.counter(
+                "lovo_request_errors_total", "Queries that failed with an engine error."
+            ),
+        }
+        self._latency = registry.summary(
+            "lovo_request_latency_seconds", "End-to-end request latency (windowed quantiles)."
+        )
+        self._batch_sizes = registry.histogram(
+            "lovo_microbatch_size",
+            "Queries coalesced per executed micro-batch.",
+            buckets=range(1, self._config.max_batch_size + 1),
+        )
+        self._started_at: Optional[float] = None
         # The answer-quality & cost layer: EXPLAIN retention, SLO burn rates,
         # metrics history, and (when configured) shadow-recall sampling.
         self._explain_store = ExplainStore()
-        self._slo = SLOTracker(obs_config, registry=self._registry)
+        self._slo = SLOTracker(obs_config, registry=registry)
         self._history = MetricsHistory(
             self.metric_families,
             interval_seconds=obs_config.history_interval_seconds,
@@ -100,7 +121,7 @@ class ServingEngine:
             self._sampler = ShadowSampler(
                 system,
                 obs_config,
-                registry=self._registry,
+                registry=registry,
                 on_sample=self._slo.record_recall,
             )
         self._workers: List[threading.Thread] = []
@@ -131,18 +152,13 @@ class ServingEngine:
         return self._config
 
     @property
-    def metrics(self) -> ServiceMetrics:
-        """The live service metrics."""
-        return self._metrics
-
-    @property
     def tracer(self) -> Tracer:
         """The request tracer (and its bounded trace store)."""
         return self._tracer
 
     @property
     def registry(self) -> MetricsRegistry:
-        """This engine's metrics registry (service families via collector)."""
+        """This engine's metrics registry (request instruments and collectors)."""
         return self._registry
 
     @property
@@ -179,10 +195,11 @@ class ServingEngine:
     def metric_families(self) -> List[MetricFamily]:
         """Everything ``GET /v1/metrics`` exposes in one snapshot.
 
-        Merges this engine's registry (service metrics, cache, backend
-        health, ingest phase totals, recall/SLO instruments) with the
-        module-level registry the shard router records its per-replica call
-        metrics into, plus the constant ``lovo_build_info`` gauge.
+        Merges this engine's registry (request counters, latency, micro-batch
+        sizes, cache, backend health, ingest phase totals, recall/SLO
+        instruments) with the module-level registry the shard router records
+        its per-replica call metrics into, plus the constant
+        ``lovo_build_info`` gauge.
         """
         return (
             self._registry.collect() + REGISTRY.collect() + [build_info_family()]
@@ -245,6 +262,7 @@ class ServingEngine:
                 self._history.start()
             if self._sampler is not None:
                 self._sampler.start()
+            self._started_at = time.monotonic()
             self._running = True
         return self
 
@@ -288,12 +306,14 @@ class ServingEngine:
         # here leaves no admitted request stranded with an unresolved
         # future.
         leftover = self._batcher.drain()
-        if leftover:
-            if drain:
-                self._process_batch(leftover)
-            else:
-                for pending in leftover:
-                    pending.future.cancel()
+        if drain:
+            # In batches no larger than the workers' own.
+            size = self._config.max_batch_size
+            for start in range(0, len(leftover), size):
+                self._process_batch(leftover[start:start + size])
+        else:
+            for pending in leftover:
+                pending.future.cancel()
 
     def __enter__(self) -> "ServingEngine":
         return self.start()
@@ -319,8 +339,6 @@ class ServingEngine:
             raise ServingError("ServingEngine is not running; call start() first")
         coerced = as_query_request(request, options, caller="ServingEngine.submit")
         text = coerced.text
-        self._metrics.record_request()
-
         started = time.perf_counter()
         trace = self._tracer.start(query=text)
         # EXPLAIN requests bypass the cache entirely (get *and* put, below):
@@ -337,18 +355,14 @@ class ServingEngine:
             )
             if cached is not None:
                 now = time.perf_counter()
-                self._metrics.record_completion(now - started)
                 if trace is not None:
                     trace.record("cache_lookup", started, now, hit=True)
+                self._requests.inc()
+                trace_id = self._settle(trace, now - started, cache_hit=True)
+                if trace_id is not None:
                     # Overwrite the (stale) trace id the producing request
                     # stamped into the cached entry.
-                    cached.metadata["trace_id"] = self._tracer.finish(
-                        trace, cache_hit=True
-                    )
-                self._slo.record_request(
-                    now - started, True,
-                    trace_id=cached.metadata.get("trace_id"),
-                )
+                    cached.metadata["trace_id"] = trace_id
                 future: "Future[QueryResponse]" = Future()
                 future.set_result(cached)
                 return future
@@ -362,19 +376,15 @@ class ServingEngine:
         try:
             self._batcher.submit(pending)
         except ServiceOverloadedError:
-            # Only genuine backpressure counts as a rejection; a closed
-            # batcher (shutdown race) propagates as a plain ServingError.
-            self._metrics.record_rejection()
-            self._tracer.finish(trace, outcome="rejected")
-            self._slo.record_request(
-                time.perf_counter() - started, False,
-                trace_id=trace.trace_id if trace is not None else None,
-                outcome="rejected",
-            )
+            self._requests.inc()
+            self._settle(trace, time.perf_counter() - started, "rejected")
             raise
         except ServingError:
+            # A closed batcher (shutdown race) neither admitted nor rejected
+            # the submission, so it is not counted; only its trace says why.
             self._tracer.finish(trace, outcome="closed")
             raise
+        self._requests.inc()
         return pending.future
 
     def query(
@@ -426,13 +436,47 @@ class ServingEngine:
         ]
 
     def stats(self) -> Dict[str, object]:
-        """Service metrics plus queue, cache, and pool state for ``/stats``."""
-        snapshot = self._metrics.snapshot(queue_depth=self._batcher.depth)
-        snapshot["running"] = self._running
-        snapshot["num_workers"] = self._config.num_workers
-        snapshot["max_batch_size"] = self._config.max_batch_size
-        snapshot["max_wait_ms"] = self._config.max_wait_ms
-        snapshot["queue_capacity"] = self._config.queue_size
+        """Request metrics plus queue, cache, and pool state for ``/stats``."""
+        uptime = 0.0 if self._started_at is None else time.monotonic() - self._started_at
+        completed = int(self._outcomes["completed"].value())
+        latency = self._latency.value()
+        quantiles = latency["quantiles"]
+        batches = self._batch_sizes.value()
+        executed = int(batches["count"])
+        snapshot: Dict[str, object] = {
+            "uptime_seconds": uptime,
+            "requests_total": int(self._requests.value()),
+            "completed_total": completed,
+            "rejected_total": int(self._outcomes["rejected"].value()),
+            "errors_total": int(self._outcomes["error"].value()),
+            "qps": completed / uptime if uptime > 0 else 0.0,
+            # Un-windowed, like the summary's `_sum`; the quantiles are windowed.
+            "latency_seconds_sum": latency["sum"],
+            "latency_ms": {
+                "p50": quantiles[0.5] * 1000.0,
+                "p95": quantiles[0.95] * 1000.0,
+                "p99": quantiles[0.99] * 1000.0,
+                "mean": latency["mean"] * 1000.0,
+                "window": latency["window"],
+            },
+            "batches": {
+                "executed": executed,
+                "mean_size": batches["sum"] / executed if executed else 0.0,
+                # Integer buckets 1..max_batch_size: a bucket's own count is
+                # the number of batches of exactly that size.
+                "histogram": {
+                    str(int(size)): count
+                    for size, count in zip(self._batch_sizes.buckets, batches["counts"])
+                    if count
+                },
+            },
+            "queue_depth": self._batcher.depth,
+            "running": self._running,
+            "num_workers": self._config.num_workers,
+            "max_batch_size": self._config.max_batch_size,
+            "max_wait_ms": self._config.max_wait_ms,
+            "queue_capacity": self._config.queue_size,
+        }
         backend = self._backend_status()
         snapshot["backend"] = backend
         # Overall health: the backend's replica-topology classification
@@ -461,6 +505,28 @@ class ServingEngine:
         if self._sampler is not None:
             snapshot["quality"] = self._sampler.stats()
         return snapshot
+
+    def _settle(
+        self,
+        trace: Optional[Trace],
+        latency: float,
+        outcome: str = "completed",
+        **attributes: object,
+    ) -> Optional[str]:
+        """Record one request's outcome once: counter, latency, SLO and trace.
+
+        Completions (cache hits included) feed the latency summary; failures
+        stamp their ``outcome`` into the trace.  Returns the trace id.
+        """
+        ok = outcome == "completed"
+        self._outcomes[outcome].inc()
+        if ok:
+            self._latency.observe(latency)
+        else:
+            attributes["outcome"] = outcome
+        trace_id = self._tracer.finish(trace, **attributes)
+        self._slo.record_request(latency, ok, trace_id=trace_id, outcome=outcome)
+        return trace_id
 
     def _backend_status(self) -> Dict[str, object]:
         """Backend topology (shard/replica health) for ``stats``/``healthz``."""
@@ -506,7 +572,7 @@ class ServingEngine:
     def _process_group(self, options: QueryOptions, group: List[PendingQuery]) -> None:
         # One histogram entry per actual engine pass (a coalesced batch with
         # mixed options executes as several passes).
-        self._metrics.record_batch(len(group))
+        self._batch_sizes.observe(len(group))
         # The engine pass is shared work: activating every member's trace
         # fans each span the pass records (encode, fast_search, per-shard
         # search, merge, rerank) out into all of them.
@@ -524,16 +590,9 @@ class ServingEngine:
         except BaseException as error:  # noqa: BLE001 - forwarded to callers
             now = time.perf_counter()
             for pending in group:
-                self._metrics.record_error()
-                self._tracer.finish(
-                    pending.trace, outcome="error", error=type(error).__name__
-                )
-                self._slo.record_request(
-                    now - pending.enqueued_at, False,
-                    trace_id=(
-                        pending.trace.trace_id if pending.trace is not None else None
-                    ),
-                    outcome="error",
+                self._settle(
+                    pending.trace, now - pending.enqueued_at, "error",
+                    error=type(error).__name__,
                 )
                 pending.future.set_exception(error)
             if not isinstance(error, Exception):
@@ -552,10 +611,7 @@ class ServingEngine:
                 self._cache.put_for(
                     pending.text, options, query_config, response, epoch=epoch
                 )
-            latency = now - pending.enqueued_at
-            self._metrics.record_completion(latency)
-            self._tracer.finish(pending.trace)
-            self._slo.record_request(latency, True, trace_id=trace_id)
+            self._settle(pending.trace, now - pending.enqueued_at)
             if self._sampler is not None:
                 self._sampler.maybe_sample(
                     pending.text,

@@ -4,7 +4,7 @@ from repro.utils.cache import LRUCache
 from repro.utils.geometry import BoundingBox, iou, iou_matrix, pairwise_center_distance
 from repro.utils.rng import derive_seed, rng_from_tokens
 from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
-from repro.utils.timing import PhaseTimer, Stopwatch
+from repro.utils.timing import PhaseTimer
 
 __all__ = [
     "LRUCache",
@@ -15,7 +15,6 @@ __all__ = [
     "derive_seed",
     "rng_from_tokens",
     "PhaseTimer",
-    "Stopwatch",
     "save_json",
     "load_json",
     "save_arrays",

@@ -19,39 +19,6 @@ from repro.utils.locking import create_lock
 
 
 @dataclass
-class Stopwatch:
-    """A restartable stopwatch measuring elapsed wall-clock seconds."""
-
-    _start: float | None = None
-    _elapsed: float = 0.0
-
-    def start(self) -> "Stopwatch":
-        """Start (or restart) the stopwatch."""
-        self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        """Stop the stopwatch and return the accumulated elapsed time."""
-        if self._start is not None:
-            self._elapsed += time.perf_counter() - self._start
-            self._start = None
-        return self._elapsed
-
-    def reset(self) -> None:
-        """Reset the accumulated time and stop."""
-        self._start = None
-        self._elapsed = 0.0
-
-    @property
-    def elapsed(self) -> float:
-        """Elapsed seconds so far (including a running interval)."""
-        running = 0.0
-        if self._start is not None:
-            running = time.perf_counter() - self._start
-        return self._elapsed + running
-
-
-@dataclass
 class PhaseTimer:
     """Accumulates wall-clock time per named phase.
 

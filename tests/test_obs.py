@@ -20,6 +20,7 @@ import pytest
 
 from repro import LOVO, LOVOConfig, ObsConfig
 from repro.config import (
+    METRICS_WINDOW,
     EncoderConfig,
     IndexConfig,
     KeyframeConfig,
@@ -326,6 +327,49 @@ class TestMetricsRegistry:
         assert by_name[("h_seconds_count", None)] == 2
         assert by_name[("h_seconds_sum", None)] == pytest.approx(5.05)
 
+    def test_summary_windowed_quantiles_and_totals(self):
+        registry = MetricsRegistry()
+        summary = registry.summary("lat_seconds", "latency")
+        assert registry.summary("lat_seconds", "latency") is summary
+        empty = {sample.name: sample.value for sample in summary.collect().samples}
+        assert empty == {"lat_seconds": 0.0, "lat_seconds_sum": 0.0, "lat_seconds_count": 0.0}
+        # One large observation falls out of the window; the totals keep it.
+        summary.observe(1000.0)
+        for value in range(1, METRICS_WINDOW + 1):
+            summary.observe(float(value))
+        value = summary.value()
+        assert value["window"] == METRICS_WINDOW
+        assert value["count"] == METRICS_WINDOW + 1
+        assert value["sum"] == 1000.0 + METRICS_WINDOW * (METRICS_WINDOW + 1) / 2
+        assert value["mean"] == (METRICS_WINDOW + 1) / 2
+        window = [float(v) for v in range(1, METRICS_WINDOW + 1)]
+        assert value["quantiles"] == {q: percentile(window, q) for q in (0.5, 0.95, 0.99)}
+        family = summary.collect()
+        assert family.kind == "summary"
+        quantiles = {
+            sample.labels["quantile"]: sample.value
+            for sample in family.samples if sample.name == "lat_seconds"
+        }
+        assert quantiles == {"0.5": value["quantiles"][0.5],
+                             "0.95": value["quantiles"][0.95],
+                             "0.99": value["quantiles"][0.99]}
+
+    def test_unlabelled_histogram_exposes_zero_series(self):
+        histogram = MetricsRegistry().histogram("sizes", "sizes", buckets=(1, 2))
+        samples = {
+            (sample.name, sample.labels.get("le")): sample.value
+            for sample in histogram.collect().samples
+        }
+        assert samples == {
+            ("sizes_bucket", "1"): 0.0, ("sizes_bucket", "2"): 0.0,
+            ("sizes_bucket", "+Inf"): 0.0, ("sizes_sum", None): 0.0,
+            ("sizes_count", None): 0.0,
+        }
+        histogram.observe(2)
+        histogram.observe(2)
+        histogram.observe(7)
+        assert histogram.value() == {"sum": 11.0, "count": 3.0, "counts": [0, 2, 1]}
+
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
         first = registry.counter("requests_total", "count")
@@ -497,36 +541,25 @@ class TestExposition:
 
     def test_service_families_shapes(self):
         stats = {
-            "requests_total": 10,
-            "completed_total": 8,
-            "rejected_total": 1,
-            "errors_total": 1,
             "uptime_seconds": 12.5,
             "qps": 0.64,
             "queue_depth": 2,
             "queue_capacity": 64,
             "num_workers": 4,
-            "latency_ms": {"p50": 10.0, "p95": 20.0, "p99": 30.0},
-            "latency_seconds_sum": 0.5,
-            "batches": {"executed": 6, "mean_size": 2.0,
-                        "histogram": {"1": 4, "4": 2}},
-            "cache": {"enabled": False},
+            "cache": {"enabled": True, "hits": 3, "misses": 1, "expirations": 0,
+                      "size": 2, "hit_rate": 0.75},
         }
         families = {family.name: family for family in service_families(stats)}
-        assert families["lovo_requests_total"].samples[0].value == 10
-        assert families["lovo_request_latency_seconds"].kind == "summary"
-        quantiles = {
-            sample.labels["quantile"]: sample.value
-            for sample in families["lovo_request_latency_seconds"].samples
-            if "quantile" in sample.labels
-        }
-        assert quantiles["0.5"] == pytest.approx(0.010)
-        batch = {
-            sample.labels["le"]: sample.value
-            for sample in families["lovo_microbatch_size"].samples
-            if sample.name == "lovo_microbatch_size_bucket"
-        }
-        assert batch["1"] == 4 and batch["4"] == 6 and batch["+Inf"] == 6
+        assert families["lovo_uptime_seconds"].samples[0].value == 12.5
+        assert families["lovo_queue_depth"].kind == "gauge"
+        assert families["lovo_queue_depth"].samples[0].value == 2
+        assert families["lovo_cache_hits_total"].kind == "counter"
+        assert families["lovo_cache_hits_total"].samples[0].value == 3
+        # Request counts, latency and batch sizes are the engine's registry
+        # instruments, never a copy derived from the stats snapshot.
+        for name in ("lovo_requests_total", "lovo_request_latency_seconds",
+                     "lovo_microbatch_size"):
+            assert name not in families
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Tests for the concurrent query-serving subsystem (:mod:`repro.serve`).
 
-Covers the pieces individually (TTL+LRU cache, micro-batcher, metrics) and
-the assembled engine: bit-exact parity between concurrent served queries and
-serial ``LOVO.query`` calls, backpressure, cache short-circuiting, graceful
-shutdown draining, and an HTTP round trip over an ephemeral port.
+Covers the pieces individually (TTL+LRU cache, micro-batcher) and the
+assembled engine: bit-exact parity between concurrent served queries and
+serial ``LOVO.query`` calls, backpressure, request accounting, cache
+short-circuiting, graceful shutdown draining, and an HTTP round trip over an
+ephemeral port.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from repro.errors import (
 from repro.eval.workloads import queries_for_dataset
 from repro.serve import MicroBatcher, PendingQuery, ResultCache, ServingEngine, TTLLRUCache
 from repro.serve.cache import normalize_query_text
+from repro.obs.exposition import parse_exposition
 from repro.serve.http import make_server
 from repro.obs.registry import percentile
-from repro.serve.metrics import ServiceMetrics
 from repro.utils.cache import LRUCache
 from repro.utils.timing import PhaseTimer
 
@@ -87,6 +88,15 @@ class StubSystem:
             for text in texts
         ]
         return BatchQueryResponse(queries=list(texts), responses=responses)
+
+
+class FlakyStub(StubSystem):
+    """A stand-in whose engine pass fails for any batch holding ``boom``."""
+
+    def query_batch(self, texts: Sequence[str], *, options=None):
+        if any(text.startswith("boom") for text in texts):
+            raise RuntimeError("index melted")
+        return super().query_batch(texts, options=options)
 
 
 def stub_engine(stub: StubSystem, **overrides) -> ServingEngine:
@@ -270,24 +280,121 @@ class TestServiceMetrics:
         assert percentile(values, 0.99) == pytest.approx(99.0, abs=1.0)
         assert percentile([], 0.5) == 0.0
 
-    def test_snapshot_shape_and_rates(self):
-        metrics = ServiceMetrics(latency_window=16)
-        for _ in range(4):
-            metrics.record_request()
-        metrics.record_rejection()
-        metrics.record_batch(3)
-        for latency in (0.010, 0.020, 0.030):
-            metrics.record_completion(latency)
-        snapshot = metrics.snapshot(queue_depth=2)
-        assert snapshot["requests_total"] == 4
-        assert snapshot["completed_total"] == 3
-        assert snapshot["rejected_total"] == 1
-        assert snapshot["queue_depth"] == 2
-        assert snapshot["batches"]["histogram"] == {"3": 1}
-        assert snapshot["batches"]["mean_size"] == pytest.approx(3.0)
-        assert snapshot["latency_ms"]["p50"] == pytest.approx(20.0)
-        assert snapshot["qps"] > 0
-        json.dumps(snapshot)  # must be JSON-serialisable for /stats
+    @staticmethod
+    def _drive_fixed_sequence(engine: ServingEngine, stub: StubSystem) -> None:
+        """4 completions in batches of 1 and 3, a cache hit, a rejection, an
+        engine error in a batch of 1, then a closed-batcher refusal."""
+        held = engine.submit("held")
+        assert stub.started.wait(timeout=5.0)
+        queued = [engine.submit(f"q{i}") for i in range(3)]
+        with pytest.raises(ServiceOverloadedError):
+            engine.submit("rejected")
+        stub.release.set()
+        for future in [held, *queued]:
+            future.result(timeout=5.0)
+        assert engine.query("held", timeout=5.0).metadata["cache_hit"] is True
+        with pytest.raises(RuntimeError, match="index melted"):
+            engine.query("boom", timeout=5.0)
+        # The shutdown race: stop() has closed the batcher, and a submit()
+        # that already passed the running check reaches it.
+        engine._batcher.close()
+        with pytest.raises(ServingError):
+            engine.submit("late")
+        engine.stop()
+
+    @staticmethod
+    def _fixed_sequence_engine():
+        stub = FlakyStub(block=True)
+        engine = stub_engine(
+            stub, max_batch_size=4, max_wait_ms=50.0, queue_size=3, cache_size=16
+        )
+        return engine.start(), stub
+
+    def test_every_counted_request_is_settled(self):
+        engine, stub = self._fixed_sequence_engine()
+        self._drive_fixed_sequence(engine, stub)
+        stats = engine.stats()
+        assert stats["requests_total"] == (
+            stats["completed_total"] + stats["rejected_total"] + stats["errors_total"]
+        )
+        assert (stats["requests_total"], stats["completed_total"],
+                stats["rejected_total"], stats["errors_total"]) == (7, 5, 1, 1)
+        assert stats["batches"] == {
+            "executed": 3, "mean_size": 5 / 3, "histogram": {"1": 2, "3": 1},
+        }
+
+    def test_stats_and_scrape_agree(self):
+        engine, stub = self._fixed_sequence_engine()
+        server = make_server(engine, host="127.0.0.1", port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        base = f"http://{host}:{port}/v1"
+        try:
+            self._drive_fixed_sequence(engine, stub)
+            with urllib.request.urlopen(f"{base}/stats", timeout=30) as response:
+                stats = json.load(response)
+            with urllib.request.urlopen(f"{base}/metrics", timeout=30) as response:
+                scrape = parse_exposition(response.read().decode("utf-8"))
+        finally:
+            server.shutdown()
+            server.server_close()
+
+        def samples(family: str) -> dict:
+            return {
+                (sample["name"], tuple(sorted(sample["labels"].items()))): sample["value"]
+                for sample in scrape[family]["samples"]
+            }
+
+        for key, family in (
+            ("requests_total", "lovo_requests_total"),
+            ("completed_total", "lovo_requests_completed_total"),
+            ("rejected_total", "lovo_requests_rejected_total"),
+            ("errors_total", "lovo_request_errors_total"),
+        ):
+            assert type(stats[key]) is int
+            assert scrape[family]["type"] == "counter"
+            assert samples(family) == {(family, ()): stats[key]}
+
+        name = "lovo_request_latency_seconds"
+        assert scrape[name]["type"] == "summary"
+        latency = samples(name)
+        for quantile, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
+            assert latency[(name, (("quantile", quantile),))] * 1000.0 == stats["latency_ms"][key]
+        assert latency[(f"{name}_sum", ())] == stats["latency_seconds_sum"]
+        assert latency[(f"{name}_count", ())] == stats["completed_total"] == 5
+        assert stats["latency_ms"]["window"] == 5
+        assert 0.0 < stats["latency_ms"]["p50"] <= stats["latency_ms"]["p99"]
+
+        name = "lovo_microbatch_size"
+        assert scrape[name]["type"] == "histogram"
+        sizes = samples(name)
+        assert sorted(le for (sample, labels) in sizes for _, le in labels) == sorted(
+            ["1", "2", "3", "4", "+Inf"]
+        )
+        histogram = {int(size): count for size, count in stats["batches"]["histogram"].items()}
+        assert histogram == {1: 2, 3: 1}
+        for size in histogram:
+            cumulative = sum(count for other, count in histogram.items() if other <= size)
+            assert sizes[(f"{name}_bucket", (("le", str(size)),))] == cumulative
+        assert sizes[(f"{name}_count", ())] == stats["batches"]["executed"] == 3
+        assert sizes[(f"{name}_sum", ())] == 5 == sum(
+            size * count for size, count in histogram.items()
+        )
+
+        for key in ("uptime_seconds", "qps", "queue_depth"):
+            assert key in stats
+
+    def test_uptime_counts_from_start(self):
+        engine = stub_engine(StubSystem())
+        assert engine.stats()["uptime_seconds"] == 0.0
+        idle = 1.0
+        time.sleep(idle)
+        with engine:
+            engine.query("q", timeout=5.0)
+            stats = engine.stats()
+        assert stats["uptime_seconds"] < idle
+        assert stats["qps"] > 1 / idle
 
 
 class TestServeConfig:

@@ -441,23 +441,69 @@ class TestReplicaFailover:
             ShardRouter([])
 
 
-class TestEndToEndLOVO:
-    def test_lovo_query_parity_sharded_vs_unsharded(self):
-        from repro.core.system import LOVO
-        from repro.video import make_bellevue
+@pytest.fixture(scope="module")
+def mixed_corpus():
+    """Bellevue 2x40 + Cityscapes 1x60 (seed 1) and queries for both."""
+    from repro.eval.workloads import queries_for_dataset
+    from repro.video import make_bellevue, make_cityscapes
 
-        dataset = make_bellevue(num_videos=2, frames_per_video=40)
-        plain = LOVO(LOVOConfig())
-        plain.ingest(dataset)
-        sharded = LOVO(LOVOConfig(shard=ShardConfig(num_shards=3)))
-        sharded.ingest(dataset)
-        assert sharded.storage.sharded
-        text = "A red car driving in the center of the road"
-        a = plain.query(text)
-        b = sharded.query(text)
-        assert [(r.frame_id, r.score) for r in a.results] == [
-            (r.frame_id, r.score) for r in b.results
+    datasets = [
+        make_bellevue(num_videos=2, frames_per_video=40, seed=1),
+        make_cityscapes(num_videos=1, frames_per_video=60, seed=1),
+    ]
+    texts = [
+        spec.text
+        for name in ("bellevue", "cityscapes")
+        for spec in queries_for_dataset(name)[:2]
+    ]
+    return datasets, texts
+
+
+def result_key(response) -> List[tuple]:
+    """Bit-exact identity of a response's ranked results."""
+    return [
+        (r.frame_id, r.patch_id, r.score, r.box.to_array().tobytes())
+        for r in response.results
+    ]
+
+
+class TestEndToEndLOVO:
+    """Sharded (3 shards) vs unsharded LOVO answers on a mixed corpus.
+
+    Flat and IVF-PQ are bit-exact: flat scores are computed in fixed-shape
+    tiles independent of the row subset, and IVF-PQ shards share globally
+    trained centroids and codebooks.  HNSW is left out: a per-shard graph
+    search is only exact while ``hnsw_ef_search`` covers the whole shard, and
+    at the default ``hnsw_ef_search`` its answers differ on this corpus.
+    """
+
+    @staticmethod
+    def _assert_parity(index_type: str, corpus) -> None:
+        from repro.core.system import LOVO
+
+        datasets, texts = corpus
+        index = IndexConfig(index_type=index_type)
+        plain = LOVO(LOVOConfig(index=index))
+        sharded = LOVO(LOVOConfig(index=index, shard=ShardConfig(num_shards=3)))
+        for system in (plain, sharded):
+            for dataset in datasets:
+                system.ingest(dataset)
+        assert sharded.storage.sharded and not plain.storage.sharded
+        for text in texts:
+            expected = result_key(plain.query(text))
+            assert expected
+            assert result_key(sharded.query(text)) == expected
+        plain_batch = plain.query_batch(texts).responses
+        sharded_batch = sharded.query_batch(texts).responses
+        assert [result_key(r) for r in sharded_batch] == [
+            result_key(r) for r in plain_batch
         ]
+
+    def test_lovo_query_parity_sharded_vs_unsharded(self, mixed_corpus):
+        self._assert_parity("ivfpq", mixed_corpus)
+
+    def test_lovo_query_parity_sharded_vs_unsharded_flat(self, mixed_corpus):
+        self._assert_parity("flat", mixed_corpus)
 
     def test_lovo_snapshot_round_trip_with_shards(self, tmp_path):
         from repro.core.system import LOVO

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.utils.rng import derive_seed, rng_from_tokens, stable_shuffle
 from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
-from repro.utils.timing import PhaseTimer, Stopwatch
+from repro.utils.timing import PhaseTimer
 
 
 class TestRng:
@@ -51,19 +51,6 @@ class TestRng:
 
 
 class TestTiming:
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch().start()
-        time.sleep(0.01)
-        elapsed = watch.stop()
-        assert elapsed >= 0.005
-        assert watch.elapsed == pytest.approx(elapsed)
-
-    def test_stopwatch_reset(self):
-        watch = Stopwatch().start()
-        watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0
-
     def test_phase_timer_records_phases(self):
         timer = PhaseTimer()
         with timer.phase("a"):
