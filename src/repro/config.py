@@ -158,8 +158,8 @@ class ShardConfig:
 
     Attributes:
         num_shards: Number of partitions the vector collections are split
-            into.  ``1`` keeps the classic single-database layout (the
-            sharded code path is bypassed entirely).
+            into.  ``1`` (an unsharded system) is the same sharded database
+            with a single shard, searched inline on the calling thread.
         partitioner: ``"hash"`` routes each entity by a stable hash of its
             external id; ``"kmeans"`` clusters the vectors themselves so
             neighbouring vectors land on the same shard.
@@ -167,7 +167,9 @@ class ShardConfig:
             share the primary's data but carry independent health state, so
             the router can exercise round-robin routing and failover; use
             ``ShardedDatabase.add_replica`` to attach physically distinct
-            backends (e.g. separately loaded snapshot copies).
+            backends (e.g. separately loaded snapshot copies).  A shard
+            with one replica has nothing to fail over to: an error in a
+            call reaches the caller and the replica stays healthy.
 
     Searches (and snapshot loads) fan out over one thread per shard.
     """

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -23,26 +23,19 @@ from repro.shard.database import ShardedCollection, ShardedDatabase
 from repro.utils.serialization import load_json, save_json
 from repro.utils.timing import PhaseTimer
 from repro.vectordb.base import as_single_query
-from repro.vectordb.collection import SearchHit, VectorCollection
-from repro.vectordb.database import VectorDatabase
+from repro.vectordb.collection import SearchHit
 from repro.vectordb.metadata import FrameRecord, MetadataStore, PatchRecord
 from repro.video.model import Frame
-
-#: Either vector-database backend: the classic single-process one or the
-#: sharded scatter-gather one.  They expose the same API surface.
-AnyVectorDatabase = Union[VectorDatabase, ShardedDatabase]
-AnyVectorCollection = Union[VectorCollection, ShardedCollection]
-
 
 class LOVOStorage:
     """Vector collection + relational metadata, linked by patch id.
 
-    The vector side runs on either backend: a plain
-    :class:`~repro.vectordb.database.VectorDatabase` or a
-    :class:`~repro.shard.database.ShardedDatabase` (pass ``shard_config``
-    with ``num_shards > 1``, or an explicit ``database``).  Everything above
-    this class is backend-agnostic — the two expose the same API and return
-    bit-identical results.
+    The vectors live in a :class:`~repro.shard.database.ShardedDatabase`
+    with ``shard_config.num_shards`` shards (one by default), or in an
+    explicit ``database``; each shard is a plain
+    :class:`~repro.vectordb.database.VectorDatabase`.  Answers are
+    bit-identical at every shard count, so nothing above this class knows
+    how many shards there are.
     """
 
     COLLECTION_NAME = "lovo_patches"
@@ -51,18 +44,13 @@ class LOVOStorage:
         self,
         dim: int,
         index_config: IndexConfig | None = None,
-        database: AnyVectorDatabase | None = None,
+        database: ShardedDatabase | None = None,
         metadata: MetadataStore | None = None,
         shard_config: ShardConfig | None = None,
     ) -> None:
         self._dim = dim
         self._index_config = index_config or IndexConfig()
-        if database is None:
-            if shard_config is not None and shard_config.num_shards > 1:
-                database = ShardedDatabase(shard_config)
-            else:
-                database = VectorDatabase()
-        self._database = database
+        self._database = database if database is not None else ShardedDatabase(shard_config)
         self._metadata = metadata or MetadataStore()
         # A database restored from a snapshot already carries the patch
         # collection; adopt it instead of creating a fresh (empty) one.
@@ -81,31 +69,24 @@ class LOVOStorage:
             )
 
     @property
-    def collection(self) -> AnyVectorCollection:
+    def collection(self) -> ShardedCollection:
         """The underlying vector collection of class embeddings."""
         return self._collection
 
     @property
-    def database(self) -> AnyVectorDatabase:
-        """The vector-database backend (plain or sharded)."""
+    def database(self) -> ShardedDatabase:
+        """The vector-database backend."""
         return self._database
-
-    @property
-    def sharded(self) -> bool:
-        """Whether the vector backend is a scatter-gather sharded database."""
-        return isinstance(self._database, ShardedDatabase)
 
     def backend_status(self) -> Dict[str, object]:
         """Backend topology for health/stats endpoints and manifests.
 
         Always carries a ``"health"`` key: ``"ok"`` / ``"degraded"`` (some
         replicas down, every shard still answerable) / ``"unavailable"``
-        (at least one shard has no healthy replica).  The unsharded backend
-        has no replica topology and is always ``"ok"``.
+        (at least one shard has no healthy replica).  ``"sharded"`` is true
+        when there is more than one shard.
         """
-        if isinstance(self._database, ShardedDatabase):
-            return {"sharded": True, **self._database.status()}
-        return {"sharded": False, "num_shards": 1, "health": "ok"}
+        return {"sharded": self._database.num_shards > 1, **self._database.status()}
 
     @property
     def metadata(self) -> MetadataStore:
@@ -200,14 +181,7 @@ class LOVOStorage:
         root = Path(path)
         document = load_json(root / "storage.json")
         index_config = parse_section("index", document["index_config"])
-        # The sharded backend leaves a `sharded.json` marker at its root;
-        # dispatch on it so one load path covers both snapshot layouts
-        # (sharded loads fan the per-shard reads across a thread pool).
-        database: AnyVectorDatabase
-        if (root / "vectordb" / "sharded.json").exists():
-            database = ShardedDatabase.load(root / "vectordb")
-        else:
-            database = VectorDatabase.load(root / "vectordb")
+        database = ShardedDatabase.load(root / "vectordb")
         if not database.has_collection(cls.COLLECTION_NAME):
             raise SnapshotCorruptionError(
                 f"Storage snapshot has no {cls.COLLECTION_NAME!r} collection"

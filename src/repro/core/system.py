@@ -314,8 +314,15 @@ class LOVO:
         """
         restored = load_system(path)
         if reranker_config is None and restored.reranker_config is not None:
+            stored = dict(restored.reranker_config)
+            # Earlier snapshots carry a since-deleted field, always empty.
+            if stored.pop("extra_relation_checks", {}) != {}:
+                raise SnapshotCorruptionError(
+                    "Snapshot reranker configuration sets extra_relation_checks, "
+                    "which is no longer supported"
+                )
             try:
-                reranker_config = RerankerConfig(**restored.reranker_config)
+                reranker_config = RerankerConfig(**stored)
             except TypeError as error:
                 raise SnapshotCorruptionError(
                     f"Snapshot reranker configuration is malformed: {error}"

@@ -23,8 +23,8 @@ ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class FrameCandidate:
 
     frame_id: str
     patches: Tuple[CandidatePatch, ...]
-    fast_search_score: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,6 @@ class RerankerConfig:
     max_boxes_per_frame: int = 3
     nms_iou_threshold: float = 0.45
     seed: int = 7
-    extra_relation_checks: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ measures it continuously.  Two pieces do that here:
   (``storage.search(..., use_ann=False)``) in a background worker thread.
   Comparing the served fast-search ranking against the exact one yields
   online estimates of recall@k, top-1 score margin, and rank displacement,
-  exposed as ``lovo_recall_*`` metrics per index family (and per shard on
-  sharded backends).  The hand-off is a bounded queue that *drops* samples
-  when full — the shadow path must never perturb served latency.
+  exposed as ``lovo_recall_*`` metrics per index family and per shard.  The
+  hand-off is a bounded queue that *drops* samples when full — the shadow
+  path must never perturb served latency.
 * :class:`DriftMonitor` — watches a stream of scalar observations (streamed
   embedding norms, shadow exact-scan scores) and counts drift alerts when a
   recent window's mean wanders more than :data:`~repro.config.DRIFT_THRESHOLD` reference
@@ -180,8 +180,8 @@ class ShadowSampler:
       entirely charged the served list's length.
 
     Estimates are exposed per index family (``flat`` / ``ivfpq`` / ``hnsw``,
-    suffixed ``-sharded`` on scatter-gather backends) as ``lovo_recall_*``
-    gauges and counters; on sharded backends each exact-top-``k`` id is also
+    suffixed ``-sharded`` on backends with more than one shard) as
+    ``lovo_recall_*`` gauges and counters; each exact-top-``k`` id is also
     attributed to its shard, yielding per-shard recall.  A
     :class:`DriftMonitor` over the exact top-1 scores counts score-
     distribution drift (e.g. under streaming ingest).
@@ -413,7 +413,7 @@ class ShadowSampler:
         ) / len(exact_ids)
 
         family = storage.index_type
-        sharded = storage.sharded
+        sharded = storage.database.num_shards > 1
         labels = {"family": family, "sharded": "true" if sharded else "false"}
         self._samples_counter.inc(**labels)
         self._recall_sum.inc(recall, **labels)
@@ -430,19 +430,14 @@ class ShadowSampler:
         self._margin_gauge.set(window_margin, **labels)
         self._displacement_gauge.set(window_displacement, **labels)
 
-        if sharded:
-            self._attribute_shards(storage, exact_ids, served_top_k)
+        self._attribute_shards(storage.collection.shard_of, exact_ids, served_top_k)
         self._score_drift.observe(float(exact[0].score))
         if self._on_sample is not None:
             self._on_sample(recall, family, trace_id)
 
     def _attribute_shards(
-        self, storage, exact_ids: List[str], served_top_k: set
+        self, shard_of: Callable[[str], int], exact_ids: List[str], served_top_k: set
     ) -> None:
-        collection = storage.collection
-        shard_of = getattr(collection, "shard_of", None)
-        if shard_of is None:
-            return
         touched = set()
         for patch_id in exact_ids:
             try:

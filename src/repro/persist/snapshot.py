@@ -17,7 +17,16 @@ Layout of a snapshot at ``<root>/``::
     frames.json             ordered key frames incl. object annotations
     storage/storage.json    vector-store dimensionality and index config
     storage/metadata.npz    relational frame/patch records
-    storage/vectordb/...    per-collection vectors, ids, and index state
+    storage/vectordb/sharded.json
+                            shard config and per-collection routing state
+    storage/vectordb/sharded.npz
+                            global insertion order and partitioner arrays
+    storage/vectordb/shards/NNNN/...
+                            one vector database per shard (``0000`` only when
+                            unsharded): vectors, ids, and index state
+
+Snapshots whose ``storage/vectordb/`` holds one unsharded vector database
+(``database.json``, no ``sharded.json``) load as a 1-shard system.
 """
 
 from __future__ import annotations

@@ -14,11 +14,10 @@ Endpoints (all under ``/v1``):
 * ``POST /v1/query_batch`` — ``{"queries": [str, ...], "options": {...}?}``,
   with unknown top-level fields rejected the same way.
 * ``GET /v1/healthz`` — liveness/readiness (503 until data is ingested or
-  loaded); includes backend topology (shard and replica health) when the
-  system runs on the sharded scatter-gather database.  A backend with some
-  replicas down but every shard still answerable reports ``"degraded"``
-  (still 200); a shard with no healthy replica reports ``"unavailable"``
-  (503).
+  loaded); includes backend topology (shard and replica health).  A backend
+  with some replicas down but every shard still answerable reports
+  ``"degraded"`` (still 200); a shard with no healthy replica reports
+  ``"unavailable"`` (503).
 * ``GET /v1/stats`` — the engine's full metrics snapshot.
 * ``GET /v1/metrics`` — the unified metrics registry in Prometheus text
   exposition format (service counters, latency summary, micro-batch

@@ -1,15 +1,18 @@
 """Sharded vector database: N shard databases behind one scatter-gather facade.
 
-:class:`ShardedDatabase` duck-types :class:`~repro.vectordb.database.
-VectorDatabase` and :class:`ShardedCollection` duck-types
-:class:`~repro.vectordb.collection.VectorCollection`, so the storage, persist,
-and serving layers work on top of either without branching.  Entities are
-partitioned across shards at insert time (hash or k-means, see
-:mod:`repro.shard.partition`); searches fan out across all shards in parallel
-through a :class:`~repro.shard.router.ShardRouter` and the per-shard top-``k``
-lists are merged into the exact global top-``k``.
+:class:`ShardedDatabase` is the one vector backend of
+:class:`~repro.core.storage.LOVOStorage`; an unsharded system is simply the
+1-shard case.  Each shard is a plain :class:`~repro.vectordb.database.
+VectorDatabase`, and a :class:`ShardedCollection` mirrors the
+:class:`~repro.vectordb.collection.VectorCollection` API over the per-shard
+collections.  Entities are partitioned across shards at insert time (hash or
+k-means, see :mod:`repro.shard.partition`); searches fan out across all
+shards through a :class:`~repro.shard.router.ShardRouter` (inline for one
+shard, one thread per shard otherwise) and the per-shard top-``k`` lists are
+merged into the exact global top-``k``.
 
-Bit-exact parity with the unsharded path is the design invariant:
+Bit-exact parity with a single :class:`VectorDatabase` over the same inserts
+is the design invariant, at every shard count:
 
 * **flat** — per-shard exact search over a row-subset of the same matrix;
   the union of per-shard top-``k`` provably contains the global top-``k``.
@@ -85,9 +88,13 @@ class ShardedCollection:
         self._global_position: Dict[str, int] = {}
         self._assignment: Dict[str, int] = {}
         self._ivfpq_ready = False
+        # Whether every stored vector is searchable without a flush.  It is
+        # set only at the end of a flush, so it implies the global IVF-PQ
+        # train has run: an IVF-PQ shard never trains itself.
+        self._built = False
         # Serialises writers (streaming appends) and the one-time global
-        # IVF-PQ train against each other; searches stay lock-free except
-        # for the brief flush check.
+        # IVF-PQ train against each other; searches of a built collection
+        # never take it.
         self._write_lock = create_rlock("ShardedCollection._write_lock")
 
     @property
@@ -174,6 +181,7 @@ class ShardedCollection:
                 self._global_position[external_id] = start + position
                 self._order.append(external_id)
                 self._assignment[external_id] = int(assignments[position])
+            self._built = False
             try:
                 for shard in range(self.num_shards):
                     positions = np.nonzero(assignments == shard)[0]
@@ -204,6 +212,7 @@ class ShardedCollection:
             for collection in self._primaries:
                 if collection.num_entities:
                     collection.flush()
+            self._built = True
 
     def _build_ivfpq_from_global_train(self) -> None:
         """Train one global IVF-PQ index, then split its lists by shard.
@@ -285,7 +294,8 @@ class ShardedCollection:
         )
         if self.num_entities == 0 or k <= 0:
             return [[] for _ in range(batch.shape[0])]
-        self.flush()
+        if not self._built:
+            self.flush()
         name = self._name
         per_shard = self._router.scatter(
             lambda backend: backend.get_collection(name).search_batch(batch, k)
@@ -416,11 +426,11 @@ class ShardedDatabase:
         return collection
 
     def add_collection(self, collection: VectorCollection) -> ShardedCollection:
-        """Adopt an unsharded collection by re-partitioning its entities.
+        """Adopt a single collection by re-partitioning its entities.
 
-        This is the migration path from a single-box snapshot: ids, vectors,
-        and metadata are re-inserted in their original insertion order, so
-        index training (and therefore search results) match the original.
+        Ids, vectors, and metadata are re-inserted across this database's
+        shards in their original insertion order, so index training (and
+        therefore search results) match the original.
         """
         sharded = self.create_collection(collection.name, collection.dim, collection.config)
         order = collection.ids()
@@ -498,8 +508,8 @@ class ShardedDatabase:
         Layout: ``sharded.json`` (shard config + per-collection routing
         state), ``sharded.npz`` (global insertion order and partitioner
         arrays), and ``shards/{i:04d}/`` — one full, self-contained
-        :class:`VectorDatabase` snapshot per shard.  The ``sharded.json``
-        marker is what the storage layer dispatches on at load time.
+        :class:`VectorDatabase` snapshot per shard.  :meth:`load` tells this
+        layout from the older unsharded one by the ``sharded.json`` marker.
         """
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
@@ -540,8 +550,18 @@ class ShardedDatabase:
 
     @classmethod
     def load(cls, path: str | Path) -> "ShardedDatabase":
-        """Restore a sharded database, loading all shards in parallel."""
+        """Restore a sharded database, loading all shards in parallel.
+
+        A directory without ``sharded.json`` holds the layout written before
+        every system was sharded: one :class:`VectorDatabase` snapshot
+        (``database.json`` + ``collections/``) at the root.  It is adopted
+        as shard 0 of a 1-shard database as it was saved — no re-insert and
+        no retrain — with each collection's insertion order as the global
+        order.
+        """
         root = Path(path)
+        if not (root / "sharded.json").exists():
+            return cls._adopt_unsharded(VectorDatabase.load(root))
         payload = load_json(root / "sharded.json")
         config = parse_section("shard", payload["shard_config"])
         shard_dirs = [
@@ -558,47 +578,74 @@ class ShardedDatabase:
         else:
             shards = [VectorDatabase.load(shard_dirs[0])]
 
+        database = cls._with_shards(config, shards)
+        arrays = load_arrays(root / "sharded.npz") if (root / "sharded.npz").exists() else {}
+        for slot, entry in enumerate(payload.get("collections", [])):
+            prefix = f"c{slot:04d}_"
+            partition_arrays = {
+                key[len(prefix) :]: value
+                for key, value in arrays.items()
+                if key.startswith(prefix) and key != f"{prefix}order"
+            }
+            stored_order = arrays.get(f"{prefix}order")
+            order = [] if stored_order is None else [str(i) for i in stored_order.tolist()]
+            database._restore_collection(
+                str(entry["name"]),
+                int(entry["dim"]),
+                Partitioner.from_state(config, entry.get("partitioner", {}), partition_arrays),
+                order,
+                bool(entry.get("ivfpq_ready", bool(order))),
+            )
+        return database
+
+    @classmethod
+    def _adopt_unsharded(cls, shard: VectorDatabase) -> "ShardedDatabase":
+        config = ShardConfig()
+        database = cls._with_shards(config, [shard])
+        for name in shard.list_collections():
+            collection = shard.get_collection(name)
+            order = collection.ids()
+            # The unsharded save() flushed first, so a non-empty IVF-PQ
+            # index arrives trained, bitwise as the global train makes it.
+            database._restore_collection(
+                name, collection.dim, make_partitioner(config), order, bool(order)
+            )
+        return database
+
+    @classmethod
+    def _with_shards(
+        cls, config: ShardConfig, shards: Sequence[VectorDatabase]
+    ) -> "ShardedDatabase":
         database = cls(config)
         database._router.close()
         database._install_shards(shards)
-        arrays = load_arrays(root / "sharded.npz") if (root / "sharded.npz").exists() else {}
-        for slot, entry in enumerate(payload.get("collections", [])):
-            name = str(entry["name"])
-            primaries = []
-            for shard in shards:
-                if not shard.has_collection(name):
-                    raise SnapshotCorruptionError(
-                        f"Shard snapshot is missing collection {name!r}"
-                    )
-                primaries.append(shard.get_collection(name))
-            index_config = primaries[0].config
-            partition_arrays = {
-                key[len(f"c{slot:04d}_") :]: value
-                for key, value in arrays.items()
-                if key.startswith(f"c{slot:04d}_") and key != f"c{slot:04d}_order"
-            }
-            partitioner = Partitioner.from_state(
-                config, entry.get("partitioner", {}), partition_arrays
-            )
-            collection = ShardedCollection(
-                name, int(entry["dim"]), index_config, partitioner, primaries, database._router
-            )
-            order = [str(external_id) for external_id in arrays.get(f"c{slot:04d}_order", [])]
-            assignment: Dict[str, int] = {}
-            for shard_index, primary in enumerate(primaries):
-                for external_id in primary.ids():
-                    assignment[external_id] = shard_index
-            if len(order) != len(assignment) or any(
-                external_id not in assignment for external_id in order
-            ):
-                raise SnapshotCorruptionError(
-                    f"Sharded collection {name!r} order does not match shard membership"
-                )
-            collection._order = order
-            collection._global_position = {
-                external_id: position for position, external_id in enumerate(order)
-            }
-            collection._assignment = assignment
-            collection._ivfpq_ready = bool(entry.get("ivfpq_ready", bool(order)))
-            database._collections[name] = collection
         return database
+
+    def _restore_collection(
+        self,
+        name: str,
+        dim: int,
+        partitioner: Partitioner,
+        order: List[str],
+        ivfpq_ready: bool,
+    ) -> None:
+        primaries = []
+        for shard in self._shards:
+            if not shard.has_collection(name):
+                raise SnapshotCorruptionError(f"Shard snapshot is missing collection {name!r}")
+            primaries.append(shard.get_collection(name))
+        collection = ShardedCollection(
+            name, dim, primaries[0].config, partitioner, primaries, self._router
+        )
+        assignment: Dict[str, int] = {}
+        for shard_index, primary in enumerate(primaries):
+            assignment.update(dict.fromkeys(primary.ids(), shard_index))
+        if len(order) != len(assignment) or assignment.keys() != set(order):
+            raise SnapshotCorruptionError(
+                f"Sharded collection {name!r} order does not match shard membership"
+            )
+        collection._order = order
+        collection._global_position = dict(zip(order, range(len(order))))
+        collection._assignment = assignment
+        collection._ivfpq_ready = ivfpq_ready
+        self._collections[name] = collection

@@ -8,10 +8,12 @@ per-shard top-``k`` lists are merged into the exact global top-``k``.
 Replica health is managed here too: a replica whose call raises an unexpected
 error is marked unhealthy and the call fails over to the next replica of the
 same group, so one dead replica degrades capacity instead of dropping
-queries.  Deterministic *request* errors (dimension mismatches, unknown
-collections, validation failures) are propagated immediately — they would
-fail identically on every replica, so failing over would only mask the bug
-and poison the health state.
+queries.  A group with a single replica has nothing to fail over to: its
+error reaches the caller unchanged and the replica stays in rotation, so one
+failed call never takes the shard down for good.  Deterministic *request*
+errors (dimension mismatches, unknown collections, validation failures) are
+propagated immediately — they would fail identically on every replica, so
+failing over would only mask the bug and poison the health state.
 """
 
 from __future__ import annotations
@@ -239,7 +241,6 @@ class ShardRouter:
                 SHARD_CALL_SECONDS.observe(
                     end - start, shard=shard, replica=replica.name, outcome="error"
                 )
-                SHARD_FAILOVERS.inc(shard=shard)
                 record_span(
                     "shard_search",
                     start,
@@ -249,6 +250,11 @@ class ShardRouter:
                     outcome="error",
                     failover=failed_over,
                 )
+                if len(group.replicas) == 1:
+                    # No replica to fail over to: the caller gets the error
+                    # itself and the shard keeps answering later calls.
+                    raise
+                SHARD_FAILOVERS.inc(shard=shard)
                 group.mark_unhealthy(replica)
                 failed_over = True
                 last_error = error
@@ -307,8 +313,12 @@ def merge_top_k(
     suffices.  ``tie_rank`` breaks exact score ties deterministically —
     the sharded collection passes global insertion order so merged results
     match the single-database ordering even when distinct entities share a
-    score (e.g. IVF-PQ entities that share a PQ code).
+    score (e.g. IVF-PQ entities that share a PQ code).  A single list is
+    already its own merge and keeps its order: its index ranked ties the way
+    a lone database does, and re-sorting could only move them.
     """
+    if len(per_shard) == 1:
+        return list(per_shard[0][:k])
     union = [hit for hits in per_shard for hit in hits]
     if tie_rank is None:
         union.sort(key=lambda hit: -hit.score)

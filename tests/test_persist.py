@@ -38,13 +38,14 @@ from repro.errors import (
     SnapshotCorruptionError,
     SnapshotVersionError,
 )
-from repro.persist import SNAPSHOT_SCHEMA_VERSION, read_manifest
+from repro.persist import SNAPSHOT_SCHEMA_VERSION, DeltaSnapshotStore, read_manifest
 from repro.persist.manifest import (
     collect_artifacts,
     config_payload_hash,
     sha256_file,
     write_manifest,
 )
+from repro.stream import StreamingIngestor
 from repro.utils.geometry import BoundingBox
 from repro.vectordb.collection import VectorCollection
 from repro.vectordb.database import VectorDatabase
@@ -403,6 +404,98 @@ class TestRetiredConfigKeys:
         _update_json(paths[0], lambda document: document[section].update({key: 99}))
         with pytest.raises(ConfigurationError, match=f"{key}=99"):
             LOVOStorage.load(tmp_path / "storage")
+
+
+def rewrite_manifest(root: Path) -> None:
+    """Recompute the manifest's artifact checksums after editing a snapshot."""
+    write_manifest(root, replace(read_manifest(root), artifacts=collect_artifacts(root)))
+
+
+def write_unsharded_layout(root: Path) -> None:
+    """Make a fresh 1-shard snapshot look like one an unsharded system wrote
+    while it kept one ``VectorDatabase``: ``storage/vectordb/shards/0000/*``
+    moves up into ``storage/vectordb/``, ``sharded.json`` and ``sharded.npz``
+    are dropped, and the manifest is rewritten to match."""
+    vectordb = root / "storage" / "vectordb"
+    shard = vectordb / "shards" / "0000"
+    for child in shard.iterdir():
+        child.rename(vectordb / child.name)
+    shard.rmdir()
+    (vectordb / "shards").rmdir()
+    (vectordb / "sharded.json").unlink()
+    (vectordb / "sharded.npz").unlink()
+    rewrite_manifest(root)
+
+
+def assert_same_answers(system: LOVO, reference: LOVO) -> None:
+    for text in QUERIES:
+        assert result_tuples(system.query(text)) == result_tuples(reference.query(text))
+    before = reference.query_batch(QUERIES)
+    after = system.query_batch(QUERIES)
+    for response_before, response_after in zip(before.responses, after.responses):
+        assert result_tuples(response_after) == result_tuples(response_before)
+
+
+@pytest.mark.parametrize("index_type", ["flat", "ivfpq", "hnsw"])
+class TestUnshardedLayout:
+    """Snapshots in the layout of an unsharded ``VectorDatabase`` load as a
+    1-shard system without re-inserting or retraining."""
+
+    def test_old_layout_answers_equal_live(self, tmp_path, index_type):
+        system = ingested_system(index_type)
+        system.save(tmp_path / "old")
+        write_unsharded_layout(tmp_path / "old")
+        assert (tmp_path / "old" / "storage" / "vectordb" / "database.json").is_file()
+        loaded = LOVO.load(tmp_path / "old")
+        assert loaded.storage.database.num_shards == 1
+        assert_same_answers(loaded, system)
+        # Saving again writes the one sharded layout.
+        loaded.save(tmp_path / "new")
+        assert (tmp_path / "new" / "storage" / "vectordb" / "sharded.json").is_file()
+        assert_same_answers(LOVO.load(tmp_path / "new"), system)
+
+    def test_delta_store_over_old_layout_base(self, tmp_path, index_type):
+        system = LOVO(persist_config(index_type))
+        system.ingest(make_bellevue(num_videos=1, frames_per_video=80))
+        store = DeltaSnapshotStore(tmp_path / "store")
+        store.initialize(system)
+        write_unsharded_layout(store.base_path)
+        ingestor = StreamingIngestor(system, delta_store=store).start()
+        try:
+            segment = make_cityscapes(num_videos=1, frames_per_video=60, seed=1)
+            ingestor.submit(segment).result(timeout=120)
+        finally:
+            ingestor.stop()
+        assert len(store.deltas()) == 1
+        assert_same_answers(store.load_system(), system)
+
+
+class TestRetiredRerankerField:
+    """``extra_relation_checks`` was a reranker field that nothing read;
+    snapshots store it as ``{}``."""
+
+    @staticmethod
+    def _store_extra_checks(root: Path, value: dict) -> None:
+        _update_json(
+            root / "system.json",
+            lambda document: document["reranker_config"].update(
+                {"extra_relation_checks": value}
+            ),
+        )
+        rewrite_manifest(root)
+
+    def test_empty_value_loads(self, tmp_path):
+        system = ingested_system("flat")
+        system.save(tmp_path)
+        self._store_extra_checks(tmp_path, {})
+        assert_same_answers(LOVO.load(tmp_path), system)
+
+    def test_other_value_is_corruption(self, tmp_path):
+        system = ingested_system("flat")
+        system.save(tmp_path)
+        self._store_extra_checks(tmp_path, {"left_of": 0.5})
+        with pytest.raises(SnapshotCorruptionError, match="extra_relation_checks"):
+            LOVO.load(tmp_path)
 
 
 class TestVectorLayers:

@@ -10,6 +10,7 @@ through save/load, and while replicas are failing over mid-run.
 from __future__ import annotations
 
 import threading
+import time
 from typing import List
 
 import numpy as np
@@ -145,18 +146,31 @@ class TestMerge:
         merged = merge_top_k(shards, 2, tie_rank=lambda hit: rank[hit.id])
         assert [hit.id for hit in merged] == ["a", "b"]
 
+    def test_single_list_keeps_its_tie_order(self):
+        # One shard's index already ranked its ties like a lone database;
+        # the merge must not re-rank them by tie_rank.
+        rank = {"a": 0, "b": 1}
+        hits = [SearchHit(id="b", score=1.0), SearchHit(id="a", score=1.0)]
+        merged = merge_top_k([hits], 2, tie_rank=lambda hit: rank[hit.id])
+        assert [hit.id for hit in merged] == ["b", "a"]
+
     def test_batch_merge_rejects_misaligned_shards(self):
         with pytest.raises(ShardError):
             merge_top_k_batches([[[]], [[], []]], 3)
 
 
 @pytest.mark.parametrize("index_kind", sorted(INDEX_CONFIGS))
-@pytest.mark.parametrize("partitioner", ["hash", "kmeans"])
+@pytest.mark.parametrize(
+    "partitioner, num_shards",
+    [("hash", 3), ("kmeans", 3), ("hash", 1), ("kmeans", 1)],
+    ids=["hash", "kmeans", "hash-1shard", "kmeans-1shard"],
+)
 class TestScatterGatherParity:
-    """Sharded results must be bit-identical to the single database."""
+    """Sharded results must be bit-identical to the single database, at 3
+    shards and at the 1 shard every unsharded system runs on."""
 
-    def test_search_and_batch_parity(self, index_kind, partitioner):
-        shard_config = ShardConfig(num_shards=3, partitioner=partitioner)
+    def test_search_and_batch_parity(self, index_kind, partitioner, num_shards):
+        shard_config = ShardConfig(num_shards=num_shards, partitioner=partitioner)
         plain, sharded, queries = build_pair(INDEX_CONFIGS[index_kind], shard_config)
         for query in queries:
             assert hit_key(sharded.search("c", query, TOP_K)) == hit_key(
@@ -168,8 +182,8 @@ class TestScatterGatherParity:
             hit_key(row) for row in plain_rows
         ]
 
-    def test_exhaustive_parity(self, index_kind, partitioner):
-        shard_config = ShardConfig(num_shards=3, partitioner=partitioner)
+    def test_exhaustive_parity(self, index_kind, partitioner, num_shards):
+        shard_config = ShardConfig(num_shards=num_shards, partitioner=partitioner)
         plain, sharded, queries = build_pair(INDEX_CONFIGS[index_kind], shard_config)
         sharded_rows = sharded.get_collection("c").search_exhaustive_batch(
             queries, TOP_K
@@ -179,8 +193,8 @@ class TestScatterGatherParity:
             hit_key(row) for row in plain_rows
         ]
 
-    def test_parity_survives_incremental_insert(self, index_kind, partitioner):
-        shard_config = ShardConfig(num_shards=3, partitioner=partitioner)
+    def test_parity_survives_incremental_insert(self, index_kind, partitioner, num_shards):
+        shard_config = ShardConfig(num_shards=num_shards, partitioner=partitioner)
         plain, sharded, queries = build_pair(INDEX_CONFIGS[index_kind], shard_config)
         # Force both builds, then grow both sides identically.
         plain.search("c", queries[0], TOP_K)
@@ -261,6 +275,38 @@ class TestShardedDatabaseSurface:
         assert status["num_shards"] == 2
         assert sum(entry["entities"] for entry in status["shards"]) == 60
         assert all(entry["healthy_replicas"] == 2 for entry in status["shards"])
+
+
+class TestReadsSkipTheWriteLock:
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("index_kind", sorted(INDEX_CONFIGS))
+    def test_search_of_built_collection_does_not_wait_for_writer(
+        self, index_kind, num_shards
+    ):
+        ids, vectors, metadata, queries = make_data(seed=37, count=200)
+        sharded = ShardedDatabase(ShardConfig(num_shards=num_shards))
+        collection = sharded.create_collection("c", DIM, INDEX_CONFIGS[index_kind])
+        collection.insert(ids, vectors, metadata)
+        collection.flush()
+        held, release = threading.Event(), threading.Event()
+
+        def writer() -> None:
+            with collection._write_lock:
+                held.set()
+                release.wait(10.0)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            assert held.wait(5.0)
+            start = time.perf_counter()
+            collection.search_batch(queries, TOP_K)
+            collection.search_exhaustive_batch(queries, TOP_K)
+            elapsed = time.perf_counter() - start
+        finally:
+            release.set()
+            thread.join()
+        assert elapsed < 1.0
 
 
 class TestSaveLoad:
@@ -372,6 +418,26 @@ class TestReplicaFailover:
             sharded.search("c", queries[0], TOP_K)
         assert excinfo.value.retryable is True
         assert excinfo.value.code == "shard_unavailable"
+
+    def test_single_replica_error_reaches_caller_and_keeps_shard_healthy(self):
+        ids, vectors, _, queries = make_data(seed=41, count=120)
+        plain = VectorDatabase()
+        plain.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
+            ids, vectors
+        )
+        sharded = ShardedDatabase(ShardConfig(num_shards=2))
+        sharded.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
+            ids, vectors
+        )
+        replica = sharded.replica_groups[0].replicas[0]
+        replica.backend = FlakyBackend(replica.backend, failures=1)
+        with pytest.raises(RuntimeError, match="replica crashed"):
+            sharded.search("c", queries[0], TOP_K)
+        assert hit_key(sharded.search("c", queries[0], TOP_K)) == hit_key(
+            plain.search("c", queries[0], TOP_K)
+        )
+        assert replica.healthy
+        assert sharded.status()["health"] == "ok"
 
     def test_request_errors_do_not_trigger_failover(self):
         sharded = ShardedDatabase(ShardConfig(num_shards=2, num_replicas=2))
@@ -488,7 +554,8 @@ class TestEndToEndLOVO:
         for system in (plain, sharded):
             for dataset in datasets:
                 system.ingest(dataset)
-        assert sharded.storage.sharded and not plain.storage.sharded
+        assert sharded.storage.database.num_shards > 1
+        assert not plain.storage.database.num_shards > 1
         for text in texts:
             expected = result_key(plain.query(text))
             assert expected
@@ -505,6 +572,22 @@ class TestEndToEndLOVO:
     def test_lovo_query_parity_sharded_vs_unsharded_flat(self, mixed_corpus):
         self._assert_parity("flat", mixed_corpus)
 
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_one_replica_error_fails_one_query_only(self, num_shards):
+        from repro.core.system import LOVO
+        from repro.video import make_bellevue
+
+        system = LOVO(LOVOConfig(shard=ShardConfig(num_shards=num_shards)))
+        system.ingest(make_bellevue(num_videos=1, frames_per_video=30))
+        text = "A red car driving in the center of the road"
+        expected = result_key(system.query(text))
+        replica = system.storage.database.replica_groups[0].replicas[0]
+        replica.backend = FlakyBackend(replica.backend, failures=1)
+        with pytest.raises(RuntimeError, match="replica crashed"):
+            system.query(text)
+        assert result_key(system.query(text)) == expected
+        assert system.storage.backend_status()["health"] == "ok"
+
     def test_lovo_snapshot_round_trip_with_shards(self, tmp_path):
         from repro.core.system import LOVO
         from repro.video import make_bellevue
@@ -516,7 +599,7 @@ class TestEndToEndLOVO:
         before = system.query(text)
         system.save(tmp_path / "snap")
         restored = LOVO.load(tmp_path / "snap")
-        assert restored.storage.sharded
+        assert restored.storage.database.num_shards > 1
         after = restored.query(text)
         assert [(r.frame_id, r.score) for r in before.results] == [
             (r.frame_id, r.score) for r in after.results
