@@ -5,7 +5,9 @@ Four sweeps matching the paper's sub-figures:
 * (a) video-processing time versus number of key frames processed;
 * (b) fast-search latency versus number of indexed entities;
 * (c) fast-search time per entity for each dataset;
-* (d) cross-modality rerank time versus number of reranked objects.
+* (d) cross-modality rerank time versus number of reranked objects, where an
+  object is one reranked token: a candidate row that passed the reranker's
+  objectness filter.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.core.summary import VideoSummarizer
-from repro.encoders.cross_modal import CandidatePatch, FrameCandidate
 from repro.eval.reporting import format_table
 from repro.eval.workloads import queries_for_dataset
 from repro.vectordb.collection import VectorCollection
@@ -91,22 +92,18 @@ def sweep_rerank(bench_env) -> List[Dict[str, float]]:
     dataset = bench_env.dataset("bellevue")
     frames = [frame for video in dataset.videos for frame in video.frames[::10]]
 
-    candidates = []
-    for frame in frames:
-        encodings = summarizer.encode_single_frame(frame, scene="bellevue")
-        patches = tuple(
-            CandidatePatch(e.patch_id, e.embedding, e.box, e.objectness) for e in encodings
-        )
-        candidates.append(FrameCandidate(frame_id=frame.frame_id, patches=patches))
-
     reranker = system._reranker  # internal access acceptable in benchmarks
+    candidates = [
+        reranker.candidate(frame.frame_id, summarizer.encode_single_frame(frame, scene="bellevue"))
+        for frame in frames
+    ]
     points = []
     for count in (5, 15, 30, 60):
         subset = candidates[:count]
         start = time.perf_counter()
         reranker.rerank(parsed, subset)
         elapsed = time.perf_counter() - start
-        num_objects = sum(len(candidate.patches) for candidate in subset)
+        num_objects = sum(len(candidate.patch_ids) for candidate in subset)
         points.append({"objects": num_objects, "rerank_seconds": elapsed})
     return points
 

@@ -6,10 +6,13 @@ embeddings returns the top-``k`` candidate patches, which are grouped into
 candidate key frames.
 
 Stage 2 — **cross-modality rerank**: the candidate frames are re-encoded with
-the full-dimensional visual encoder and scored by the cross-modality
-transformer against the complete query (including relational tokens evaluated
-over the predicted boxes).  The top-``n`` frames with their refined bounding
-boxes are returned.
+the full-dimensional visual encoder into array-form candidates that keep only
+the detections the reranker scores, each distinct frame once per batch.  Each
+query's candidates are then scored against the complete query (including
+relational tokens evaluated over the predicted boxes) by one call of the
+cross-modality reranker, which stacks them into row blocks (see
+:mod:`repro.encoders.cross_modal`).  The top-``n`` frames with their refined
+bounding boxes are returned.
 """
 
 from __future__ import annotations
@@ -21,12 +24,7 @@ from repro.config import QueryConfig
 from repro.core.results import BatchQueryResponse, ObjectQueryResult, QueryResponse
 from repro.core.storage import LOVOStorage
 from repro.core.summary import VideoSummarizer
-from repro.encoders.cross_modal import (
-    CandidatePatch,
-    CrossModalityReranker,
-    FrameCandidate,
-    RerankResult,
-)
+from repro.encoders.cross_modal import CrossModalityReranker, FrameCandidate, RerankResult
 from repro.encoders.text import ParsedQuery, TextEncoder
 from repro.errors import QueryError
 from repro.obs.trace import span as obs_span
@@ -168,7 +166,7 @@ def _fast_search_provenance(
 
 def _num_patches(candidates: Sequence[FrameCandidate]) -> int:
     """Image tokens the rerank scores over (a ``rerank_score`` span attribute)."""
-    return sum(len(candidate.patches) for candidate in candidates)
+    return sum(len(candidate.patch_ids) for candidate in candidates)
 
 
 def as_query_request(
@@ -256,12 +254,14 @@ class QueryStrategy:
 
         This is the only query path: a single query is a batch of one.
         Stage 1 embeds every query with one vectorized text-encoder pass and
-        runs one multi-query ANN search.  Stage 2 reranks over the *union* of
-        the per-query candidate frames, so each distinct frame is re-encoded
-        exactly once no matter how many queries retrieved it.  Each query's
-        hits and scores depend only on that query, never on the rest of the
-        batch.  Requests may be strings or :class:`QueryRequest` objects but
-        must share one :class:`QueryOptions` (the batch runs as one pass).
+        runs one multi-query ANN search.  Stage 2 builds candidates over the
+        *union* of the per-query candidate frames, so each distinct frame is
+        re-encoded exactly once no matter how many queries retrieved it, and
+        then reranks each query in its own call: rows are never stacked
+        across queries, so each query's hits and scores depend only on that
+        query, never on the rest of the batch.  Requests may be strings or
+        :class:`QueryRequest` objects but must share one
+        :class:`QueryOptions` (the batch runs as one pass).
         """
         texts, batch_options = as_query_batch(
             requests, options, caller="QueryStrategy.query_batch"
@@ -381,17 +381,9 @@ class QueryStrategy:
         if frame is None:
             raise QueryError(f"Candidate frame {frame_id!r} is not registered")
         scene = self._frame_scene.get(frame_id, "generic")
-        encodings = self._summarizer.encode_single_frame(frame, scene=scene)
-        patches = tuple(
-            CandidatePatch(
-                patch_id=encoding.patch_id,
-                embedding=encoding.embedding,
-                box=encoding.box,
-                objectness=encoding.objectness,
-            )
-            for encoding in encodings
+        return self._reranker.candidate(
+            frame_id, self._summarizer.encode_single_frame(frame, scene=scene)
         )
-        return FrameCandidate(frame_id=frame_id, patches=patches)
 
     def _results_from_rerank(
         self, reranked: Sequence[RerankResult]

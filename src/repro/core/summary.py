@@ -15,7 +15,7 @@ from typing import Dict, List
 
 from repro.config import LOVOConfig
 from repro.encoders.concepts import ConceptSpace
-from repro.encoders.vision import PatchEncoding, VisionEncoder
+from repro.encoders.vision import FrameArrays, PatchEncoding, VisionEncoder
 from repro.keyframes.base import KeyframeExtractor, make_extractor
 from repro.utils.timing import PhaseTimer
 from repro.video.model import Frame, VideoDataset
@@ -102,6 +102,6 @@ class VideoSummarizer:
                 output.frame_scene[frame.frame_id] = video.scene
         return output
 
-    def encode_single_frame(self, frame: Frame, scene: str = "generic") -> List[PatchEncoding]:
-        """Encode one frame on demand (used by the rerank stage)."""
-        return self._encoder.encode_frame(frame, scene=scene)
+    def encode_single_frame(self, frame: Frame, scene: str = "generic") -> FrameArrays:
+        """Encode one frame on demand into the arrays a rerank candidate is built from."""
+        return self._encoder.encode_frame_arrays(frame, scene=scene)

@@ -11,6 +11,8 @@ during pretraining.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.utils.rng import rng_from_tokens
@@ -65,14 +67,36 @@ class CrossAttention:
             ``(num_queries, dim)`` attended representations.  When there are
             no key tokens the queries are returned unchanged.
         """
+        return self.attend_segments(
+            queries, (0, queries.shape[0]), keys_values, (0, keys_values.shape[0])
+        )
+
+    def attend_segments(
+        self,
+        queries: np.ndarray,
+        query_bounds: Sequence[int],
+        keys_values: np.ndarray,
+        key_bounds: Sequence[int],
+    ) -> np.ndarray:
+        """Cross-attend stacked segments, each only over its own keys.
+
+        Segment ``s`` is query rows ``query_bounds[s]:query_bounds[s + 1]``
+        attending over key rows ``key_bounds[s]:key_bounds[s + 1]``.  The
+        projections run once over all rows and only the softmax runs per
+        segment, so one segment gives exactly :meth:`attend`.  With no key
+        rows at all the queries are returned unchanged; otherwise every key
+        segment must be non-empty.
+        """
         if keys_values.shape[0] == 0:
             return queries.copy()
         projected_q = queries @ self._shared_qk
         projected_k = keys_values @ self._shared_qk
         projected_v = keys_values @ self._value
-        logits = projected_q @ projected_k.T / self._temperature
-        weights = softmax(logits, axis=-1)
-        attended = weights @ projected_v
+        attended = np.empty_like(projected_q)
+        segments = zip(query_bounds[:-1], query_bounds[1:], key_bounds[:-1], key_bounds[1:])
+        for q0, q1, k0, k1 in segments:
+            logits = projected_q[q0:q1] @ projected_k[k0:k1].T / self._temperature
+            attended[q0:q1] = softmax(logits, axis=-1) @ projected_v[k0:k1]
         # Undo the value rotation so the output stays in the concept space.
         return attended @ self._value.T
 
@@ -123,11 +147,29 @@ class CrossModalLayer:
         self, image_tokens: np.ndarray, text_tokens: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Run one enhancement round, returning updated (image, text) tokens."""
-        enhanced_image = image_tokens + self._blend * self._image_to_text.attend(
-            image_tokens, text_tokens
+        return self.apply_segments(
+            image_tokens, (0, image_tokens.shape[0]), text_tokens, (0, text_tokens.shape[0])
         )
-        enhanced_text = text_tokens + self._blend * self._text_to_image.attend(
-            text_tokens, image_tokens
+
+    def apply_segments(
+        self,
+        image_tokens: np.ndarray,
+        image_bounds: Sequence[int],
+        text_tokens: np.ndarray,
+        text_bounds: Sequence[int],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One enhancement round over several stacked frames at once.
+
+        Frame ``s`` owns image rows ``image_bounds[s]:image_bounds[s + 1]``
+        and text rows ``text_bounds[s]:text_bounds[s + 1]``; attention never
+        crosses frames, while the FFNs and layer norms are token-wise and run
+        once over all rows.
+        """
+        enhanced_image = image_tokens + self._blend * self._image_to_text.attend_segments(
+            image_tokens, image_bounds, text_tokens, text_bounds
+        )
+        enhanced_text = text_tokens + self._blend * self._text_to_image.attend_segments(
+            text_tokens, text_bounds, image_tokens, image_bounds
         )
         enhanced_image = layer_norm(
             enhanced_image + 0.1 * self._image_ffn.apply(enhanced_image)

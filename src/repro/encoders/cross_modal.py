@@ -1,66 +1,81 @@
 """Cross-modality rerank model (paper §VI-B, Algorithm 2 stage 2).
 
 The rerank model receives the query text and the top-k candidate frames from
-fast search.  For each frame it:
+fast search, each in array form (:class:`FrameCandidate`).  For one query it:
 
-1. builds *image tokens* from the frame's stored patch detections (full
-   ``D``-dimensional embeddings plus box-position features);
+1. stacks the candidates' *image tokens* (their kept patch detections' full
+   ``D``-dimensional embeddings) into blocks of at most
+   :data:`RERANK_BLOCK_ROWS` rows, never splitting a frame;
 2. builds *text tokens* from the parsed query (object, companion, and
-   relation concepts);
-3. runs a stack of feature-enhancer layers with image↔text cross-attention
-   (see :mod:`repro.encoders.attention`);
-4. scores the frame as the best image-token/text alignment
+   relation concepts), one copy per frame;
+3. runs a stack of feature-enhancer and decoder layers with image↔text
+   cross-attention (see :mod:`repro.encoders.attention`) over each block:
+   projections, FFNs and layer norms run once over the block's rows, and
+   only the two attention softmaxes run per frame, so a frame's tokens
+   attend only to its own text copy and vice versa;
+4. scores every image token as its alignment with the query
    (``ls = max_j (X_I X_T^T)_{j,-1}`` in Algorithm 2), augmented with a
    geometric evaluation of the relational tokens over the predicted boxes
-   (the "box position embeddings" path of Fig. 3);
-5. decodes the best-aligned token's box as the output localization.
+   (the "box position embeddings" path of Fig. 3) — ``(P, P)`` box-array
+   masks per frame;
+5. decodes each frame's best non-overlapping boxes by greedy non-maximum
+   suppression as the output localizations.
 
 The geometric relation check is how phrases such as "side by side" or "in the
 center of the road", which the fast search deliberately ignores, change the
 ranking — reproducing the accuracy gap between LOVO and its w/o-rerank
 ablation.
+
+Blocks never mix queries.  Stacking rows into one matrix product does not
+round like one product per frame (BLAS picks its kernel by matrix size), so a
+frame's scores depend on the frame's block, and the block on the query's
+candidate list.  A query therefore gets the same bits whether it runs alone
+or in a batch, because :class:`~repro.core.query.QueryStrategy` reranks one
+query per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.encoders.attention import CrossModalLayer
 from repro.encoders.concepts import ConceptSpace
 from repro.encoders.text import ParsedQuery, is_context_token, query_token_weights
+from repro.encoders.vision import FrameArrays, patch_id, row_norms
+from repro.obs.trace import span as obs_span
 from repro.utils.geometry import (
     BoundingBox,
-    box_in_center_region,
-    box_next_to,
-    boxes_side_by_side,
+    center_region_mask,
+    iou_matrix,
+    next_to_matrix,
+    side_by_side_matrix,
 )
 from repro.utils.locking import create_lock
 
-
-@dataclass(frozen=True)
-class CandidatePatch:
-    """One stored patch detection of a candidate frame."""
-
-    patch_id: str
-    embedding: np.ndarray
-    box: BoundingBox
-    objectness: float = 1.0
+#: Most image rows one stacked pass scores.  It bounds the temporaries of a
+#: pass (and so each serving thread's heap) whatever the number of candidate
+#: frames; a frame with more rows is a block of its own.
+RERANK_BLOCK_ROWS = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameCandidate:
-    """A candidate frame handed to the reranker.
+    """A candidate frame handed to the reranker, as arrays with one row per detection.
 
-    ``patches`` should contain *all* stored detections of the frame (not just
-    the one that matched fast search) so relational predicates can look at
-    neighbouring objects.
+    It holds only the detections the reranker scores: those whose objectness
+    reaches ``min_objectness``, or every detection when none does (see
+    :meth:`CrossModalityReranker.candidate`).  Relational predicates look at
+    the other rows of the same frame, so they see exactly these detections.
     """
 
     frame_id: str
-    patches: Tuple[CandidatePatch, ...]
+    embeddings: np.ndarray  # (P, D)
+    boxes: np.ndarray  # (P, 4) [x, y, w, h]
+    objectness: np.ndarray  # (P,)
+    patch_ids: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -164,26 +179,80 @@ class CrossModalityReranker:
         """The reranker configuration."""
         return self._config
 
+    def candidate(self, frame_id: str, frame: FrameArrays) -> FrameCandidate:
+        """A frame's rerank candidate: the encoded rows this reranker scores.
+
+        Rows below ``min_objectness`` are dropped; a frame where no row
+        reaches it keeps them all, so every encoded frame stays rankable.
+        """
+        keep = np.flatnonzero(frame.objectness >= self._config.min_objectness)
+        if keep.size == 0:
+            keep = np.arange(frame.objectness.shape[0])
+        return FrameCandidate(
+            frame_id=frame_id,
+            embeddings=frame.embeddings[keep],
+            boxes=frame.boxes[keep],
+            objectness=frame.objectness[keep],
+            patch_ids=tuple(patch_id(frame_id, index) for index in keep.tolist()),
+        )
+
     def rerank(
         self,
         query: ParsedQuery,
         candidates: Sequence[FrameCandidate],
         top_n: int | None = None,
     ) -> List[RerankResult]:
-        """Rerank candidate frames against the query (Algorithm 2, stage 2)."""
+        """Rerank one query's candidate frames (Algorithm 2, stage 2).
+
+        Results are sorted by score, best first; a candidate without rows
+        yields no result.  The stages are traced as the ``enhance``,
+        ``decode``, ``relations`` and ``nms`` spans.
+        """
         features = self._query_features(query)
-        results = [self._score_frame(query, features, candidate) for candidate in candidates]
-        results = [result for result in results if result is not None]
+        frames = [candidate for candidate in candidates if candidate.patch_ids]
+        if not frames or features.text_tokens.shape[0] == 0:
+            return []
+        bounds = np.cumsum([0] + [len(frame.patch_ids) for frame in frames]).tolist()
+        image_tokens = np.concatenate([frame.embeddings for frame in frames])
+        blocks = _blocks(bounds, features.text_tokens.shape[0])
+
+        with obs_span("enhance", blocks=len(blocks)):
+            states = [
+                self._run_layers(
+                    self._enhancer_layers,
+                    image_tokens[block.rows],
+                    np.tile(features.text_tokens, (len(block.image_bounds) - 1, 1)),
+                    block,
+                )
+                for block in blocks
+            ]
+        with obs_span("decode"):
+            appearance = np.concatenate([
+                self._appearance(
+                    features,
+                    image_tokens[block.rows],
+                    *self._run_layers(self._decoder_layers, image, text, block),
+                    block,
+                )
+                for block, (image, text) in zip(blocks, states)
+            ])
+            del states
+        with obs_span("relations"):
+            relation = self._relation_scores(
+                query, frames, bounds, image_tokens, features.companion
+            )
+        with obs_span("nms"):
+            combined = appearance + relation
+            results = [
+                self._decode_detections(
+                    frame, combined[start:stop], appearance[start:stop], relation[start:stop]
+                )
+                for frame, start, stop in zip(frames, bounds[:-1], bounds[1:])
+            ]
         results.sort(key=lambda result: result.score, reverse=True)
         if top_n is not None:
             results = results[:top_n]
         return results
-
-    def score_frame(
-        self, query: ParsedQuery, candidate: FrameCandidate
-    ) -> Optional[RerankResult]:
-        """Score a single candidate frame; ``None`` when it has no detections."""
-        return self._score_frame(query, self._query_features(query), candidate)
 
     def _query_features(self, query: ParsedQuery) -> _QueryFeatures:
         """Everything the frame scoring needs from the query alone."""
@@ -208,34 +277,35 @@ class CrossModalityReranker:
             ),
         )
 
-    def _score_frame(
-        self, query: ParsedQuery, features: _QueryFeatures, candidate: FrameCandidate
-    ) -> Optional[RerankResult]:
-        patches = [
-            patch for patch in candidate.patches
-            if patch.objectness >= self._config.min_objectness
-        ]
-        if not patches:
-            patches = list(candidate.patches)
-        if not patches or features.text_tokens.shape[0] == 0:
-            return None
+    @staticmethod
+    def _run_layers(
+        layers: Sequence[CrossModalLayer], image: np.ndarray, text: np.ndarray, block: "_Block"
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Run a layer stack over one block's stacked image and text rows."""
+        for layer in layers:
+            image, text = layer.apply_segments(image, block.image_bounds, text, block.text_bounds)
+        return image, text
 
-        image_tokens = np.stack([patch.embedding for patch in patches])
-        enhanced_image, enhanced_text = image_tokens, features.text_tokens
-        for layer in self._enhancer_layers:
-            enhanced_image, enhanced_text = layer.apply(enhanced_image, enhanced_text)
-        for layer in self._decoder_layers:
-            enhanced_image, enhanced_text = layer.apply(enhanced_image, enhanced_text)
+    def _appearance(
+        self,
+        features: _QueryFeatures,
+        image_tokens: np.ndarray,
+        enhanced_image: np.ndarray,
+        enhanced_text: np.ndarray,
+        block: "_Block",
+    ) -> np.ndarray:
+        """Appearance alignment of each image row of one block with the query.
 
-        # Appearance alignment has two parts, both computed per image token:
-        #
-        # * a *mixture* similarity against the whole query phrase (the same
-        #   head-noun-heavy weighting the text encoder uses), blended between
-        #   the raw tokens and their cross-modally enhanced versions; and
-        # * a *conjunctive* term — the weakest alignment over the query's
-        #   discriminative tokens (category, attributes, activity; context is
-        #   excluded) — so a grey car cannot outrank a red car on the query
-        #   "red car" just because both are cars.
+        It has two parts, both computed per image token:
+
+        * a *mixture* similarity against the whole query phrase (the same
+          head-noun-heavy weighting the text encoder uses), blended between
+          the raw tokens and their cross-modally enhanced versions; and
+        * a *conjunctive* term — the weakest alignment over the query's
+          discriminative tokens (category, attributes, activity; context is
+          excluded) — so a grey car cannot outrank a red car on the query
+          "red car" just because both are cars.
+        """
         unit_image = self._normalised(image_tokens)
         unit_enhanced_image = self._normalised(enhanced_image)
         raw_mixture_similarity = unit_image @ features.mixture
@@ -243,60 +313,60 @@ class CrossModalityReranker:
         mixture_similarity = 0.7 * raw_mixture_similarity + 0.3 * enhanced_mixture_similarity
 
         raw_similarity = unit_image @ features.unit_text_tokens.T
-        enhanced_similarity = unit_enhanced_image @ self._normalised(enhanced_text).T
+        # Each frame's rows align with that frame's own enhanced text: the
+        # block diagonal of one product against every frame's text rows.
+        num_text = features.text_tokens.shape[0]
+        sizes = np.diff(block.image_bounds)
+        first_column = np.repeat(np.arange(sizes.shape[0]) * num_text, sizes)
+        columns = first_column[:, None] + np.arange(num_text)
+        enhanced_similarity = np.take_along_axis(
+            unit_enhanced_image @ self._normalised(enhanced_text).T, columns, axis=1
+        )
         token_similarity = 0.7 * raw_similarity + 0.3 * enhanced_similarity
         conjunctive = token_similarity[:, features.conjunctive_columns].min(axis=1)
-
-        appearance = 0.6 * mixture_similarity + 0.4 * conjunctive
-
-        relation = self._relation_scores(query, patches, features.companion)
-        combined = appearance + relation
-        detections = self._decode_detections(patches, combined, appearance, relation)
-        best = detections[0]
-        return RerankResult(
-            frame_id=candidate.frame_id,
-            score=best.score,
-            box=best.box,
-            patch_id=best.patch_id,
-            appearance_score=best.appearance_score,
-            relation_score=best.relation_score,
-            detections=tuple(detections),
-        )
+        return 0.6 * mixture_similarity + 0.4 * conjunctive
 
     def _decode_detections(
         self,
-        patches: Sequence[CandidatePatch],
+        frame: FrameCandidate,
         combined: np.ndarray,
         appearance: np.ndarray,
         relation: np.ndarray,
-    ) -> List[RerankDetection]:
-        """Greedy non-maximum suppression over the per-patch scores.
+    ) -> RerankResult:
+        """Greedy non-maximum suppression over one frame's row scores.
 
         Keeps up to ``max_boxes_per_frame`` detections whose boxes do not
         substantially overlap, so a frame containing several matching objects
         yields one localization per object rather than only the single best.
         """
-        order = np.argsort(-combined)
-        kept: List[RerankDetection] = []
-        for index in order:
-            patch = patches[int(index)]
-            if any(
-                patch.box.iou(existing.box) >= self._config.nms_iou_threshold
-                for existing in kept
-            ):
+        overlaps = iou_matrix(frame.boxes, frame.boxes)
+        kept: List[int] = []
+        for index in np.argsort(-combined).tolist():
+            if (overlaps[index, kept] >= self._config.nms_iou_threshold).any():
                 continue
-            kept.append(
-                RerankDetection(
-                    box=patch.box,
-                    patch_id=patch.patch_id,
-                    score=float(combined[index]),
-                    appearance_score=float(appearance[index]),
-                    relation_score=float(relation[index]),
-                )
-            )
+            kept.append(index)
             if len(kept) >= self._config.max_boxes_per_frame:
                 break
-        return kept
+        detections = tuple(
+            RerankDetection(
+                box=BoundingBox(*frame.boxes[index].tolist()),
+                patch_id=frame.patch_ids[index],
+                score=float(combined[index]),
+                appearance_score=float(appearance[index]),
+                relation_score=float(relation[index]),
+            )
+            for index in kept
+        )
+        best = detections[0]
+        return RerankResult(
+            frame_id=frame.frame_id,
+            score=best.score,
+            box=best.box,
+            patch_id=best.patch_id,
+            appearance_score=best.appearance_score,
+            relation_score=best.relation_score,
+            detections=detections,
+        )
 
     def _text_tokens(
         self, query: ParsedQuery
@@ -324,65 +394,89 @@ class CrossModalityReranker:
     def _relation_scores(
         self,
         query: ParsedQuery,
-        patches: Sequence[CandidatePatch],
+        frames: Sequence[FrameCandidate],
+        bounds: Sequence[int],
+        image_tokens: np.ndarray,
         companion_vector: Optional[np.ndarray],
     ) -> np.ndarray:
-        """Geometric evaluation of relational tokens over predicted boxes."""
-        scores = np.zeros(len(patches), dtype=np.float64)
+        """Geometric evaluation of relational tokens over every row's box.
+
+        Each relation adds ``relation_bonus`` to a row whose box satisfies it
+        and subtracts ``relation_penalty`` otherwise.  A pairwise relation is
+        satisfied when another row of the same frame stands in it and, if the
+        query names a companion, looks like that companion.
+        """
+        scores = np.zeros(image_tokens.shape[0], dtype=np.float64)
         relations = set(query.relation_tokens)
         if not relations:
             return scores
-
-        for index, patch in enumerate(patches):
-            total = 0.0
-            if "center" in relations or "intersection" in relations:
-                margin = 0.25 if "center" in relations else 0.15
-                if box_in_center_region(patch.box, margin=margin):
-                    total += self._config.relation_bonus
-                else:
-                    total -= self._config.relation_penalty
-            if "side by side" in relations:
-                if self._has_companion(patch, patches, companion_vector, mode="side_by_side"):
-                    total += self._config.relation_bonus
-                else:
-                    total -= self._config.relation_penalty
-            if "next to" in relations:
-                if self._has_companion(patch, patches, companion_vector, mode="next_to"):
-                    total += self._config.relation_bonus
-                else:
-                    total -= self._config.relation_penalty
-            scores[index] = total
+        bonus, penalty = self._config.relation_bonus, self._config.relation_penalty
+        boxes = np.concatenate([frame.boxes for frame in frames])
+        if "center" in relations or "intersection" in relations:
+            margin = 0.25 if "center" in relations else 0.15
+            scores += np.where(center_region_mask(boxes, margin=margin), bonus, -penalty)
+        companions = self._companion_mask(image_tokens, companion_vector)
+        pairwise = (("side by side", side_by_side_matrix), ("next to", next_to_matrix))
+        for relation, predicate in pairwise:
+            if relation not in relations:
+                continue
+            satisfied = np.zeros(boxes.shape[0], dtype=bool)
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                pairs = predicate(boxes[start:stop], boxes[start:stop]) & companions[start:stop]
+                np.fill_diagonal(pairs, False)
+                satisfied[start:stop] = pairs.any(axis=1)
+            scores += np.where(satisfied, bonus, -penalty)
         return scores
 
-    def _has_companion(
-        self,
-        patch: CandidatePatch,
-        patches: Sequence[CandidatePatch],
-        companion_vector: Optional[np.ndarray],
-        mode: str,
-    ) -> bool:
-        """Whether another detection satisfies the pairwise relation."""
-        for other in patches:
-            if other.patch_id == patch.patch_id:
-                continue
-            if mode == "side_by_side":
-                geometric = boxes_side_by_side(patch.box, other.box)
-            else:
-                geometric = box_next_to(patch.box, other.box)
-            if not geometric:
-                continue
-            if companion_vector is None:
-                return True
-            other_norm = np.linalg.norm(other.embedding)
-            if other_norm == 0:
-                continue
-            similarity = float(other.embedding @ companion_vector / other_norm)
-            if similarity >= self._config.companion_similarity_threshold:
-                return True
-        return False
+    def _companion_mask(
+        self, image_tokens: np.ndarray, companion_vector: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """Which rows can be the query's companion object (all, if it names none).
+
+        The cosine goes through stacked matmuls, which round like the
+        per-vector ``dot`` and ``norm``, so a row's verdict at the threshold
+        never depends on the other rows.
+        """
+        if companion_vector is None:
+            return np.ones(image_tokens.shape[0], dtype=bool)
+        norms = row_norms(image_tokens)[:, 0]
+        dots = np.matmul(image_tokens[:, None, :], companion_vector)[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            similarity = dots / norms
+        return (norms != 0) & (similarity >= self._config.companion_similarity_threshold)
 
     @staticmethod
     def _normalised(matrix: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         norms = np.where(norms == 0, 1.0, norms)
         return matrix / norms
+
+
+class _Block(NamedTuple):
+    """A run of a query's frames whose stacked rows are scored together."""
+
+    rows: slice  # the block's rows of the query's stacked image tokens
+    image_bounds: List[int]  # block-local row boundaries of each frame
+    text_bounds: List[int]  # the same for the per-frame copies of the text tokens
+
+
+def _blocks(bounds: Sequence[int], num_text: int) -> List[_Block]:
+    """Cut frames into blocks of at most ``RERANK_BLOCK_ROWS`` rows, in order.
+
+    ``bounds[f]:bounds[f + 1]`` are frame ``f``'s rows.  A frame is never
+    split, so one with more rows than the limit is a block of its own.
+    """
+    starts = [0]
+    for frame in range(1, len(bounds) - 1):
+        if bounds[frame + 1] - bounds[starts[-1]] > RERANK_BLOCK_ROWS:
+            starts.append(frame)
+    starts.append(len(bounds) - 1)
+    blocks = []
+    for first, stop in zip(starts[:-1], starts[1:]):
+        offset = bounds[first]
+        blocks.append(_Block(
+            rows=slice(offset, bounds[stop]),
+            image_bounds=[bound - offset for bound in bounds[first:stop + 1]],
+            text_bounds=[num_text * index for index in range(stop - first + 1)],
+        ))
+    return blocks

@@ -15,7 +15,7 @@ ViT over the pixels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +77,23 @@ class PatchEncoding:
     objectness: float
 
 
+class FrameArrays(NamedTuple):
+    """One encoded key frame in array form, one row per patch (row-major grid).
+
+    The rerank stage builds its candidates from this; ingest turns it into
+    :class:`PatchEncoding` records.  Row ``i`` is patch ``patch_id(frame_id, i)``.
+    """
+
+    embeddings: np.ndarray  # (P, D) unit rows in the concept space
+    boxes: np.ndarray  # (P, 4) predicted [x, y, w, h]
+    objectness: np.ndarray  # (P,) in [0, 1]
+
+
+def patch_id(frame_id: str, patch_index: int) -> str:
+    """The stored id of the ``patch_index``-th patch of a frame."""
+    return f"{frame_id}/patch{patch_index:03d}"
+
+
 class VisionEncoder:
     """Query-agnostic patch encoder producing :class:`PatchEncoding` records."""
 
@@ -121,6 +138,29 @@ class VisionEncoder:
         frame content (object annotations stand in for pixels) and the fixed
         "pretrained" concept space.
         """
+        embeddings, boxes, objectness = self.encode_frame_arrays(frame, scene=scene)
+        class_embeddings = _unit_rows(
+            np.matmul(self._projection, embeddings[:, :, None])[:, :, 0]
+        )
+        frame_id, video_id = frame.frame_id, frame.video_id
+        # Positional fields, in PatchEncoding's declaration order.
+        return [
+            PatchEncoding(
+                patch_id(frame_id, patch_index), frame_id, video_id, patch_index,
+                embedding, class_embedding, BoundingBox(*box), patch_objectness,
+            )
+            for patch_index, (embedding, class_embedding, box, patch_objectness) in enumerate(
+                zip(embeddings, class_embeddings, boxes.tolist(), objectness.tolist())
+            )
+        ]
+
+    def encode_frame_arrays(self, frame: Frame, scene: str = "generic") -> FrameArrays:
+        """Encode one key frame into whole-frame arrays, without class embeddings.
+
+        This is :meth:`encode_frame` minus the projection into the stored
+        class space and the per-patch records, which the rerank stage never
+        reads.
+        """
         anchors = self._anchors
         num_patches = anchors.shape[0]
         objects = frame.visible_objects()
@@ -146,25 +186,9 @@ class VisionEncoder:
         objectness = overlaps.sum(axis=1)
         mixed = mixture + np.matmul(overlaps[:, None, :], object_embeddings)[:, 0]
         mixture = np.where((objectness > 0)[:, None], mixed, mixture)
-        signal_norm = _row_norms(mixture)
+        signal_norm = row_norms(mixture)
         mixture = mixture + ENCODER_NOISE_SCALE * signal_norm * noise_directions
-        embeddings = _unit_rows(mixture)
-        class_embeddings = _unit_rows(
-            np.matmul(self._projection, embeddings[:, :, None])[:, :, 0]
-        )
-        objectness = np.minimum(objectness, 1.0)
-
-        frame_id, video_id = frame.frame_id, frame.video_id
-        # Positional fields, in PatchEncoding's declaration order.
-        return [
-            PatchEncoding(
-                f"{frame_id}/patch{patch_index:03d}", frame_id, video_id, patch_index,
-                embedding, class_embedding, BoundingBox(*box), patch_objectness,
-            )
-            for patch_index, (embedding, class_embedding, box, patch_objectness) in enumerate(
-                zip(embeddings, class_embeddings, boxes.tolist(), objectness.tolist())
-            )
-        ]
+        return FrameArrays(_unit_rows(mixture), boxes, np.minimum(objectness, 1.0))
 
     def encode_frames(
         self, frames: Sequence[Frame], scene: str = "generic"
@@ -224,12 +248,12 @@ class VisionEncoder:
         return overlaps
 
 
-def _row_norms(matrix: np.ndarray) -> np.ndarray:
+def row_norms(matrix: np.ndarray) -> np.ndarray:
     """``(N, 1)`` Euclidean row norms, rounded exactly like ``norm`` of one row."""
     return np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None]))[:, 0]
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     """Rows scaled to unit norm; zero rows are left as they are."""
-    norms = _row_norms(matrix)
+    norms = row_norms(matrix)
     return matrix / np.where(norms > 0, norms, 1.0)

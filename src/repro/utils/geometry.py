@@ -130,13 +130,36 @@ def box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
     )
 
 
-def iou_matrix(boxes_a: Sequence[BoundingBox], boxes_b: Sequence[BoundingBox]) -> np.ndarray:
-    """Pairwise IoU matrix with shape ``(len(boxes_a), len(boxes_b))``."""
-    matrix = np.zeros((len(boxes_a), len(boxes_b)), dtype=np.float64)
-    for i, box_a in enumerate(boxes_a):
-        for j, box_b in enumerate(boxes_b):
-            matrix[i, j] = iou(box_a, box_b)
-    return matrix
+def _box_rows(boxes: Sequence[BoundingBox] | np.ndarray) -> np.ndarray:
+    """``(N, 4)`` float64 ``[x, y, w, h]`` rows from an array or a box sequence."""
+    if isinstance(boxes, np.ndarray):
+        return boxes.reshape(-1, 4).astype(np.float64, copy=False)
+    return box_array(boxes)
+
+
+def _centers(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box centres ``(cx, cy)`` of ``(N, 4)`` rows, rounded like :attr:`BoundingBox.center`."""
+    return boxes[:, 0] + boxes[:, 2] / 2.0, boxes[:, 1] + boxes[:, 3] / 2.0
+
+
+def iou_matrix(
+    boxes_a: Sequence[BoundingBox] | np.ndarray, boxes_b: Sequence[BoundingBox] | np.ndarray
+) -> np.ndarray:
+    """Pairwise IoU matrix with shape ``(len(boxes_a), len(boxes_b))``.
+
+    Entry ``[i, j]`` equals ``iou(a_i, b_j)`` exactly: the array code repeats
+    the scalar's floating-point operations in the same order.  Both arguments
+    may be box sequences or ``(N, 4)`` ``[x, y, w, h]`` arrays.
+    """
+    a, b = _box_rows(boxes_a)[:, None, :], _box_rows(boxes_b)[None, :, :]
+    right = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2])
+    bottom = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3])
+    ix = np.maximum(0.0, right - np.maximum(a[..., 0], b[..., 0]))
+    iy = np.maximum(0.0, bottom - np.maximum(a[..., 1], b[..., 1]))
+    inter = ix * iy
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0.0, np.minimum(inter / union, 1.0), 0.0)
 
 
 def pairwise_center_distance(boxes: Sequence[BoundingBox]) -> np.ndarray:
@@ -177,6 +200,42 @@ def box_next_to(a: BoundingBox, b: BoundingBox, max_gap: float = 0.15) -> bool:
     """Spatial predicate for "next to" — centres within ``max_gap``."""
     (ax, ay), (bx, by) = a.center, b.center
     return float(np.hypot(ax - bx, ay - by)) <= max_gap + (a.w + b.w) / 4.0
+
+
+def center_region_mask(
+    boxes: Sequence[BoundingBox] | np.ndarray, margin: float = 0.25
+) -> np.ndarray:
+    """Array twin of :func:`box_in_center_region`: one bool per box."""
+    cx, cy = _centers(_box_rows(boxes))
+    return (margin <= cx) & (cx <= 1.0 - margin) & (margin <= cy) & (cy <= 1.0 - margin)
+
+
+def side_by_side_matrix(
+    boxes_a: Sequence[BoundingBox] | np.ndarray,
+    boxes_b: Sequence[BoundingBox] | np.ndarray,
+    max_center_gap: float = 0.25,
+    max_vertical_offset: float = 0.08,
+) -> np.ndarray:
+    """Array twin of :func:`boxes_side_by_side`: ``[i, j]`` relates ``a_i`` to ``b_j``."""
+    a, b = _box_rows(boxes_a), _box_rows(boxes_b)
+    (ax, ay), (bx, by) = _centers(a), _centers(b)
+    return (
+        (iou_matrix(a, b) <= 0.3)
+        & (np.abs(ay[:, None] - by[None, :]) <= max_vertical_offset)
+        & (np.abs(ax[:, None] - bx[None, :]) <= max_center_gap)
+    )
+
+
+def next_to_matrix(
+    boxes_a: Sequence[BoundingBox] | np.ndarray,
+    boxes_b: Sequence[BoundingBox] | np.ndarray,
+    max_gap: float = 0.15,
+) -> np.ndarray:
+    """Array twin of :func:`box_next_to`: ``[i, j]`` relates ``a_i`` to ``b_j``."""
+    a, b = _box_rows(boxes_a), _box_rows(boxes_b)
+    (ax, ay), (bx, by) = _centers(a), _centers(b)
+    distance = np.hypot(ax[:, None] - bx[None, :], ay[:, None] - by[None, :])
+    return distance <= max_gap + (a[:, None, 2] + b[None, :, 2]) / 4.0
 
 
 def box_inside(inner: BoundingBox, outer: BoundingBox, min_overlap: float = 0.7) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import LOVO
@@ -10,7 +11,7 @@ from repro.core.results import ObjectQueryResult, QueryResponse, merge_timings
 from repro.core.storage import LOVOStorage
 from repro.core.summary import VideoSummarizer
 from repro.errors import QueryError, VectorDatabaseError
-from repro.utils.geometry import BoundingBox
+from repro.utils.geometry import BoundingBox, box_array
 from repro.utils.timing import PhaseTimer
 from tests.conftest import small_config
 
@@ -65,8 +66,22 @@ class TestVideoSummarizer:
     def test_encode_single_frame(self, bellevue_small, tiny_config):
         summarizer = VideoSummarizer(tiny_config)
         frame = bellevue_small.videos[0].frames[0]
-        encodings = summarizer.encode_single_frame(frame, scene="bellevue")
-        assert len(encodings) == tiny_config.encoder.patch_grid ** 2
+        arrays = summarizer.encode_single_frame(frame, scene="bellevue")
+        num_patches = tiny_config.encoder.patch_grid ** 2
+        assert arrays.embeddings.shape == (num_patches, tiny_config.encoder.embedding_dim)
+        assert arrays.boxes.shape == (num_patches, 4)
+        assert arrays.objectness.shape == (num_patches,)
+        # The same rows, bit for bit, as the records ingest stores.
+        encodings = summarizer.vision_encoder.encode_frame(frame, scene="bellevue")
+        np.testing.assert_array_equal(
+            arrays.embeddings, np.stack([encoding.embedding for encoding in encodings])
+        )
+        np.testing.assert_array_equal(
+            arrays.boxes, box_array([encoding.box for encoding in encodings])
+        )
+        np.testing.assert_array_equal(
+            arrays.objectness, [encoding.objectness for encoding in encodings]
+        )
 
 
 class TestStorage:

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.encoders.concepts import ConceptSpace
 from repro.encoders.cross_modal import (
-    CandidatePatch,
+    RERANK_BLOCK_ROWS,
     CrossModalityReranker,
     FrameCandidate,
     RerankerConfig,
+    _blocks,
 )
 from repro.encoders.text import QueryParser
+from repro.encoders.vision import FrameArrays
 from repro.encoders.vocabulary import default_vocabulary
-from repro.utils.geometry import BoundingBox
+from repro.utils.geometry import BoundingBox, box_array
 
 
 @pytest.fixture(scope="module")
@@ -31,21 +34,24 @@ def reranker(space):
     return CrossModalityReranker(space, RerankerConfig(hidden_dim=64))
 
 
-def patch(space, patch_id, tokens, box, objectness=0.8):
-    return CandidatePatch(
-        patch_id=patch_id,
-        embedding=space.encode(tokens),
-        box=box,
-        objectness=objectness,
+def candidate(space, frame_id, patch_specs, objectness=0.8):
+    """A candidate with one row per ``(concept tokens, box)`` spec."""
+    embeddings = np.zeros((len(patch_specs), space.dim))
+    for row, (tokens, _box) in enumerate(patch_specs):
+        embeddings[row] = space.encode(tokens)
+    return FrameCandidate(
+        frame_id=frame_id,
+        embeddings=embeddings,
+        boxes=box_array([box for _tokens, box in patch_specs]),
+        objectness=np.full(len(patch_specs), objectness),
+        patch_ids=tuple(f"{frame_id}/p{i}" for i in range(len(patch_specs))),
     )
 
 
-def candidate(space, frame_id, patch_specs):
-    patches = tuple(
-        patch(space, f"{frame_id}/p{i}", tokens, box)
-        for i, (tokens, box) in enumerate(patch_specs)
-    )
-    return FrameCandidate(frame_id=frame_id, patches=patches)
+def score_one(reranker, query, frame):
+    """The rerank result of a single candidate frame."""
+    (result,) = reranker.rerank(query, [frame])
+    return result
 
 
 class TestAppearanceRanking:
@@ -68,7 +74,7 @@ class TestAppearanceRanking:
             (["car", "grey", "road", "driving"], BoundingBox(0.1, 0.4, 0.2, 0.15)),
             (["car", "red", "road", "driving"], BoundingBox(0.6, 0.4, 0.2, 0.15)),
         ])
-        result = reranker.score_frame(query, frame)
+        result = score_one(reranker, query, frame)
         assert result.patch_id.endswith("p1")
 
     def test_category_discrimination(self, space, parser, reranker):
@@ -77,7 +83,7 @@ class TestAppearanceRanking:
             (["car", "grey", "road", "driving"], BoundingBox(0.1, 0.4, 0.2, 0.15)),
             (["bus", "blue", "road", "driving"], BoundingBox(0.6, 0.4, 0.25, 0.15)),
         ])
-        result = reranker.score_frame(query, frame)
+        result = score_one(reranker, query, frame)
         assert result.patch_id.endswith("p1")
 
     def test_rerank_respects_top_n(self, space, parser, reranker):
@@ -88,9 +94,11 @@ class TestAppearanceRanking:
         ]
         assert len(reranker.rerank(query, candidates, top_n=3)) == 3
 
-    def test_empty_candidate_returns_none(self, space, parser, reranker):
+    def test_empty_candidate_has_no_result(self, space, parser, reranker):
         query = parser.parse("a red car")
-        assert reranker.score_frame(query, FrameCandidate("empty", ())) is None
+        kept = candidate(space, "f", [(["car", "red"], BoundingBox(0.4, 0.4, 0.2, 0.2))])
+        ranked = reranker.rerank(query, [candidate(space, "empty", []), kept])
+        assert [result.frame_id for result in ranked] == ["f"]
 
 
 class TestRelations:
@@ -100,7 +108,7 @@ class TestRelations:
             (["car", "red", "road", "driving"], BoundingBox(0.0, 0.0, 0.15, 0.12)),
             (["car", "red", "road", "driving"], BoundingBox(0.45, 0.45, 0.15, 0.12)),
         ])
-        result = reranker.score_frame(query, frame)
+        result = score_one(reranker, query, frame)
         assert result.patch_id.endswith("p1")
         assert result.relation_score > 0
 
@@ -130,6 +138,13 @@ class TestRelations:
         ranked = reranker.rerank(query, [alone, with_woman])
         assert ranked[0].frame_id == "f-with"
 
+    def test_a_detection_is_not_its_own_companion(self, space, parser, reranker):
+        query = parser.parse("A white dog next to a woman wearing black clothes.")
+        lone_woman = candidate(space, "f", [
+            (["woman", "black", "black clothes", "car_interior"], BoundingBox.from_center(0.5, 0.5, 0.12, 0.2)),
+        ])
+        assert score_one(reranker, query, lone_woman).relation_score < 0
+
 
 class TestDetections:
     def test_detections_do_not_overlap(self, space, parser, reranker):
@@ -139,7 +154,7 @@ class TestDetections:
             (["person", "walking", "street"], BoundingBox(0.12, 0.42, 0.1, 0.2)),
             (["person", "walking", "street"], BoundingBox(0.7, 0.4, 0.1, 0.2)),
         ])
-        result = reranker.score_frame(query, frame)
+        result = score_one(reranker, query, frame)
         boxes = [detection.box for detection in result.detections]
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
@@ -155,7 +170,7 @@ class TestDetections:
             (["person"], BoundingBox(0.4, 0.4, 0.1, 0.2)),
             (["person"], BoundingBox(0.7, 0.7, 0.1, 0.2)),
         ])
-        result = reranker.score_frame(query, frame)
+        result = score_one(reranker, query, frame)
         assert len(result.detections) == 2
 
     def test_scores_are_descending(self, space, parser, reranker):
@@ -170,3 +185,97 @@ class TestDetections:
         assert scores == sorted(scores, reverse=True)
         assert ranked[0].frame_id == "f-red"
         assert ranked[-1].frame_id == "f-dog"
+
+
+class TestCandidates:
+    def frame_arrays(self, space, objectness):
+        rows = len(objectness)
+        return FrameArrays(
+            embeddings=np.stack([space.encode(["car"])] * rows),
+            boxes=np.tile([0.1, 0.2, 0.3, 0.4], (rows, 1)),
+            objectness=np.asarray(objectness, dtype=np.float64),
+        )
+
+    def test_keeps_only_rows_reaching_min_objectness(self, space, reranker):
+        threshold = reranker.config.min_objectness
+        frame = reranker.candidate("f", self.frame_arrays(space, [0.9, 0.0, threshold, 0.01]))
+        assert frame.patch_ids == ("f/patch000", "f/patch002")
+        assert frame.embeddings.shape == (2, space.dim)
+        assert frame.boxes.shape == (2, 4)
+        np.testing.assert_array_equal(frame.objectness, [0.9, threshold])
+
+    def test_keeps_every_row_when_none_reaches_it(self, space, reranker):
+        frame = reranker.candidate("f", self.frame_arrays(space, [0.0, 0.01, 0.0]))
+        assert frame.patch_ids == ("f/patch000", "f/patch001", "f/patch002")
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("sizes", [
+        [1], [RERANK_BLOCK_ROWS], [RERANK_BLOCK_ROWS + 5], [100, 100, 56, 1],
+        [300, 2, 255, 255, 1], [13] * 60, [64] * 9,
+    ])
+    def test_frames_are_never_split_and_blocks_stay_bounded(self, sizes):
+        bounds = np.cumsum([0] + sizes).tolist()
+        blocks = _blocks(bounds, num_text=3)
+        assert blocks[0].rows.start == 0 and blocks[-1].rows.stop == bounds[-1]
+        frames_seen = 0
+        for before, block in zip([None, *blocks], blocks):
+            if before is not None:
+                assert block.rows.start == before.rows.stop
+            num_frames = len(block.image_bounds) - 1
+            local = [bound + block.rows.start for bound in block.image_bounds]
+            assert local == bounds[frames_seen:frames_seen + num_frames + 1]
+            assert block.text_bounds == [3 * index for index in range(num_frames + 1)]
+            rows = block.rows.stop - block.rows.start
+            assert rows <= RERANK_BLOCK_ROWS or num_frames == 1
+            frames_seen += num_frames
+        assert frames_seen == len(sizes)
+
+    def test_scores_match_frame_by_frame_across_block_edges(self, space, parser, reranker):
+        """Whichever block a frame lands in, it gets the same detections as
+        when it is scored alone, with scores equal to rounding."""
+        rng = np.random.default_rng(3)
+        tokens = [["car", "red", "road"], ["car", "grey", "road"], ["person", "walking"],
+                  ["bus", "blue"], ["road"]]
+        frames = []
+        for index in range(40):
+            specs = []
+            for _ in range(int(rng.integers(1, 30))):
+                x, y = rng.uniform(0.0, 0.8, size=2)
+                specs.append((tokens[int(rng.integers(len(tokens)))],
+                               BoundingBox(float(x), float(y), 0.12, 0.1)))
+            frames.append(candidate(space, f"f{index}", specs))
+        assert sum(len(frame.patch_ids) for frame in frames) > 2 * RERANK_BLOCK_ROWS
+        query = parser.parse("A red car side by side with another car in the center of the road.")
+        together = {result.frame_id: result for result in reranker.rerank(query, frames)}
+        for frame in frames:
+            alone = score_one(reranker, query, frame)
+            joint = together[frame.frame_id]
+            assert [d.patch_id for d in joint.detections] == [d.patch_id for d in alone.detections]
+            assert [d.box for d in joint.detections] == [d.box for d in alone.detections]
+            for left, right in zip(joint.detections, alone.detections):
+                assert left.relation_score == right.relation_score
+                assert left.score == pytest.approx(right.score, abs=1e-12)
+
+
+class TestCompanionRounding:
+    def test_threshold_verdict_matches_scalar_dot_and_norm(self, space):
+        """A row at exactly the threshold passes and one ulp above fails, so
+        the stacked similarity rounds like ``dot / norm`` of one row."""
+        rng = np.random.default_rng(11)
+        rows = rng.normal(size=(40, space.dim)) + space.encode(["woman", "black"])
+        companion = space.encode(["woman"])
+        for row in range(rows.shape[0]):
+            scalar = float(rows[row] @ companion / np.linalg.norm(rows[row]))
+            at = CrossModalityReranker(space, RerankerConfig(companion_similarity_threshold=scalar))
+            next_up = float(np.nextafter(scalar, 2.0))
+            above = CrossModalityReranker(
+                space, RerankerConfig(companion_similarity_threshold=next_up)
+            )
+            assert at._companion_mask(rows, companion)[row]
+            assert not above._companion_mask(rows, companion)[row]
+
+    def test_zero_rows_are_never_companions(self, space, reranker):
+        rows = np.zeros((2, space.dim))
+        rows[1] = space.encode(["woman"])
+        assert reranker._companion_mask(rows, space.encode(["woman"])).tolist() == [False, True]

@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 
 from repro.utils.geometry import (
     BoundingBox,
+    box_array,
     box_in_center_region,
     box_inside,
     box_next_to,
     boxes_side_by_side,
+    center_region_mask,
     clip_unit,
     iou,
     iou_matrix,
     merge_boxes,
+    next_to_matrix,
     pairwise_center_distance,
+    side_by_side_matrix,
 )
 
 boxes = st.builds(
@@ -195,3 +199,75 @@ class TestHelpers:
 
     def test_pairwise_center_distance_empty(self):
         assert pairwise_center_distance([]).shape == (0, 0)
+
+
+# Coordinates and sizes mix arbitrary floats with round values, so generated
+# boxes often sit exactly on a predicate's threshold or have zero size.
+_round_values = st.sampled_from([i / 20 for i in range(-4, 25)])
+_coordinates = st.one_of(st.floats(-0.5, 1.5), _round_values)
+_sizes = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.02, 0.05, 0.08, 0.1, 0.12, 0.15, 0.2, 0.25, 0.3, 0.5]),
+)
+_edge_boxes = st.builds(BoundingBox, x=_coordinates, y=_coordinates, w=_sizes, h=_sizes)
+
+
+@st.composite
+def box_lists(draw):
+    """Boxes where later ones often stand exactly at a relation threshold of an earlier one."""
+    result = [draw(_edge_boxes)]
+    for _ in range(draw(st.integers(0, 7))):
+        if draw(st.booleans()):
+            result.append(draw(_edge_boxes))
+            continue
+        anchor = draw(st.sampled_from(result))
+        (cx, cy), w, h = anchor.center, draw(_sizes), draw(_sizes)
+        dx, dy = draw(st.sampled_from([
+            (0.25, 0.0), (-0.25, 0.08), (0.1, -0.08), (0.0, 0.0), (0.2, 0.08),
+            (0.15 + (anchor.w + w) / 4.0, 0.0), (0.0, 0.15 + (anchor.w + w) / 4.0),
+        ]))
+        result.append(BoundingBox.from_center(cx + dx, cy + dy, w, h))
+    return result
+
+
+class TestArrayTwins:
+    """Each array predicate equals its scalar predicate exactly, box by box."""
+
+    @given(a=box_lists(), b=box_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_iou_matrix(self, a, b):
+        expected = [[iou(box_a, box_b) for box_b in b] for box_a in a]
+        assert iou_matrix(a, b).tolist() == expected
+        assert iou_matrix(box_array(a), box_array(b)).tolist() == expected
+
+    @given(boxes=box_lists(), margin=st.sampled_from([0.25, 0.15]))
+    @settings(max_examples=200, deadline=None)
+    def test_center_region_mask(self, boxes, margin):
+        expected = [box_in_center_region(box, margin=margin) for box in boxes]
+        assert center_region_mask(box_array(boxes), margin=margin).tolist() == expected
+
+    @given(a=box_lists(), b=box_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_side_by_side_matrix(self, a, b):
+        expected = [[boxes_side_by_side(box_a, box_b) for box_b in b] for box_a in a]
+        assert side_by_side_matrix(box_array(a), box_array(b)).tolist() == expected
+
+    @given(a=box_lists(), b=box_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_next_to_matrix(self, a, b):
+        expected = [[box_next_to(box_a, box_b) for box_b in b] for box_a in a]
+        assert next_to_matrix(box_array(a), box_array(b)).tolist() == expected
+
+    def test_threshold_edges_are_inclusive(self):
+        a = BoundingBox.from_center(0.5, 0.5, 0.1, 0.1)
+        gap = BoundingBox.from_center(0.75, 0.5, 0.1, 0.1)
+        assert boxes_side_by_side(a, gap) and side_by_side_matrix([a], [gap])[0, 0]
+        assert center_region_mask([BoundingBox.from_center(0.25, 0.75, 0.0, 0.0)])[0]
+
+    def test_empty_inputs(self):
+        box = [BoundingBox(0.1, 0.1, 0.2, 0.2)]
+        assert iou_matrix([], box).shape == (0, 1)
+        assert side_by_side_matrix(box, []).shape == (1, 0)
+        assert next_to_matrix([], []).shape == (0, 0)
+        assert center_region_mask([]).shape == (0,)

@@ -590,7 +590,10 @@ class TestObsConfig:
 
 
 class TestRerankSpans:
-    """The rerank span splits into candidate building and scoring."""
+    """The rerank span splits into candidate building and scoring, and
+    scoring into one enhance/decode/relations/nms run per query."""
+
+    STAGES = ["enhance", "decode", "relations", "nms"]
 
     @staticmethod
     def rerank_children(trace: Trace):
@@ -600,6 +603,16 @@ class TestRerankSpans:
         assert set(children) == {"candidate_build", "rerank_score"}
         assert sum(s.duration_s for s in children.values()) <= rerank.duration_s
         return children["candidate_build"], children["rerank_score"]
+
+    @staticmethod
+    def scoring_stages(trace: Trace, score):
+        stages = [s for s in trace.spans() if s.parent_id == score.span_id]
+        assert sum(s.duration_s for s in stages) <= score.duration_s
+        for stage in stages:
+            assert not [s for s in trace.spans() if s.parent_id == stage.span_id]
+            if stage.name == "enhance":
+                assert stage.attributes["blocks"] >= 1
+        return [stage.name for stage in stages]
 
     def test_serial_query(self, sharded_system):
         trace = Trace()
@@ -611,6 +624,7 @@ class TestRerankSpans:
         assert build.attributes == {"frames": frames}
         assert score.attributes["frames"] == frames
         assert score.attributes["patches"] >= frames
+        assert self.scoring_stages(trace, score) == self.STAGES
 
     def test_batch_query(self, sharded_system):
         trace = Trace()
@@ -623,6 +637,7 @@ class TestRerankSpans:
             batch.responses[i].metadata["num_candidates"] for i in (0, 1)
         )
         assert score.attributes["patches"] >= score.attributes["frames"]
+        assert self.scoring_stages(trace, score) == self.STAGES * 2
 
 
 class TestEngineTracing:
