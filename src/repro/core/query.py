@@ -367,9 +367,7 @@ class QueryStrategy:
         patch_hits: List[Tuple[str, float]] = []
         for hit in hits:
             patch_hits.append((hit.id, hit.score))
-            frame_id = str(hit.metadata.get("frame_id", ""))
-            if not frame_id:
-                frame_id = self._storage.patch_record(hit.id).frame_id
+            frame_id = str(hit.metadata["frame_id"])
             if frame_id not in frame_order:
                 frame_order[frame_id] = hit.score
         candidate_frames = list(frame_order)[: self._config.max_candidate_frames]

@@ -3,9 +3,11 @@
 Stores the class embeddings produced by the video summary in a vector
 collection (IVF-PQ by default) and the associated metadata — key-frame ids,
 patch ids, bounding boxes — in the relational metadata store, linked by the
-shared patch id.  Provides the lookups the query strategy needs: ANN search
-over the embeddings, exhaustive search for the w/o-ANNS ablation, and
-frame-level metadata retrieval for the rerank stage.
+shared patch id.  The vector collection keeps only ids and vectors; each
+search hit gets its key frame and video by a join on the patch id against the
+metadata store, the one place they are stored.  Provides the lookups the
+query strategy needs: ANN search over the embeddings, exhaustive search for
+the w/o-ANNS ablation, and the patch records behind a hit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from repro.encoders.vision import PatchEncoding
 from repro.errors import SnapshotCorruptionError, VectorDatabaseError
 from repro.shard.database import ShardedCollection, ShardedDatabase
 from repro.utils.serialization import load_json, save_json
-from repro.utils.timing import PhaseTimer
 from repro.vectordb.base import as_single_query
 from repro.vectordb.collection import SearchHit
 from repro.vectordb.metadata import FrameRecord, MetadataStore, PatchRecord
@@ -103,45 +104,37 @@ class LOVOStorage:
         """The ANN index family backing the collection."""
         return self._collection.index_type
 
-    def ingest(
-        self,
-        keyframes: Sequence[Frame],
-        encodings: Sequence[PatchEncoding],
-        timer: PhaseTimer | None = None,
-    ) -> None:
+    def ingest(self, keyframes: Sequence[Frame], encodings: Sequence[PatchEncoding]) -> None:
         """Insert key frames and patch encodings, then build the index."""
-        timer = timer or PhaseTimer()
         if not encodings:
             raise VectorDatabaseError("Cannot ingest an empty set of patch encodings")
-        with timer.phase("indexing"):
-            self._metadata.add_frames(
-                FrameRecord(
-                    frame_id=frame.frame_id,
-                    video_id=frame.video_id,
-                    frame_index=frame.index,
-                    timestamp=frame.timestamp,
-                )
-                for frame in keyframes
+        # Metadata rows first: a search racing this ingest may see the new
+        # vectors as soon as they are inserted, and every hit must then
+        # already have its row to join against.
+        self._metadata.add_frames(
+            FrameRecord(
+                frame_id=frame.frame_id,
+                video_id=frame.video_id,
+                frame_index=frame.index,
+                timestamp=frame.timestamp,
             )
-            self._metadata.add_patches(
-                PatchRecord(
-                    patch_id=encoding.patch_id,
-                    frame_id=encoding.frame_id,
-                    video_id=encoding.video_id,
-                    patch_index=encoding.patch_index,
-                    box=encoding.box,
-                    objectness=encoding.objectness,
-                )
-                for encoding in encodings
+            for frame in keyframes
+        )
+        self._metadata.add_patches(
+            PatchRecord(
+                patch_id=encoding.patch_id,
+                frame_id=encoding.frame_id,
+                video_id=encoding.video_id,
+                patch_index=encoding.patch_index,
+                box=encoding.box,
+                objectness=encoding.objectness,
             )
-            ids = [encoding.patch_id for encoding in encodings]
-            vectors = np.stack([encoding.class_embedding for encoding in encodings])
-            metadata = [
-                {"frame_id": encoding.frame_id, "video_id": encoding.video_id}
-                for encoding in encodings
-            ]
-            self._collection.insert(ids, vectors, metadata)
-            self._collection.flush()
+            for encoding in encodings
+        )
+        ids = [encoding.patch_id for encoding in encodings]
+        vectors = np.stack([encoding.class_embedding for encoding in encodings])
+        self._collection.insert(ids, vectors)
+        self._collection.flush()
 
     def search(self, query_vector: np.ndarray, k: int, use_ann: bool = True) -> List[SearchHit]:
         """Top-``k`` patch search for one query vector: a batch of one."""
@@ -151,14 +144,28 @@ class LOVOStorage:
         self, query_vectors: np.ndarray, k: int, use_ann: bool = True
     ) -> List[List[SearchHit]]:
         """Top-``k`` patch search for ``m`` query vectors at once; exhaustive
-        when ``use_ann`` is false."""
-        if use_ann:
-            return self._collection.search_batch(query_vectors, k)
-        return self._collection.search_exhaustive_batch(query_vectors, k)
+        when ``use_ann`` is false.
 
-    def patches_for_frame(self, frame_id: str) -> List[PatchRecord]:
-        """All stored patch records of one key frame (for the rerank stage)."""
-        return self._metadata.patches_for_frame(frame_id)
+        Every hit's ``metadata`` is its ``{"frame_id", "video_id"}``, joined
+        from the metadata store by patch id in one lookup for the whole
+        batch, after the collection search and outside its locks.  A hit
+        without a metadata row raises :class:`~repro.errors.MetadataError`.
+        """
+        if use_ann:
+            hit_lists = self._collection.search_batch(query_vectors, k)
+        else:
+            hit_lists = self._collection.search_exhaustive_batch(query_vectors, k)
+        rows = self._metadata.patch_frames(
+            list(dict.fromkeys(hit.id for hits in hit_lists for hit in hits))
+        )
+        located = {
+            patch_id: {"frame_id": frame_id, "video_id": video_id}
+            for patch_id, (frame_id, video_id) in rows.items()
+        }
+        return [
+            [SearchHit(hit.id, hit.score, located[hit.id]) for hit in hits]
+            for hits in hit_lists
+        ]
 
     def patch_record(self, patch_id: str) -> PatchRecord:
         """Relational record of one patch."""

@@ -17,7 +17,6 @@ from repro.config import LOVOConfig
 from repro.encoders.concepts import ConceptSpace
 from repro.encoders.vision import FrameArrays, PatchEncoding, VisionEncoder
 from repro.keyframes.base import KeyframeExtractor, make_extractor
-from repro.utils.timing import PhaseTimer
 from repro.video.model import Frame, VideoDataset
 
 
@@ -74,27 +73,23 @@ class VideoSummarizer:
         """The configured key-frame extractor."""
         return self._extractor
 
-    def summarize(self, dataset: VideoDataset, timer: PhaseTimer | None = None) -> SummaryOutput:
+    def summarize(self, dataset: VideoDataset) -> SummaryOutput:
         """Summarise a dataset into key frames and patch encodings.
+
+        The whole call is the paper's "Processing" phase.
 
         Args:
             dataset: The annotated video dataset to process.
-            timer: Optional phase timer; the work is recorded under
-                ``"keyframes"`` and ``"encoding"`` (both part of the paper's
-                "Processing" phase).
 
         Returns:
             A :class:`SummaryOutput` with key frames, patch encodings, and the
             scene label of every key frame (needed when re-encoding candidate
             frames during rerank).
         """
-        timer = timer or PhaseTimer()
         output = SummaryOutput(total_frames=dataset.num_frames)
         for video in dataset.videos:
-            with timer.phase("keyframes"):
-                keyframes = self._extractor.extract(video)
-            with timer.phase("encoding"):
-                encodings = self._encoder.encode_frames(keyframes, scene=video.scene)
+            keyframes = self._extractor.extract(video)
+            encodings = self._encoder.encode_frames(keyframes, scene=video.scene)
             output.keyframes.extend(keyframes)
             output.encodings.extend(encodings)
             output.frames_processed += video.num_frames

@@ -150,22 +150,36 @@ class LOVO:
         A subsequent :meth:`ingest` adopts the same storage.
         """
         with self._ingest_lock:
-            if self._storage is None:
-                self._storage = LOVOStorage(
-                    dim=self._config.encoder.class_embedding_dim,
-                    index_config=self._config.index,
-                    shard_config=self._config.shard,
-                )
-                self._strategy = QueryStrategy(
-                    text_encoder=self._text_encoder,
-                    reranker=self._reranker,
-                    summarizer=self._summarizer,
-                    storage=self._storage,
-                    frame_registry=self._frame_registry,
-                    frame_scene=self._frame_scene,
-                    config=self._config.query,
-                )
-            return self._storage
+            return self._storage_locked()
+
+    def _storage_locked(self) -> LOVOStorage:
+        """The storage, created empty on first use (caller holds the lock)."""
+        storage = self._storage
+        if storage is None:
+            storage = LOVOStorage(
+                dim=self._config.encoder.class_embedding_dim,
+                index_config=self._config.index,
+                shard_config=self._config.shard,
+            )
+            self._attach(storage)
+        return storage
+
+    def _attach(self, storage: LOVOStorage) -> None:
+        """Wire ``storage`` and the one query strategy that reads it.
+
+        The strategy holds the storage and the (growing) frame registry by
+        reference, so later ingests only append to them.
+        """
+        self._storage = storage
+        self._strategy = QueryStrategy(
+            text_encoder=self._text_encoder,
+            reranker=self._reranker,
+            summarizer=self._summarizer,
+            storage=storage,
+            frame_registry=self._frame_registry,
+            frame_scene=self._frame_scene,
+            config=self._config.query,
+        )
 
     def ingest(self, dataset: VideoDataset) -> SummaryOutput:
         """One-time video processing and indexing of a dataset.
@@ -174,9 +188,8 @@ class LOVO:
         datasets are appended to the same collection).
         """
         with self._ingest_lock:
-            processing_timer = PhaseTimer()
-            summary = self._summarizer.summarize(dataset, timer=processing_timer)
-            self._timer.add("processing", processing_timer.total("keyframes", "encoding"))
+            with self._timer.phase("processing"):
+                summary = self._summarizer.summarize(dataset)
             return self._apply_summary_locked(dataset.name, summary)
 
     def ingest_summary(self, dataset_name: str, summary: SummaryOutput) -> SummaryOutput:
@@ -193,15 +206,9 @@ class LOVO:
             return self._apply_summary_locked(dataset_name, summary)
 
     def _apply_summary_locked(self, dataset_name: str, summary: SummaryOutput) -> SummaryOutput:  # lovo: ignore[LOVO005] the frame registry IS the corpus; bounded by ingested data
-        if self._storage is None:
-            self._storage = LOVOStorage(
-                dim=self._config.encoder.class_embedding_dim,
-                index_config=self._config.index,
-                shard_config=self._config.shard,
-            )
-        indexing_timer = PhaseTimer()
-        self._storage.ingest(summary.keyframes, summary.encodings, timer=indexing_timer)
-        self._timer.add("indexing", indexing_timer.total("indexing"))
+        storage = self._storage_locked()
+        with self._timer.phase("indexing"):
+            storage.ingest(summary.keyframes, summary.encodings)
 
         for frame in summary.keyframes:
             self._frame_registry[frame.frame_id] = frame
@@ -216,18 +223,8 @@ class LOVO:
             self._summary.frames_processed += summary.frames_processed
             self._summary.total_frames += summary.total_frames
         self._datasets.append(dataset_name)
-
-        self._strategy = QueryStrategy(
-            text_encoder=self._text_encoder,
-            reranker=self._reranker,
-            summarizer=self._summarizer,
-            storage=self._storage,
-            frame_registry=self._frame_registry,
-            frame_scene=self._frame_scene,
-            config=self._config.query,
-        )
         # Bumped last: by the time any cache observes the new epoch, the
-        # strategy above is already serving the newly indexed data.
+        # newly indexed data and its frames are registered.
         self._data_version += 1
         return summary
 
@@ -328,11 +325,11 @@ class LOVO:
                     f"Snapshot reranker configuration is malformed: {error}"
                 ) from error
         system = cls(restored.config, reranker_config)
-        system._storage = restored.storage
+        system._attach(restored.storage)
         system._data_version = len(restored.datasets)
         for frame in restored.keyframes:
             system._frame_registry[frame.frame_id] = frame
-        system._frame_scene = dict(restored.frame_scene)
+        system._frame_scene.update(restored.frame_scene)
         system._datasets = list(restored.datasets)
         # Patch encodings are ingest-time intermediates (their vectors live
         # on in the collection), so the restored summary carries none.
@@ -341,15 +338,6 @@ class LOVO:
             frame_scene=dict(restored.frame_scene),
             frames_processed=restored.frames_processed,
             total_frames=restored.total_frames,
-        )
-        system._strategy = QueryStrategy(
-            text_encoder=system._text_encoder,
-            reranker=system._reranker,
-            summarizer=system._summarizer,
-            storage=restored.storage,
-            frame_registry=system._frame_registry,
-            frame_scene=system._frame_scene,
-            config=restored.config.query,
         )
         return system
 

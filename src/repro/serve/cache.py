@@ -9,8 +9,8 @@ reflects newly ingested data, and the LRU bound keeps memory flat.
 :class:`TTLLRUCache` is the generic mechanism — a thread-safe extension of
 :class:`repro.utils.cache.LRUCache` that stamps every entry with a deadline.
 :class:`ResultCache` specialises it for query serving: keys are the
-*normalized* query text, the retrieval depths ``(k, n)`` that shaped the
-response, and the data **epoch** the response was computed against (the
+*normalized* query text, the resolved retrieval depths ``(k, n)`` that shaped
+the response, and the data **epoch** the response was computed against (the
 system's ``data_version``), and hits are returned as fresh
 :class:`~repro.core.results.QueryResponse` objects carrying the caller's
 original text and a ``cache_hit`` marker.  The epoch component is what keeps
@@ -112,17 +112,10 @@ class ResultCache:
         )
 
     @staticmethod
-    def make_key(
-        text: str, fast_search_k: int, top_n: int, epoch: int = 0
-    ) -> Tuple[str, int, int, int]:
-        """The cache key of a query: normalized text, ``(k, n)``, and epoch."""
-        return (normalize_query_text(text), int(fast_search_k), int(top_n), int(epoch))
-
-    @staticmethod
     def key_for(
         text: str, options: QueryOptions, config: QueryConfig, epoch: int = 0
     ) -> Tuple[str, int, int, int]:
-        """The cache key of a canonical request under a query config.
+        """The cache key of a request: normalized text, resolved ``(k, n)``, epoch.
 
         Keyed on the *resolved* retrieval depths, so semantically identical
         requests collide: an explicit ``QueryOptions(top_n=40)`` and a bare
@@ -131,27 +124,10 @@ class ResultCache:
         never enters it.
         """
         fast_search_k, top_n = options.resolved(config)
-        return ResultCache.make_key(text, fast_search_k, top_n, epoch)
-
-    def get_for(
-        self, text: str, options: QueryOptions, config: QueryConfig, epoch: int = 0
-    ) -> Optional[QueryResponse]:
-        """Options-aware :meth:`get` (see :meth:`key_for`)."""
-        return self.get(text, *options.resolved(config), epoch=epoch)
-
-    def put_for(
-        self,
-        text: str,
-        options: QueryOptions,
-        config: QueryConfig,
-        response: QueryResponse,
-        epoch: int = 0,
-    ) -> None:
-        """Options-aware :meth:`put` (see :meth:`key_for`)."""
-        self.put(text, *options.resolved(config), response, epoch=epoch)
+        return (normalize_query_text(text), int(fast_search_k), int(top_n), int(epoch))
 
     def get(
-        self, text: str, fast_search_k: int, top_n: int, epoch: int = 0
+        self, text: str, options: QueryOptions, config: QueryConfig, epoch: int = 0
     ) -> Optional[QueryResponse]:
         """A fresh response object for a live cached result, else ``None``.
 
@@ -160,7 +136,7 @@ class ResultCache:
         ``cache_hit`` metadata marker, so callers can mutate their response
         without corrupting the cache.
         """
-        cached = self._cache.get(self.make_key(text, fast_search_k, top_n, epoch))
+        cached = self._cache.get(self.key_for(text, options, config, epoch))
         if cached is None:
             return None
         return QueryResponse(
@@ -173,12 +149,12 @@ class ResultCache:
     def put(
         self,
         text: str,
-        fast_search_k: int,
-        top_n: int,
+        options: QueryOptions,
+        config: QueryConfig,
         response: QueryResponse,
         epoch: int = 0,
     ) -> None:
-        """Cache a served response under its normalized key.
+        """Cache a served response under its key (see :meth:`key_for`).
 
         A defensive copy is stored, so the caller that produced ``response``
         (the cache-miss path hands its object straight to the submitter) can
@@ -190,7 +166,7 @@ class ResultCache:
             timings=dict(response.timings),
             metadata=dict(response.metadata),
         )
-        self._cache.put(self.make_key(text, fast_search_k, top_n, epoch), entry)
+        self._cache.put(self.key_for(text, options, config, epoch), entry)
 
     def clear(self) -> None:
         """Drop every cached response."""

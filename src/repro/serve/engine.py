@@ -96,6 +96,10 @@ class ServingEngine:
             "error": registry.counter(
                 "lovo_request_errors_total", "Queries that failed with an engine error."
             ),
+            "cancelled": registry.counter(
+                "lovo_requests_cancelled_total",
+                "Admitted queries cancelled before a worker took them.",
+            ),
         }
         self._latency = registry.summary(
             "lovo_request_latency_seconds", "End-to-end request latency (windowed quantiles)."
@@ -289,7 +293,7 @@ class ServingEngine:
             self._batcher.close()
             if not drain:
                 for pending in self._batcher.drain():
-                    pending.future.cancel()
+                    self._cancel(pending)
             workers = list(self._workers)
             self._workers.clear()
             self._running = False
@@ -313,7 +317,7 @@ class ServingEngine:
                 self._process_batch(leftover[start:start + size])
         else:
             for pending in leftover:
-                pending.future.cancel()
+                self._cancel(pending)
 
     def __enter__(self) -> "ServingEngine":
         return self.start()
@@ -349,7 +353,7 @@ class ServingEngine:
             # source of truth surfaced by stats()).  The lookup is pinned to
             # the system's current data epoch, so entries cached before an
             # ingest (offline or streamed) can never be served after it.
-            cached = self._cache.get_for(
+            cached = self._cache.get(
                 text, coerced.options, self._system.config.query,
                 epoch=self._data_epoch(),
             )
@@ -449,6 +453,7 @@ class ServingEngine:
             "completed_total": completed,
             "rejected_total": int(self._outcomes["rejected"].value()),
             "errors_total": int(self._outcomes["error"].value()),
+            "cancelled_total": int(self._outcomes["cancelled"].value()),
             "qps": completed / uptime if uptime > 0 else 0.0,
             # Un-windowed, like the summary's `_sum`; the quantiles are windowed.
             "latency_seconds_sum": latency["sum"],
@@ -528,6 +533,18 @@ class ServingEngine:
         self._slo.record_request(latency, ok, trace_id=trace_id, outcome=outcome)
         return trace_id
 
+    def _cancel(self, pending: PendingQuery) -> None:
+        """Settle an admitted request that no worker will run, as cancelled.
+
+        Called once per request, when it leaves the batcher unrun: from
+        :meth:`stop` without drain, or from a worker that finds the caller
+        already cancelled it (``query_many`` after a rejection).  A caller's
+        cancellation is not a service failure, so the SLOs do not see it.
+        """
+        pending.future.cancel()
+        self._outcomes["cancelled"].inc()
+        self._tracer.finish(pending.trace, outcome="cancelled")
+
     def _backend_status(self) -> Dict[str, object]:
         """Backend topology (shard/replica health) for ``stats``/``healthz``."""
         # AttributeError covers duck-typed stand-in systems without storage.
@@ -546,10 +563,12 @@ class ServingEngine:
             self._process_batch(batch)
 
     def _process_batch(self, batch: List[PendingQuery]) -> None:
-        live = [
-            pending for pending in batch
-            if pending.future.set_running_or_notify_cancel()
-        ]
+        live = []
+        for pending in batch:
+            if pending.future.set_running_or_notify_cancel():
+                live.append(pending)
+            else:
+                self._cancel(pending)
         if not live:
             return
         # The queue-wait span: admission (stamped by the submitting thread)
@@ -608,7 +627,7 @@ class ServingEngine:
             if trace_id is not None:
                 response.metadata["trace_id"] = trace_id
             if self._cache is not None and not options.explain:
-                self._cache.put_for(
+                self._cache.put(
                     pending.text, options, query_config, response, epoch=epoch
                 )
             self._settle(pending.trace, now - pending.enqueued_at)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -141,12 +141,7 @@ class ShardedCollection:
                 f"Id {external_id!r} not found in collection {self._name!r}"
             ) from error
 
-    def insert(
-        self,
-        ids: Sequence[str],
-        vectors: np.ndarray,
-        metadata: Optional[Sequence[Mapping[str, object]]] = None,
-    ) -> None:
+    def insert(self, ids: Sequence[str], vectors: np.ndarray) -> None:
         """Partition entities across shards; same contract as the unsharded insert."""
         data = np.asarray(vectors, dtype=np.float64)
         if data.ndim == 1:
@@ -157,8 +152,6 @@ class ShardedCollection:
             raise VectorDatabaseError(
                 f"Collection {self._name!r} stores {self._dim}-d vectors, got {data.shape[1]}-d"
             )
-        if metadata is not None and len(metadata) != len(ids):
-            raise VectorDatabaseError("metadata length must match ids length")
         batch_ids = [str(external_id) for external_id in ids]
         with self._write_lock:
             seen = set()
@@ -188,11 +181,7 @@ class ShardedCollection:
                     if positions.size == 0:
                         continue
                     self._primaries[shard].insert(
-                        [batch_ids[int(p)] for p in positions],
-                        data[positions],
-                        [metadata[int(p)] for p in positions]
-                        if metadata is not None
-                        else None,
+                        [batch_ids[int(p)] for p in positions], data[positions]
                     )
             except BaseException:
                 # A failed batch must not leave ghost bookkeeping behind.
@@ -325,10 +314,6 @@ class ShardedCollection:
         """Return the stored vector for an id (routed to its shard)."""
         return self._primaries[self.shard_of(external_id)].get_vector(external_id)
 
-    def get_metadata(self, external_id: str) -> Mapping[str, object]:
-        """Return the metadata dict stored for an id (routed to its shard)."""
-        return self._primaries[self.shard_of(external_id)].get_metadata(external_id)
-
     def ids(self) -> List[str]:
         """All external ids in global insertion order."""
         return list(self._order)
@@ -424,23 +409,6 @@ class ShardedDatabase:
         )
         self._collections[name] = collection
         return collection
-
-    def add_collection(self, collection: VectorCollection) -> ShardedCollection:
-        """Adopt a single collection by re-partitioning its entities.
-
-        Ids, vectors, and metadata are re-inserted across this database's
-        shards in their original insertion order, so index training (and
-        therefore search results) match the original.
-        """
-        sharded = self.create_collection(collection.name, collection.dim, collection.config)
-        order = collection.ids()
-        if order:
-            sharded.insert(
-                order,
-                np.vstack([collection.get_vector(external_id) for external_id in order]),
-                [collection.get_metadata(external_id) for external_id in order],
-            )
-        return sharded
 
     def get_collection(self, name: str) -> ShardedCollection:
         """Fetch an existing sharded collection by name."""

@@ -41,7 +41,6 @@ from repro.errors import StreamBackpressureError, StreamClosedError, StreamError
 from repro.obs.quality import DriftMonitor
 from repro.obs.registry import REGISTRY, MetricsRegistry
 from repro.utils.locking import create_condition, create_lock
-from repro.utils.timing import PhaseTimer
 from repro.video.model import VideoDataset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -373,9 +372,7 @@ class StreamingIngestor:
                 self._pacer.throttle()
             encode_start = time.perf_counter()
             try:
-                summary = self._system.summarizer.summarize(
-                    dataset, timer=PhaseTimer()
-                )
+                summary = self._system.summarizer.summarize(dataset)
                 encode_end = time.perf_counter()
             except BaseException as error:  # noqa: BLE001 - resolve the ticket
                 if self._pacer is not None:

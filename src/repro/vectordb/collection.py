@@ -2,15 +2,18 @@
 
 A collection is the Milvus-style unit the rest of the system talks to: it
 owns an ANN index (Flat, IVF-PQ, or HNSW per its :class:`~repro.config.
-IndexConfig`), maps external string ids (patch ids) to internal integer ids,
-and carries an optional metadata dict per entity for convenience.
+IndexConfig`) and maps external string ids (patch ids) to internal integer
+ids.  It stores nothing else per entity: what a patch id refers to (its key
+frame, video and box) lives in the relational
+:class:`~repro.vectordb.metadata.MetadataStore`, which
+:class:`~repro.core.storage.LOVOStorage` joins to search hits by patch id.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Type
+from typing import Dict, List, Mapping, Sequence, Type
 
 import numpy as np
 
@@ -32,7 +35,11 @@ from repro.utils.locking import create_rlock
 
 @dataclass(frozen=True)
 class SearchHit:
-    """One collection search result."""
+    """One search result.
+
+    A collection leaves ``metadata`` empty; :class:`~repro.core.storage.
+    LOVOStorage` fills it with the hit's ``frame_id`` and ``video_id``.
+    """
 
     id: str
     score: float
@@ -85,7 +92,6 @@ class VectorCollection:
         self._index = build_index(dim, self._config)
         self._external_to_internal: Dict[str, int] = {}
         self._internal_to_external: List[str] = []
-        self._metadata: List[Mapping[str, object]] = []
         self._vectors: List[np.ndarray] = []
         self._built = False
         self._insert_lock = create_rlock("VectorCollection._insert_lock")
@@ -115,11 +121,8 @@ class VectorCollection:
         """Number of stored vectors."""
         return len(self._internal_to_external)
 
-    def insert(  # lovo: ignore[LOVO005] the id maps/metadata/vectors ARE the stored corpus
-        self,
-        ids: Sequence[str],
-        vectors: np.ndarray,
-        metadata: Optional[Sequence[Mapping[str, object]]] = None,
+    def insert(  # lovo: ignore[LOVO005] the id maps and vectors ARE the stored corpus
+        self, ids: Sequence[str], vectors: np.ndarray
     ) -> None:
         """Insert entities; ids must be unique within the collection."""
         data = np.asarray(vectors, dtype=np.float64)
@@ -133,15 +136,13 @@ class VectorCollection:
             raise VectorDatabaseError(
                 f"Collection {self._name!r} stores {self._dim}-d vectors, got {data.shape[1]}-d"
             )
-        if metadata is not None and len(metadata) != len(ids):
-            raise VectorDatabaseError("metadata length must match ids length")
 
         # Writers are serialised; concurrent searches stay lock-free.  The id
-        # maps and metadata are appended *before* the index sees the new
+        # maps and vectors are appended *before* the index sees the new
         # internal ids, so any hit a racing search gets back from the index
-        # already resolves to a complete (external id, metadata, vector) row —
-        # never a torn read.  Every id is checked before anything is written,
-        # so a rejected batch leaves the collection exactly as it was.
+        # already resolves to a complete (external id, vector) row — never a
+        # torn read.  Every id is checked before anything is written, so a
+        # rejected batch leaves the collection exactly as it was.
         with self._insert_lock:
             seen = set()
             for external_id in ids:
@@ -154,7 +155,6 @@ class VectorCollection:
             for position, external_id in enumerate(ids):
                 self._external_to_internal[external_id] = start + position
                 self._internal_to_external.append(external_id)
-                self._metadata.append(dict(metadata[position]) if metadata is not None else {})
                 self._vectors.append(data[position])
             self._index.add(list(range(start, start + len(ids))), data)
             self._built = False
@@ -211,21 +211,13 @@ class VectorCollection:
             top = np.argpartition(-row, k - 1)[:k]
             top = top[np.argsort(-row[top])]
             results.append([
-                SearchHit(
-                    id=self._internal_to_external[int(i)],
-                    score=float(row[i]),
-                    metadata=self._metadata[int(i)],
-                )
+                SearchHit(id=self._internal_to_external[int(i)], score=float(row[i]))
                 for i in top
             ])
         return results
 
     def _to_search_hit(self, hit: IndexHit) -> SearchHit:
-        return SearchHit(
-            id=self._internal_to_external[hit.id],
-            score=hit.score,
-            metadata=self._metadata[hit.id],
-        )
+        return SearchHit(id=self._internal_to_external[hit.id], score=hit.score)
 
     def _as_query_matrix(self, queries: np.ndarray) -> np.ndarray:
         return as_query_matrix(
@@ -242,23 +234,12 @@ class VectorCollection:
             ) from error
         return self._vectors[internal]
 
-    def get_metadata(self, external_id: str) -> Mapping[str, object]:
-        """Return the metadata dict stored for an id."""
-        try:
-            internal = self._external_to_internal[external_id]
-        except KeyError as error:
-            raise VectorDatabaseError(
-                f"Id {external_id!r} not found in collection {self._name!r}"
-            ) from error
-        return self._metadata[internal]
-
     def ids(self) -> List[str]:
         """All external ids in insertion order."""
         return list(self._internal_to_external)
 
     def save(self, path: str | Path) -> None:
-        """Persist the collection (vectors, ids, metadata, built index) to a
-        directory.
+        """Persist the collection (vectors, ids, built index) to a directory.
 
         The index is finalised first so the serialised state answers queries
         identically to the in-memory collection; :meth:`load` restores it
@@ -280,7 +261,6 @@ class VectorCollection:
                 "num_entities": self.num_entities,
                 "index_config": asdict(self._config),
                 "index_meta": index_meta,
-                "entity_metadata": [dict(entry) for entry in self._metadata],
             },
         )
         entities: Dict[str, np.ndarray] = {
@@ -310,7 +290,9 @@ class VectorCollection:
         collection = cls(str(document["name"]), int(document["dim"]), config)
         entities = load_arrays(root / "entities.npz")
         ids = [str(external_id) for external_id in entities["ids"]]
-        metadata = document.get("entity_metadata") or []
+        # Snapshots written while collections kept per-entity metadata also
+        # carry an "entity_metadata" list; it duplicates the metadata store
+        # and is ignored.
         index_meta = document.get("index_meta")
         index_arrays = None
         if ids:
@@ -334,10 +316,11 @@ class VectorCollection:
                 f"Collection {document['name']!r} vectors must have shape "
                 f"(n, {collection._dim}), got {vectors.shape}"
             )
-        if not (len(ids) == vectors.shape[0] == len(metadata) == int(document["num_entities"])):
+        if not (len(ids) == vectors.shape[0] == int(document["num_entities"])):
             raise SnapshotCorruptionError(
                 f"Collection {document['name']!r} snapshot is inconsistent: "
-                f"{len(ids)} ids, {vectors.shape[0]} vectors, {len(metadata)} metadata entries"
+                f"{len(ids)} ids, {vectors.shape[0]} vectors, "
+                f"{document['num_entities']} entities declared"
             )
         collection._internal_to_external = ids
         collection._external_to_internal = {
@@ -347,7 +330,6 @@ class VectorCollection:
             raise SnapshotCorruptionError(
                 f"Collection {document['name']!r} snapshot contains duplicate ids"
             )
-        collection._metadata = [dict(entry) for entry in metadata]
         collection._vectors = [row for row in vectors]
         if ids:
             assert index_meta is not None and index_arrays is not None

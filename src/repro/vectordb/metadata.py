@@ -4,8 +4,9 @@ The paper keeps "supplementary metadata such as key frame identifiers and
 bounding box coordinates ... in a relational database" linked to the vector
 database "through the shared patch ID" (§V-B).  This module implements that
 relational side with SQLite (standard library), storing key frames and patch
-records and answering the lookups the query strategy needs: patch → frame /
-bounding box, and frame → all of its patch detections.
+records and answering the lookups the query strategy needs: patch → frame and
+video (joined onto every search hit, one statement per chunk of ids) and
+patch → bounding box.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +44,12 @@ class FrameRecord:
     video_id: str
     frame_index: int
     timestamp: float
+
+
+#: Patch ids bound per ``IN (...)`` lookup statement in
+#: :meth:`MetadataStore.patch_frames`; some SQLite builds allow at most 999
+#: bound variables in one statement.
+LOOKUP_CHUNK = 900
 
 
 def _string_array(values: Sequence[str]) -> np.ndarray:
@@ -105,9 +112,6 @@ class MetadataStore:
                 )
                 """
             )
-            self._connection.execute(
-                "CREATE INDEX IF NOT EXISTS idx_patches_frame ON patches (frame_id)"
-            )
 
     def add_frames(self, frames: Iterable[FrameRecord]) -> None:
         """Insert (or replace) key-frame records."""
@@ -160,18 +164,29 @@ class MetadataStore:
             raise MetadataError(f"Patch {patch_id!r} not found in metadata store")
         return self._row_to_patch(row)
 
-    def get_patches(self, patch_ids: Sequence[str]) -> List[PatchRecord]:
-        """Fetch several patch records, preserving the requested order."""
-        return [self.get_patch(patch_id) for patch_id in patch_ids]
+    def patch_frames(self, patch_ids: Sequence[str]) -> Dict[str, Tuple[str, str]]:
+        """``patch_id -> (frame_id, video_id)`` for every requested id.
 
-    def patches_for_frame(self, frame_id: str) -> List[PatchRecord]:
-        """All patch records stored for a frame, ordered by patch index."""
-        rows = self._fetchall(
-            "SELECT patch_id, frame_id, video_id, patch_index, x, y, w, h, objectness "
-            "FROM patches WHERE frame_id = ? ORDER BY patch_index",
-            (frame_id,),
-        )
-        return [self._row_to_patch(row) for row in rows]
+        One ``SELECT ... WHERE patch_id IN (...)`` per :data:`LOOKUP_CHUNK`
+        ids, all under one lock hold.  Raises :class:`MetadataError` naming
+        the first id without a row: a stored vector always has one.
+        """
+        ids = list(patch_ids)
+        found: Dict[str, Tuple[str, str]] = {}
+        with self._lock:
+            for start in range(0, len(ids), LOOKUP_CHUNK):
+                chunk = ids[start:start + LOOKUP_CHUNK]
+                rows = self._connection.execute(
+                    "SELECT patch_id, frame_id, video_id FROM patches "
+                    f"WHERE patch_id IN ({', '.join('?' * len(chunk))})",
+                    chunk,
+                ).fetchall()
+                for patch_id, frame_id, video_id in rows:
+                    found[patch_id] = (frame_id, video_id)
+        if len(found) < len(set(ids)):
+            missing = next(patch_id for patch_id in ids if patch_id not in found)
+            raise MetadataError(f"Patch {missing!r} not found in metadata store")
+        return found
 
     def get_frame(self, frame_id: str) -> Optional[FrameRecord]:
         """Fetch a frame record, or ``None`` if it was never stored."""

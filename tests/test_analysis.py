@@ -886,7 +886,7 @@ class _StreamStub:
         )
         self.summarizer = SimpleNamespace(summarize=self._summarize)
 
-    def _summarize(self, dataset, timer=None) -> SummaryOutput:
+    def _summarize(self, dataset) -> SummaryOutput:
         if self.errors:
             raise self.errors.pop(0)
         return SummaryOutput()

@@ -16,6 +16,7 @@ from repro.shard.database import ShardedDatabase
 from repro.utils.geometry import BoundingBox
 from repro.vectordb.collection import VectorCollection
 from repro.vectordb.database import VectorDatabase
+from repro.vectordb import metadata as metadata_module
 from repro.vectordb.metadata import FrameRecord, MetadataStore, PatchRecord
 
 
@@ -34,10 +35,11 @@ class TestVectorCollection:
     def test_insert_and_search(self):
         collection = self.make()
         vectors = unit_vectors(20, 16)
-        collection.insert([f"p{i}" for i in range(20)], vectors, [{"frame": i} for i in range(20)])
+        collection.insert([f"p{i}" for i in range(20)], vectors)
         hits = collection.search(vectors[3], 5)
         assert hits[0].id == "p3"
-        assert hits[0].metadata["frame"] == 3
+        # A collection stores ids and vectors only; LOVOStorage joins the rest.
+        assert all(hit.metadata == {} for hit in hits)
 
     def test_duplicate_ids_rejected(self):
         collection = self.make()
@@ -50,10 +52,11 @@ class TestVectorCollection:
         with pytest.raises(VectorDatabaseError):
             collection.insert(["a"], unit_vectors(1, 8))
 
-    def test_metadata_length_checked(self):
+    def test_id_count_checked(self):
         collection = self.make()
-        with pytest.raises(VectorDatabaseError):
-            collection.insert(["a", "b"], unit_vectors(2, 16), metadata=[{}])
+        with pytest.raises(VectorDatabaseError, match="Got 2 ids for 3 vectors"):
+            collection.insert(["a", "b"], unit_vectors(3, 16))
+        assert collection.num_entities == 0
 
     def test_empty_collection_search(self):
         assert self.make().search(np.ones(16), 3) == []
@@ -65,12 +68,11 @@ class TestVectorCollection:
         exhaustive = collection.search_exhaustive(vectors[5], 1)
         assert exhaustive[0].id == "p5"
 
-    def test_get_vector_and_metadata(self):
+    def test_get_vector(self):
         collection = self.make()
         vectors = unit_vectors(3, 16)
-        collection.insert(["a", "b", "c"], vectors, [{"k": 1}, {"k": 2}, {"k": 3}])
+        collection.insert(["a", "b", "c"], vectors)
         np.testing.assert_allclose(collection.get_vector("b"), vectors[1])
-        assert collection.get_metadata("c")["k"] == 3
         with pytest.raises(VectorDatabaseError):
             collection.get_vector("missing")
 
@@ -193,16 +195,6 @@ class TestMetadataStore:
         with pytest.raises(MetadataError):
             MetadataStore().get_patch("nope")
 
-    def test_patches_for_frame_ordered(self):
-        store = MetadataStore()
-        records = [
-            PatchRecord(f"f0/p{i}", "f0", "v0", i, BoundingBox(0, 0, 0.1, 0.1), 0.1)
-            for i in reversed(range(5))
-        ]
-        store.add_patches(records)
-        fetched = store.patches_for_frame("f0")
-        assert [record.patch_index for record in fetched] == list(range(5))
-
     def test_frames_round_trip(self):
         store = MetadataStore()
         store.add_frames([FrameRecord("f0", "v0", 0, 0.0), FrameRecord("f1", "v0", 1, 0.033)])
@@ -216,11 +208,24 @@ class TestMetadataStore:
         store.add_patches([self.patch(), self.patch("f0/p1")])
         assert store.count_patches() == 2
 
-    def test_get_patches_preserves_order(self):
+    def test_patch_frames_one_statement_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(metadata_module, "LOOKUP_CHUNK", 2)
         store = MetadataStore()
-        store.add_patches([self.patch("a"), self.patch("b")])
-        records = store.get_patches(["b", "a"])
-        assert [record.patch_id for record in records] == ["b", "a"]
+        store.add_patches(
+            [self.patch(f"p{i}", frame_id=f"f{i % 2}") for i in range(5)]
+        )
+        statements = []
+        store._connection.set_trace_callback(statements.append)
+        found = store.patch_frames(["p4", "p0", "p3", "p1", "p2"])
+        assert found == {f"p{i}": (f"f{i % 2}", "v0") for i in range(5)}
+        assert len(statements) == 3  # ceil(5 / 2)
+        assert store.patch_frames([]) == {}
+
+    def test_patch_frames_missing_row_raises(self):
+        store = MetadataStore()
+        store.add_patches([self.patch("a")])
+        with pytest.raises(MetadataError, match="'b'"):
+            store.patch_frames(["a", "b", "a"])
 
     def test_context_manager_closes(self, tmp_path):
         with MetadataStore(tmp_path / "meta.db") as store:

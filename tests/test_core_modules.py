@@ -10,9 +10,8 @@ from repro.config import QueryConfig
 from repro.core.results import ObjectQueryResult, QueryResponse, merge_timings
 from repro.core.storage import LOVOStorage
 from repro.core.summary import VideoSummarizer
-from repro.errors import QueryError, VectorDatabaseError
+from repro.errors import MetadataError, QueryError, VectorDatabaseError
 from repro.utils.geometry import BoundingBox, box_array
-from repro.utils.timing import PhaseTimer
 from tests.conftest import small_config
 
 
@@ -48,15 +47,12 @@ class TestResults:
 class TestVideoSummarizer:
     def test_summary_counts(self, bellevue_small, tiny_config):
         summarizer = VideoSummarizer(tiny_config)
-        timer = PhaseTimer()
-        output = summarizer.summarize(bellevue_small, timer=timer)
+        output = summarizer.summarize(bellevue_small)
         assert output.total_frames == bellevue_small.num_frames
         assert 0 < output.num_keyframes < bellevue_small.num_frames
         patches_per_frame = tiny_config.encoder.patch_grid ** 2
         assert output.num_entities == output.num_keyframes * patches_per_frame
         assert set(output.frame_scene.values()) == {"bellevue"}
-        assert timer.totals["keyframes"] >= 0
-        assert timer.totals["encoding"] > 0
 
     def test_keyframes_subset_of_dataset(self, bellevue_small, tiny_config):
         output = VideoSummarizer(tiny_config).summarize(bellevue_small)
@@ -107,11 +103,23 @@ class TestStorage:
         exact = storage.search(query, 1, use_ann=False)
         assert exact[0].id == output.encodings[10].patch_id
 
-    def test_patches_for_frame(self, bellevue_small, tiny_config):
+    @pytest.mark.parametrize("use_ann", [True, False])
+    def test_hits_are_joined_to_their_metadata_rows(self, bellevue_small, tiny_config, use_ann):
         storage, output = self.build_storage(bellevue_small, tiny_config)
-        frame_id = output.keyframes[0].frame_id
-        patches = storage.patches_for_frame(frame_id)
-        assert len(patches) == tiny_config.encoder.patch_grid ** 2
+        queries = np.stack([encoding.class_embedding for encoding in output.encodings[:3]])
+        for hits in storage.search_batch(queries, 20, use_ann=use_ann):
+            assert len(hits) == 20
+            for hit in hits:
+                record = storage.patch_record(hit.id)
+                assert hit.metadata == {"frame_id": record.frame_id, "video_id": record.video_id}
+
+    def test_hit_without_metadata_row_raises(self, bellevue_small, tiny_config):
+        storage, output = self.build_storage(bellevue_small, tiny_config)
+        # A vector whose row was never written (ingest writes rows first).
+        probe = output.encodings[0].class_embedding
+        storage.collection.insert(["orphan"], probe[None, :])
+        with pytest.raises(MetadataError, match="orphan"):
+            storage.search(probe, storage.num_entities)
 
     def test_storage_report(self, bellevue_small, tiny_config):
         storage, _ = self.build_storage(bellevue_small, tiny_config)
@@ -166,6 +174,10 @@ class TestLOVOSystem:
         distribution = lovo_system.time_distribution()
         assert set(distribution) == {"processing", "rerank", "indexing_fast_search"}
         assert distribution["processing"] > 0
+        assert distribution["indexing_fast_search"] > 0
+        # One processing and one indexing interval per ingest.
+        assert lovo_system.timer.counts["processing"] == 1
+        assert lovo_system.timer.counts["indexing"] == 1
 
     def test_storage_report_and_counts(self, lovo_system, bellevue_small, tiny_config):
         report = lovo_system.storage_report()

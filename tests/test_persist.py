@@ -470,6 +470,71 @@ class TestUnshardedLayout:
         assert_same_answers(store.load_system(), system)
 
 
+def write_entity_metadata(root: Path, system: LOVO) -> None:
+    """Make a fresh snapshot look like one written while vector collections
+    kept per-entity metadata: every shard's ``collection.json`` gets the
+    ``entity_metadata`` list (each entity's frame and video, in insertion
+    order), and the manifest is rewritten to match."""
+    paths = list((root / "storage" / "vectordb").rglob("collection.json"))
+    assert paths
+    for path in paths:
+        ids = [str(i) for i in np.load(path.parent / "entities.npz")["ids"].tolist()]
+        rows = system.storage.metadata.patch_frames(ids)
+        entries = [
+            {"frame_id": rows[patch_id][0], "video_id": rows[patch_id][1]}
+            for patch_id in ids
+        ]
+        _update_json(path, lambda document, entries=entries: document.update(
+            entity_metadata=entries
+        ))
+    rewrite_manifest(root)
+
+
+@pytest.mark.parametrize("num_shards", [1, 3])
+@pytest.mark.parametrize("index_type", ["flat", "ivfpq", "hnsw"])
+class TestEntityMetadataLayout:
+    """Snapshots whose collections still store per-entity metadata load;
+    the stored list is ignored and the answers equal the live system's."""
+
+    @staticmethod
+    def system(index_type: str, num_shards: int) -> LOVO:
+        return LOVO(persist_config(index_type).with_overrides(
+            shard=ShardConfig(num_shards=num_shards)
+        ))
+
+    def test_old_snapshot_answers_equal_live(self, tmp_path, index_type, num_shards):
+        system = self.system(index_type, num_shards)
+        system.ingest(make_bellevue(num_videos=1, frames_per_video=80))
+        system.ingest(make_cityscapes(num_videos=1, frames_per_video=60, seed=1))
+        system.save(tmp_path / "old")
+        write_entity_metadata(tmp_path / "old", system)
+        assert "entity_metadata" in next(
+            (tmp_path / "old").rglob("collection.json")
+        ).read_text()
+        loaded = LOVO.load(tmp_path / "old")
+        assert_same_answers(loaded, system)
+        # Saving again drops the list.
+        loaded.save(tmp_path / "new")
+        for path in (tmp_path / "new").rglob("collection.json"):
+            assert "entity_metadata" not in json.loads(path.read_text())
+        assert_same_answers(LOVO.load(tmp_path / "new"), system)
+
+    def test_delta_store_over_old_snapshot_base(self, tmp_path, index_type, num_shards):
+        system = self.system(index_type, num_shards)
+        system.ingest(make_bellevue(num_videos=1, frames_per_video=80))
+        store = DeltaSnapshotStore(tmp_path / "store")
+        store.initialize(system)
+        write_entity_metadata(store.base_path, system)
+        ingestor = StreamingIngestor(system, delta_store=store).start()
+        try:
+            segment = make_cityscapes(num_videos=1, frames_per_video=60, seed=1)
+            ingestor.submit(segment).result(timeout=120)
+        finally:
+            ingestor.stop()
+        assert len(store.deltas()) == 1
+        assert_same_answers(store.load_system(), system)
+
+
 class TestRetiredRerankerField:
     """``extra_relation_checks`` was a reranker field that nothing read;
     snapshots store it as ``{}``."""
@@ -505,14 +570,17 @@ class TestVectorLayers:
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         collection = VectorCollection("patches", 16, IndexConfig(index_type="flat"))
         ids = [f"p{i:03d}" for i in range(40)]
-        collection.insert(ids, vectors, [{"frame_id": f"f{i % 5}"} for i in range(40)])
+        collection.insert(ids, vectors)
         collection.save(tmp_path / "col")
         loaded = VectorCollection.load(tmp_path / "col")
         query = vectors[7]
         assert [(h.id, h.score) for h in loaded.search(query, 5)] == [
             (h.id, h.score) for h in collection.search(query, 5)
         ]
-        assert loaded.get_metadata("p003") == collection.get_metadata("p003")
+        assert loaded.ids() == ids
+        assert np.array_equal(loaded.get_vector("p003"), collection.get_vector("p003"))
+        document = json.loads((tmp_path / "col" / "collection.json").read_text())
+        assert "entity_metadata" not in document
         # Inserting after a load must extend, not clobber, the restored state.
         extra = rng.normal(size=(4, 16))
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)

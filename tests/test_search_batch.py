@@ -19,11 +19,13 @@ from repro.config import IndexConfig, ShardConfig
 from repro.core.storage import LOVOStorage
 from repro.errors import DimensionMismatchError
 from repro.shard.database import ShardedDatabase
+from repro.utils.geometry import BoundingBox
 from repro.vectordb.base import VectorIndex
 from repro.vectordb.collection import VectorCollection
 from repro.vectordb.flat import FlatIndex
 from repro.vectordb.hnsw import HNSWIndex
 from repro.vectordb.ivfpq import IVFPQIndex
+from repro.vectordb.metadata import PatchRecord
 
 DIM = 32
 
@@ -140,8 +142,16 @@ def make_store(kind: str, populated: bool):
     else:
         store = LOVOStorage(DIM, config)
     if populated:
-        target = store.collection if kind == "storage" else store
-        target.insert([f"p{i}" for i in range(60)], unit_vectors(60))
+        ids = [f"p{i}" for i in range(60)]
+        if kind == "storage":
+            # Rows first, as LOVOStorage.ingest writes them: hits join to them.
+            store.metadata.add_patches(
+                PatchRecord(patch_id, f"f{i // 6}", "v0", i % 6, BoundingBox(0, 0, 1, 1), 0.5)
+                for i, patch_id in enumerate(ids)
+            )
+            store.collection.insert(ids, unit_vectors(60))
+        else:
+            store.insert(ids, unit_vectors(60))
     return store
 
 
@@ -210,7 +220,7 @@ class TestCollectionBatch:
     def test_collection_search_batch_parity(self):
         vectors = unit_vectors(120)
         collection = VectorCollection("c", DIM, IndexConfig(index_type="flat"))
-        collection.insert([f"p{i}" for i in range(120)], vectors, [{"i": i} for i in range(120)])
+        collection.insert([f"p{i}" for i in range(120)], vectors)
         queries = unit_vectors(5, seed=4)
         batched = collection.search_batch(queries, 6)
         assert len(batched) == 5
@@ -222,7 +232,19 @@ class TestCollectionBatch:
                 [hit.score for hit in hits],
                 rtol=1e-9,
             )
-            assert all(hit.metadata for hit in hits)
+
+    def test_storage_search_batch_parity_and_metadata(self):
+        storage = make_store("storage", populated=True)
+        queries = unit_vectors(5, seed=4)
+        for use_ann in (True, False):
+            batched = storage.search_batch(queries, 6, use_ann=use_ann)
+            assert len(batched) == 5
+            for row, hits in zip(queries, batched):
+                assert storage.search(row, 6, use_ann=use_ann) == hits
+                assert all(hit.metadata for hit in hits)
+                for hit in hits:
+                    index = int(hit.id[1:])
+                    assert hit.metadata == {"frame_id": f"f{index // 6}", "video_id": "v0"}
 
     def test_collection_exhaustive_batch_parity(self):
         vectors = unit_vectors(90)

@@ -19,6 +19,7 @@ from typing import List, Sequence
 import pytest
 
 from repro import LOVO, LOVOConfig, ServeConfig
+from repro.config import QueryConfig
 from repro.core.query import QueryOptions, QueryRequest
 from repro.core.results import BatchQueryResponse, QueryResponse
 from repro.errors import (
@@ -202,13 +203,18 @@ class TestTTLLRUCache:
             TTLLRUCache(maxsize=4, ttl_seconds=0.0)
 
 
+def depths(fast_search_k: int, top_n: int) -> tuple:
+    """``(options, config)`` whose resolved depths are ``(fast_search_k, top_n)``."""
+    return QueryOptions(fast_search_k=fast_search_k, top_n=top_n), QueryConfig()
+
+
 class TestResultCache:
     def test_normalization_shares_entries(self):
         clock = FakeClock()
         cache = ResultCache(maxsize=8, ttl_seconds=10.0, clock=clock)
         response = QueryResponse(query="a red car", timings={"fast_search": 1.0})
-        cache.put("a red car", 128, 40, response)
-        hit = cache.get("  A  RED   Car ", 128, 40)
+        cache.put("a red car", *depths(128, 40), response)
+        hit = cache.get("  A  RED   Car ", *depths(128, 40))
         assert hit is not None
         assert hit.query == "  A  RED   Car "
         assert hit.metadata["cache_hit"] is True
@@ -216,18 +222,18 @@ class TestResultCache:
 
     def test_depths_are_part_of_the_key(self):
         cache = ResultCache(maxsize=8, ttl_seconds=10.0)
-        cache.put("q", 128, 40, QueryResponse(query="q"))
-        assert cache.get("q", 128, 20) is None
-        assert cache.get("q", 64, 40) is None
-        assert cache.get("q", 128, 40) is not None
+        cache.put("q", *depths(128, 40), QueryResponse(query="q"))
+        assert cache.get("q", *depths(128, 20)) is None
+        assert cache.get("q", *depths(64, 40)) is None
+        assert cache.get("q", *depths(128, 40)) is not None
 
     def test_hit_is_isolated_copy(self):
         cache = ResultCache(maxsize=8, ttl_seconds=10.0)
-        cache.put("q", 128, 40, QueryResponse(query="q", timings={"x": 1.0}))
-        first = cache.get("q", 128, 40)
+        cache.put("q", *depths(128, 40), QueryResponse(query="q", timings={"x": 1.0}))
+        first = cache.get("q", *depths(128, 40))
         first.timings["x"] = 999.0
         first.metadata["poison"] = True
-        second = cache.get("q", 128, 40)
+        second = cache.get("q", *depths(128, 40))
         assert second.timings["x"] == 1.0
         assert "poison" not in second.metadata
 
@@ -236,10 +242,10 @@ class TestResultCache:
         # it in the cache; mutating it must not corrupt later hits.
         cache = ResultCache(maxsize=8, ttl_seconds=10.0)
         produced = QueryResponse(query="q", timings={"x": 1.0})
-        cache.put("q", 128, 40, produced)
+        cache.put("q", *depths(128, 40), produced)
         produced.timings.clear()
         produced.results.append("garbage")
-        hit = cache.get("q", 128, 40)
+        hit = cache.get("q", *depths(128, 40))
         assert hit.timings == {"x": 1.0}
         assert hit.results == []
 
@@ -310,18 +316,55 @@ class TestServiceMetrics:
         )
         return engine.start(), stub
 
+    @staticmethod
+    def _settled_counts(engine: ServingEngine) -> tuple:
+        """``(requests, completed, rejected, errors, cancelled)``, after
+        checking that every counted request has exactly one outcome."""
+        stats = engine.stats()
+        outcomes = ("completed_total", "rejected_total", "errors_total", "cancelled_total")
+        assert stats["requests_total"] == sum(stats[key] for key in outcomes)
+        return (stats["requests_total"], *(stats[key] for key in outcomes))
+
     def test_every_counted_request_is_settled(self):
         engine, stub = self._fixed_sequence_engine()
         self._drive_fixed_sequence(engine, stub)
+        assert self._settled_counts(engine) == (7, 5, 1, 1, 0)
         stats = engine.stats()
-        assert stats["requests_total"] == (
-            stats["completed_total"] + stats["rejected_total"] + stats["errors_total"]
-        )
-        assert (stats["requests_total"], stats["completed_total"],
-                stats["rejected_total"], stats["errors_total"]) == (7, 5, 1, 1)
         assert stats["batches"] == {
             "executed": 3, "mean_size": 5 / 3, "histogram": {"1": 2, "3": 1},
         }
+
+    def test_query_many_cancellations_are_settled(self):
+        stub = StubSystem(block=True)
+        with stub_engine(stub, max_batch_size=1, queue_size=2) as engine:
+            held = engine.submit("held")
+            assert stub.started.wait(timeout=5.0)
+            # "c" is rejected; the admitted "a" and "b" are cancelled.
+            with pytest.raises(ServiceOverloadedError):
+                engine.query_many(["a", "b", "c"], timeout=5.0)
+            stub.release.set()
+            held.result(timeout=5.0)
+        assert self._settled_counts(engine) == (4, 1, 1, 0, 2)
+
+    def test_non_draining_stop_cancellations_are_settled(self):
+        stub = StubSystem(block=True)
+        engine = stub_engine(stub, max_batch_size=1, queue_size=8).start()
+        held = engine.submit("held")
+        assert stub.started.wait(timeout=5.0)
+        queued = [engine.submit(f"q{i}") for i in range(3)]
+        # One queued request was already cancelled by its caller; it is
+        # still settled once, as cancelled.
+        assert queued[0].cancel()
+        stopper = threading.Thread(target=lambda: engine.stop(drain=False))
+        stopper.start()
+        deadline = time.monotonic() + 5.0
+        while not all(f.cancelled() for f in queued) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        stub.release.set()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive()
+        held.result(timeout=5.0)
+        assert self._settled_counts(engine) == (4, 1, 0, 0, 3)
 
     def test_stats_and_scrape_agree(self):
         engine, stub = self._fixed_sequence_engine()
@@ -351,6 +394,7 @@ class TestServiceMetrics:
             ("completed_total", "lovo_requests_completed_total"),
             ("rejected_total", "lovo_requests_rejected_total"),
             ("errors_total", "lovo_request_errors_total"),
+            ("cancelled_total", "lovo_requests_cancelled_total"),
         ):
             assert type(stats[key]) is int
             assert scrape[family]["type"] == "counter"

@@ -58,9 +58,8 @@ def make_data(seed: int = 7, count: int = NUM_VECTORS):
     rng = np.random.default_rng(seed)
     ids = [f"vec-{i:05d}" for i in range(count)]
     vectors = rng.normal(size=(count, DIM))
-    metadata = [{"i": i} for i in range(count)]
     queries = rng.normal(size=(NUM_QUERIES, DIM))
-    return ids, vectors, metadata, queries
+    return ids, vectors, queries
 
 
 def hit_key(hits: List[SearchHit]) -> List[tuple]:
@@ -70,11 +69,11 @@ def hit_key(hits: List[SearchHit]) -> List[tuple]:
 
 def build_pair(index_config: IndexConfig, shard_config: ShardConfig, seed: int = 7):
     """The same inserts into an unsharded and a sharded database."""
-    ids, vectors, metadata, queries = make_data(seed)
+    ids, vectors, queries = make_data(seed)
     plain = VectorDatabase()
-    plain.create_collection("c", DIM, index_config).insert(ids, vectors, metadata)
+    plain.create_collection("c", DIM, index_config).insert(ids, vectors)
     sharded = ShardedDatabase(shard_config)
-    sharded.create_collection("c", DIM, index_config).insert(ids, vectors, metadata)
+    sharded.create_collection("c", DIM, index_config).insert(ids, vectors)
     return plain, sharded, queries
 
 
@@ -110,7 +109,7 @@ class TestPartitioners:
     def test_partitioner_state_round_trip(self):
         config = ShardConfig(num_shards=3, partitioner="kmeans")
         partitioner = make_partitioner(config)
-        ids, vectors, _, _ = make_data(seed=5, count=200)
+        ids, vectors, _ = make_data(seed=5, count=200)
         before = partitioner.assign(ids, vectors)
         meta, arrays = partitioner.to_state()
         restored = type(partitioner).from_state(config, meta, arrays)
@@ -240,33 +239,34 @@ class TestShardedDatabaseSurface:
         with pytest.raises(VectorDatabaseError, match="Duplicate id"):
             collection.insert(["a"], np.zeros((1, DIM)))
 
-    def test_vector_and_metadata_routing(self):
-        ids, vectors, metadata, _ = make_data(seed=9, count=100)
+    def test_vector_routing(self):
+        ids, vectors, _ = make_data(seed=9, count=100)
         sharded = ShardedDatabase(ShardConfig(num_shards=4))
         collection = sharded.create_collection("c", DIM, IndexConfig(index_type="flat"))
-        collection.insert(ids, vectors, metadata)
+        collection.insert(ids, vectors)
         assert collection.ids() == ids
         assert sum(collection.shard_sizes()) == len(ids)
         for i in (0, 17, 99):
             assert np.array_equal(collection.get_vector(ids[i]), vectors[i])
-            assert collection.get_metadata(ids[i])["i"] == i
         with pytest.raises(VectorDatabaseError):
             collection.get_vector("unknown")
 
-    def test_adopt_unsharded_collection_preserves_results(self):
-        ids, vectors, metadata, queries = make_data(seed=13)
+    def test_adopt_unsharded_collection_preserves_results(self, tmp_path):
+        ids, vectors, queries = make_data(seed=13)
         plain = VectorDatabase()
         source = plain.create_collection("c", DIM, IndexConfig(index_type="ivfpq"))
-        source.insert(ids, vectors, metadata)
-        sharded = ShardedDatabase(ShardConfig(num_shards=3))
-        sharded.add_collection(source)
+        source.insert(ids, vectors)
+        plain.save(tmp_path)
+        sharded = ShardedDatabase.load(tmp_path)
+        assert sharded.num_shards == 1
+        assert sharded.get_collection("c").ids() == ids
         for query in queries:
             assert hit_key(sharded.search("c", query, TOP_K)) == hit_key(
                 plain.search("c", query, TOP_K)
             )
 
     def test_status_reports_topology(self):
-        ids, vectors, _, _ = make_data(seed=1, count=60)
+        ids, vectors, _ = make_data(seed=1, count=60)
         sharded = ShardedDatabase(ShardConfig(num_shards=2, num_replicas=2))
         sharded.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
             ids, vectors
@@ -283,10 +283,10 @@ class TestReadsSkipTheWriteLock:
     def test_search_of_built_collection_does_not_wait_for_writer(
         self, index_kind, num_shards
     ):
-        ids, vectors, metadata, queries = make_data(seed=37, count=200)
+        ids, vectors, queries = make_data(seed=37, count=200)
         sharded = ShardedDatabase(ShardConfig(num_shards=num_shards))
         collection = sharded.create_collection("c", DIM, INDEX_CONFIGS[index_kind])
-        collection.insert(ids, vectors, metadata)
+        collection.insert(ids, vectors)
         collection.flush()
         held, release = threading.Event(), threading.Event()
 
@@ -380,7 +380,7 @@ class TestReplicaFailover:
         assert group.status() == {"shard": 0, "replicas": 2, "healthy_replicas": 1}
 
     def test_failover_marks_replica_unhealthy_and_recovers(self):
-        ids, vectors, _, queries = make_data(seed=17, count=120)
+        ids, vectors, queries = make_data(seed=17, count=120)
         plain = VectorDatabase()
         plain.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
             ids, vectors
@@ -405,7 +405,7 @@ class TestReplicaFailover:
         assert all(replica.healthy for replica in group.replicas)
 
     def test_all_replicas_dead_raises_shard_unavailable(self):
-        ids, vectors, _, queries = make_data(seed=19, count=50)
+        ids, vectors, queries = make_data(seed=19, count=50)
         sharded = ShardedDatabase(ShardConfig(num_shards=2))
         sharded.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
             ids, vectors
@@ -420,7 +420,7 @@ class TestReplicaFailover:
         assert excinfo.value.code == "shard_unavailable"
 
     def test_single_replica_error_reaches_caller_and_keeps_shard_healthy(self):
-        ids, vectors, _, queries = make_data(seed=41, count=120)
+        ids, vectors, queries = make_data(seed=41, count=120)
         plain = VectorDatabase()
         plain.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
             ids, vectors
@@ -451,7 +451,7 @@ class TestReplicaFailover:
 
     def test_failover_mid_run_drops_zero_queries(self):
         """Replicas dying mid-stream must not lose or corrupt any query."""
-        ids, vectors, _, queries = make_data(seed=29, count=300)
+        ids, vectors, queries = make_data(seed=29, count=300)
         plain = VectorDatabase()
         plain.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
             ids, vectors

@@ -13,6 +13,7 @@ snapshot round trip.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -32,6 +33,7 @@ from repro.config import (
 )
 from repro.core.query import QueryOptions
 from repro.core.results import QueryResponse
+from repro.core.summary import VideoSummarizer
 from repro.errors import (
     ConfigurationError,
     StreamBackpressureError,
@@ -164,6 +166,75 @@ class TestStreamingParity:
             ingestor.stop()
         assert not errors
         assert system.data_version == len(segments)
+
+    @pytest.mark.parametrize("index_type", ["flat", "ivfpq"])
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_hits_join_their_metadata_rows_during_live_ingest(
+        self, segments, index_type, num_shards
+    ):
+        """``LOVOStorage.search`` racing streamed appends: every hit already
+        has its metadata row, and its frame and video are that row's."""
+        config = stream_config(index_type, num_shards)
+        system = LOVO(config)
+        system.ingest(segments[0])
+        appends = [
+            make_bellevue(num_videos=1, frames_per_video=10, seed=100 + i) for i in range(8)
+        ]
+        # One probe per append, taken from its own patches, so hits on the
+        # new vectors appear as soon as each append lands.
+        summarizer = VideoSummarizer(config)
+        probes = np.stack(
+            [summarizer.summarize(segment).encodings[5].class_embedding for segment in appends]
+        )
+        storage = system.storage
+        errors: List[BaseException] = []
+        videos_seen: set = set()
+        rounds = [0, 0]  # full search rounds per thread
+        stop = threading.Event()
+
+        def search_loop(slot: int) -> None:
+            try:
+                while not stop.is_set():
+                    for hits in storage.search_batch(probes, 4):
+                        for hit in hits:
+                            record = storage.patch_record(hit.id)
+                            assert hit.metadata == {
+                                "frame_id": record.frame_id, "video_id": record.video_id
+                            }
+                            videos_seen.add(record.video_id)
+                    rounds[slot] += 1
+            except BaseException as error:  # noqa: BLE001 - collected for assert
+                errors.append(error)
+
+        threads = [threading.Thread(target=search_loop, args=(slot,)) for slot in range(2)]
+        # Frequent thread switches, so searches land between ingest's steps.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        for thread in threads:
+            thread.start()
+        ingestor = StreamingIngestor(system).start()
+        try:
+            for ticket in [ingestor.submit(segment) for segment in appends]:
+                ticket.result(timeout=120)
+            # Every thread completes one more round over the appended data.
+            after_ingest = list(rounds)
+            deadline = time.monotonic() + 30.0
+            while (
+                any(done <= start for done, start in zip(rounds, after_ingest))
+                and not errors
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            ingestor.stop()
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        streamed = {video.video_id for segment in appends for video in segment.videos}
+        assert streamed & videos_seen
 
     def test_ticket_reports_pipeline_failure(self, segments):
         system = LOVO(stream_config("flat"))
@@ -519,12 +590,13 @@ class TestCacheEpochSatellite:
 
     def test_cache_key_includes_epoch(self):
         cache = ResultCache(maxsize=8, ttl_seconds=3600.0)
+        options, config = QueryOptions(fast_search_k=128, top_n=10), QueryConfig()
         response = QueryResponse(query="a car", results=[], timings={})
-        cache.put("a car", 128, 10, response, epoch=0)
-        hit = cache.get("a car", 128, 10, epoch=0)
+        cache.put("a car", options, config, response, epoch=0)
+        hit = cache.get("a car", options, config, epoch=0)
         assert hit is not None and hit.metadata["cache_hit"] is True
-        assert cache.get("a car", 128, 10, epoch=1) is None
-        assert cache.get("a car", 128, 10) is not None  # epoch defaults to 0
+        assert cache.get("a car", options, config, epoch=1) is None
+        assert cache.get("a car", options, config) is not None  # epoch defaults to 0
 
     def test_engine_does_not_serve_stale_results_after_ingest(self, segments):
         config = stream_config("flat")
