@@ -1,12 +1,12 @@
 """Scatter-gather scaling: single-query throughput, 1 shard vs 4 shards.
 
-The sharded database's performance claim is that fanning one query out
-across N shards cuts its latency toward 1/N of the single-database scan —
+The sharded collection's performance claim is that fanning one query out
+across N shards cuts its latency toward 1/N of the single-shard scan —
 the per-shard matrices are N times smaller and are scanned concurrently
 (NumPy releases the GIL inside the BLAS, so shard threads genuinely overlap).
 
 This benchmark builds the same 120k x 96 flat-index collection behind a
-1-shard and a 4-shard :class:`~repro.shard.ShardedDatabase` (the 1-shard
+1-shard and a 4-shard :class:`~repro.shard.ShardedCollection` (the 1-shard
 router answers inline, so the baseline pays zero scatter overhead) and
 compares single-query QPS.  Run it with BLAS threading pinned
 (``OPENBLAS_NUM_THREADS=1`` etc., as the CI job does) — otherwise the
@@ -32,7 +32,7 @@ import pytest
 
 from repro.config import IndexConfig, ShardConfig
 from repro.eval.reporting import format_table
-from repro.shard import ShardedDatabase
+from repro.shard import ShardedCollection
 
 from conftest import report
 
@@ -54,14 +54,15 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _build_database(num_shards: int, ids: List[str], vectors: np.ndarray) -> ShardedDatabase:
-    database = ShardedDatabase(ShardConfig(num_shards=num_shards))
-    collection = database.create_collection(
-        "bench", DIM, IndexConfig(index_type="flat")
+def _build_collection(
+    num_shards: int, ids: List[str], vectors: np.ndarray
+) -> ShardedCollection:
+    collection = ShardedCollection(
+        "bench", DIM, IndexConfig(index_type="flat"), ShardConfig(num_shards=num_shards)
     )
     collection.insert(ids, vectors)
     collection.flush()
-    return database
+    return collection
 
 
 def _hit_key(hits) -> List[tuple]:
@@ -78,13 +79,13 @@ def run_shard_scaling() -> Dict[int, Dict[str, float]]:
     results: Dict[int, Dict[str, float]] = {}
     baseline_answers: List[List[tuple]] = []
     for num_shards in SHARD_COUNTS:
-        database = _build_database(num_shards, ids, vectors)
+        collection = _build_collection(num_shards, ids, vectors)
         # Warm up once (finalises builds, faults pages in) before timing.
-        database.search("bench", queries[0], TOP_K)
+        collection.search(queries[0], TOP_K)
         answers = []
         start = time.perf_counter()
         for query in queries:
-            answers.append(_hit_key(database.search("bench", query, TOP_K)))
+            answers.append(_hit_key(collection.search(query, TOP_K)))
         elapsed = time.perf_counter() - start
         if num_shards == SHARD_COUNTS[0]:
             baseline_answers = answers
@@ -95,7 +96,7 @@ def run_shard_scaling() -> Dict[int, Dict[str, float]]:
             "qps": NUM_QUERIES / elapsed,
             "p_latency_ms": 1000.0 * elapsed / NUM_QUERIES,
         }
-        database.router.close()
+        collection.router.close()
 
     base_qps = results[SHARD_COUNTS[0]]["qps"]
     for num_shards in SHARD_COUNTS:

@@ -62,8 +62,7 @@ def main() -> None:
     # 3. Replica failover: mark shard 0's only replica unhealthy and back.
     #    With num_replicas > 1 (or add_replica) the router rotates round-robin
     #    and fails over automatically when a replica throws.
-    database = restored.storage.database
-    group = database.replica_groups[0]
+    group = restored.storage.collection.replica_groups[0]
     replica = group.replicas[0]
     group.mark_unhealthy(replica)
     print(f"Replica topology after outage: {json.dumps(group.status())}")

@@ -166,7 +166,7 @@ class ShardConfig:
         num_replicas: In-process replicas registered per shard.  Replicas
             share the primary's data but carry independent health state, so
             the router can exercise round-robin routing and failover; use
-            ``ShardedDatabase.add_replica`` to attach physically distinct
+            ``ShardedCollection.add_replica`` to attach physically distinct
             backends (e.g. separately loaded snapshot copies).  A shard
             with one replica has nothing to fail over to: an error in a
             call reaches the caller and the replica stays healthy.

@@ -8,6 +8,13 @@ search hit gets its key frame and video by a join on the patch id against the
 metadata store, the one place they are stored.  Provides the lookups the
 query strategy needs: ANN search over the embeddings, exhaustive search for
 the w/o-ANNS ablation, and the patch records behind a hit.
+
+The vector side is one :class:`~repro.shard.database.ShardedCollection`
+(one shard unless configured otherwise), each shard a plain
+:class:`~repro.vectordb.collection.VectorCollection`; there is no registry of
+named collections.  :meth:`LOVOStorage.save` writes ``storage.json``,
+``metadata.npz`` and the collection's ``vectordb/`` tree in the sharded
+layout; :meth:`LOVOStorage.load` also reads the older unsharded layout.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 from repro.config import IndexConfig, ShardConfig, parse_section
 from repro.encoders.vision import PatchEncoding
 from repro.errors import SnapshotCorruptionError, VectorDatabaseError
-from repro.shard.database import ShardedCollection, ShardedDatabase
+from repro.shard.database import ShardedCollection
 from repro.utils.serialization import load_json, save_json
 from repro.vectordb.base import as_single_query
 from repro.vectordb.collection import SearchHit
@@ -31,10 +38,9 @@ from repro.video.model import Frame
 class LOVOStorage:
     """Vector collection + relational metadata, linked by patch id.
 
-    The vectors live in a :class:`~repro.shard.database.ShardedDatabase`
-    with ``shard_config.num_shards`` shards (one by default), or in an
-    explicit ``database``; each shard is a plain
-    :class:`~repro.vectordb.database.VectorDatabase`.  Answers are
+    The vectors live in one :class:`~repro.shard.database.ShardedCollection`
+    with ``shard_config.num_shards`` shards (one by default), each a plain
+    :class:`~repro.vectordb.collection.VectorCollection`.  Answers are
     bit-identical at every shard count, so nothing above this class knows
     how many shards there are.
     """
@@ -45,39 +51,22 @@ class LOVOStorage:
         self,
         dim: int,
         index_config: IndexConfig | None = None,
-        database: ShardedDatabase | None = None,
         metadata: MetadataStore | None = None,
         shard_config: ShardConfig | None = None,
+        collection: ShardedCollection | None = None,
     ) -> None:
+        """Empty storage, or (from :meth:`load`) storage over a restored ``collection``."""
         self._dim = dim
         self._index_config = index_config or IndexConfig()
-        self._database = database if database is not None else ShardedDatabase(shard_config)
         self._metadata = metadata or MetadataStore()
-        # A database restored from a snapshot already carries the patch
-        # collection; adopt it instead of creating a fresh (empty) one.
-        if self._database.has_collection(self.COLLECTION_NAME):
-            existing = self._database.get_collection(self.COLLECTION_NAME)
-            if existing.dim != dim or existing.index_type != self._index_config.index_type:
-                raise VectorDatabaseError(
-                    f"Existing {self.COLLECTION_NAME!r} collection "
-                    f"({existing.dim}-d, {existing.index_type}) does not match the "
-                    f"requested storage ({dim}-d, {self._index_config.index_type})"
-                )
-            self._collection = existing
-        else:
-            self._collection = self._database.create_collection(
-                self.COLLECTION_NAME, dim, self._index_config
-            )
+        self._collection = collection or ShardedCollection(
+            self.COLLECTION_NAME, dim, self._index_config, shard_config
+        )
 
     @property
     def collection(self) -> ShardedCollection:
         """The underlying vector collection of class embeddings."""
         return self._collection
-
-    @property
-    def database(self) -> ShardedDatabase:
-        """The vector-database backend."""
-        return self._database
 
     def backend_status(self) -> Dict[str, object]:
         """Backend topology for health/stats endpoints and manifests.
@@ -87,7 +76,7 @@ class LOVOStorage:
         (at least one shard has no healthy replica).  ``"sharded"`` is true
         when there is more than one shard.
         """
-        return {"sharded": self._database.num_shards > 1, **self._database.status()}
+        return {"sharded": self._collection.num_shards > 1, **self._collection.status()}
 
     @property
     def metadata(self) -> MetadataStore:
@@ -172,14 +161,14 @@ class LOVOStorage:
         return self._metadata.get_patch(patch_id)
 
     def save(self, path: str | Path) -> None:
-        """Persist the vector database and metadata store to a directory."""
+        """Persist the vector collection and metadata store to a directory."""
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
         save_json(
             root / "storage.json",
             {"dim": self._dim, "index_config": asdict(self._index_config)},
         )
-        self._database.save(root / "vectordb")
+        self._collection.save(root / "vectordb")
         self._metadata.save(root / "metadata.npz")
 
     @classmethod
@@ -187,19 +176,17 @@ class LOVOStorage:
         """Restore storage saved by :meth:`save` without touching ingest."""
         root = Path(path)
         document = load_json(root / "storage.json")
+        dim = int(document["dim"])
         index_config = parse_section("index", document["index_config"])
-        database = ShardedDatabase.load(root / "vectordb")
-        if not database.has_collection(cls.COLLECTION_NAME):
+        collection = ShardedCollection.load(root / "vectordb", cls.COLLECTION_NAME)
+        if collection.dim != dim or collection.index_type != index_config.index_type:
             raise SnapshotCorruptionError(
-                f"Storage snapshot has no {cls.COLLECTION_NAME!r} collection"
+                f"Stored {cls.COLLECTION_NAME!r} collection "
+                f"({collection.dim}-d, {collection.index_type}) does not match the "
+                f"storage config ({dim}-d, {index_config.index_type})"
             )
         metadata = MetadataStore.load(root / "metadata.npz")
-        return cls(
-            dim=int(document["dim"]),
-            index_config=index_config,
-            database=database,
-            metadata=metadata,
-        )
+        return cls(dim, index_config, metadata, collection=collection)
 
     def storage_report(self) -> dict:
         """Summary of what is stored (used by reports and ablations)."""

@@ -52,18 +52,6 @@ class VectorDatabaseError(ReproError):
     code = "vectordb_error"
 
 
-class CollectionNotFoundError(VectorDatabaseError):
-    """Raised when a named collection does not exist in the database."""
-
-    code = "collection_not_found"
-
-
-class CollectionExistsError(VectorDatabaseError):
-    """Raised when creating a collection whose name is already taken."""
-
-    code = "collection_exists"
-
-
 class IndexNotBuiltError(VectorDatabaseError):
     """Raised when searching an index that has not been built or trained."""
 

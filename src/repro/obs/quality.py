@@ -7,7 +7,7 @@ measures it continuously.  Two pieces do that here:
 
 * :class:`ShadowSampler` — samples a configurable fraction of served queries
   and re-runs each through the **exact** flat scan
-  (``storage.search(..., use_ann=False)``) in a background worker thread.
+  (``storage.collection.search_exhaustive``) in a background worker thread.
   Comparing the served fast-search ranking against the exact one yields
   online estimates of recall@k, top-1 score margin, and rank displacement,
   exposed as ``lovo_recall_*`` metrics per index family and per shard.  The
@@ -395,7 +395,8 @@ class ShadowSampler:
         k = min(self._recall_k, len(served_hits))
         if k <= 0:
             return
-        exact = storage.search(query_vector, k, use_ann=False)
+        collection = storage.collection
+        exact = collection.search_exhaustive(query_vector, k)
         if not exact:
             return
         exact_ids = [hit.id for hit in exact]
@@ -413,7 +414,7 @@ class ShadowSampler:
         ) / len(exact_ids)
 
         family = storage.index_type
-        sharded = storage.database.num_shards > 1
+        sharded = collection.num_shards > 1
         labels = {"family": family, "sharded": "true" if sharded else "false"}
         self._samples_counter.inc(**labels)
         self._recall_sum.inc(recall, **labels)
@@ -430,7 +431,7 @@ class ShadowSampler:
         self._margin_gauge.set(window_margin, **labels)
         self._displacement_gauge.set(window_displacement, **labels)
 
-        self._attribute_shards(storage.collection.shard_of, exact_ids, served_top_k)
+        self._attribute_shards(collection.shard_of, exact_ids, served_top_k)
         self._score_drift.observe(float(exact[0].score))
         if self._on_sample is not None:
             self._on_sample(recall, family, trace_id)

@@ -10,8 +10,9 @@ store, and the key-frame registry.
 
 High-level entry points live on the objects themselves —
 ``LOVO.save(path)`` / ``LOVO.load(path)``, and ``save()``/``load()`` on
-``VectorCollection``, ``VectorDatabase``, and ``LOVOStorage`` — all built on
-:func:`save_system` / :func:`load_system` here.
+``VectorCollection``, ``ShardedCollection`` (the one vector store; each
+shard a ``VectorCollection``), and ``LOVOStorage``.  The whole-system entry
+points are :func:`save_system` / :func:`load_system` here.
 """
 
 from repro.persist.delta import DeltaSnapshotStore

@@ -18,15 +18,20 @@ Layout of a snapshot at ``<root>/``::
     storage/storage.json    vector-store dimensionality and index config
     storage/metadata.npz    relational frame/patch records
     storage/vectordb/sharded.json
-                            shard config and per-collection routing state
+                            shard config and the collection's routing state
     storage/vectordb/sharded.npz
                             global insertion order and partitioner arrays
-    storage/vectordb/shards/NNNN/...
-                            one vector database per shard (``0000`` only when
-                            unsharded): vectors, ids, and index state
+    storage/vectordb/shards/NNNN/database.json
+                            names the shard's one collection (``0000`` only
+                            when unsharded)
+    storage/vectordb/shards/NNNN/collections/0000/...
+                            that shard's ``VectorCollection``: vectors, ids,
+                            and index state
 
-Snapshots whose ``storage/vectordb/`` holds one unsharded vector database
-(``database.json``, no ``sharded.json``) load as a 1-shard system.
+The vectors are one :class:`~repro.shard.database.ShardedCollection`.
+Snapshots whose ``storage/vectordb/`` holds the older unsharded layout
+(``database.json`` + ``collections/``, no ``sharded.json``) load as a 1-shard
+system.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
-"""Sharded scatter-gather layer over the vector database.
+"""Sharded scatter-gather layer: the system's one vector store.
 
-Partition a collection across N shard databases, fan queries out in parallel,
-and merge per-shard top-k into exact global top-k — with replica groups for
-round-robin routing and failover.  See :mod:`repro.shard.database`.
+Partition the collection across N shard collections (each a plain
+:class:`~repro.vectordb.collection.VectorCollection`), fan queries out in
+parallel, and merge per-shard top-k into exact global top-k — with replica
+groups for round-robin routing and failover.  See :mod:`repro.shard.database`.
 """
 
-from repro.shard.database import ShardedCollection, ShardedDatabase
+from repro.shard.database import ShardedCollection
 from repro.shard.partition import (
     HashPartitioner,
     KMeansPartitioner,
@@ -29,7 +30,6 @@ __all__ = [
     "ReplicaGroup",
     "ShardRouter",
     "ShardedCollection",
-    "ShardedDatabase",
     "make_partitioner",
     "merge_top_k",
     "merge_top_k_batches",

@@ -1,18 +1,17 @@
-"""Sharded vector database: N shard databases behind one scatter-gather facade.
+"""The vector store: one collection, partitioned across N shards.
 
-:class:`ShardedDatabase` is the one vector backend of
+:class:`ShardedCollection` is the one vector store of
 :class:`~repro.core.storage.LOVOStorage`; an unsharded system is simply the
-1-shard case.  Each shard is a plain :class:`~repro.vectordb.database.
-VectorDatabase`, and a :class:`ShardedCollection` mirrors the
-:class:`~repro.vectordb.collection.VectorCollection` API over the per-shard
-collections.  Entities are partitioned across shards at insert time (hash or
+1-shard case.  Each shard is a plain
+:class:`~repro.vectordb.collection.VectorCollection`, fronted by a replica
+group.  Entities are partitioned across shards at insert time (hash or
 k-means, see :mod:`repro.shard.partition`); searches fan out across all
 shards through a :class:`~repro.shard.router.ShardRouter` (inline for one
 shard, one thread per shard otherwise) and the per-shard top-``k`` lists are
 merged into the exact global top-``k``.
 
-Bit-exact parity with a single :class:`VectorDatabase` over the same inserts
-is the design invariant, at every shard count:
+Bit-exact parity with a single :class:`VectorCollection` over the same
+inserts is the design invariant, at every shard count:
 
 * **flat** — per-shard exact search over a row-subset of the same matrix;
   the union of per-shard top-``k`` provably contains the global top-``k``.
@@ -28,6 +27,15 @@ is the design invariant, at every shard count:
   probed-cluster ranking is then identical to the unsharded index, and the
   merge tie-breaks equal scores by global insertion order exactly like the
   unsharded ``lexsort`` on internal ids.
+
+Snapshot layout (see :meth:`ShardedCollection.save`)::
+
+    sharded.json            shard config and the collection's routing state
+    sharded.npz             global insertion order and partitioner arrays
+    shards/NNNN/database.json
+                            names the shard's one collection directory
+    shards/NNNN/collections/0000/...
+                            that shard's VectorCollection snapshot
 """
 
 from __future__ import annotations
@@ -35,25 +43,18 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
 from repro.config import IndexConfig, ShardConfig, parse_section
-from repro.errors import (
-    CollectionExistsError,
-    CollectionNotFoundError,
-    ShardError,
-    SnapshotCorruptionError,
-    VectorDatabaseError,
-)
+from repro.errors import ShardError, SnapshotCorruptionError, VectorDatabaseError
 from repro.obs.trace import span as obs_span
 from repro.shard.partition import Partitioner, make_partitioner
 from repro.shard.router import ReplicaGroup, ShardRouter, merge_top_k_batches
 from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
 from repro.vectordb.base import as_query_matrix, as_single_query
 from repro.vectordb.collection import SearchHit, VectorCollection
-from repro.vectordb.database import VectorDatabase
 from repro.vectordb.ivfpq import IVFPQIndex
 from repro.utils.locking import create_rlock
 
@@ -61,29 +62,98 @@ from repro.utils.locking import create_rlock
 #: (split per shard); everything else (centroids, codebooks) is shared.
 _IVFPQ_LIST_KEYS = {"list_clusters", "list_offsets", "list_ids", "list_codes"}
 
+#: Where each shard directory keeps its one collection, relative to the shard.
+_SHARD_COLLECTION_PATH = "collections/0000"
+
+
+def _ivfpq_shard_index(
+    dim: int,
+    config: IndexConfig,
+    shared: Mapping[str, np.ndarray],
+    clusters: Sequence[int] = (),
+    offsets: Sequence[int] = (0,),
+    ids: Sequence[int] = (),
+    codes: Sequence[np.ndarray] = (),
+) -> IVFPQIndex:
+    """A built IVF-PQ shard index: shared centroids/codebooks, its own lists."""
+    arrays = dict(shared)
+    arrays["list_clusters"] = np.asarray(clusters, dtype=np.int64)
+    arrays["list_offsets"] = np.asarray(offsets, dtype=np.int64)
+    arrays["list_ids"] = np.asarray(ids, dtype=np.int64)
+    arrays["list_codes"] = (
+        np.vstack(codes).astype(np.int32, copy=False)
+        if len(codes)
+        else np.zeros((0, config.num_subspaces), dtype=np.int32)
+    )
+    return IVFPQIndex.from_state(dim, config, {"kind": "ivfpq", "count": len(ids)}, arrays)
+
+
+def _save_shard(collection: VectorCollection, directory: Path) -> None:
+    """Write one shard: its collection plus the ``database.json`` naming it."""
+    collection.save(directory / _SHARD_COLLECTION_PATH)
+    save_json(
+        directory / "database.json",
+        {"collections": [{"name": collection.name, "path": _SHARD_COLLECTION_PATH}]},
+    )
+
+
+def _load_shard(directory: Path, name: str) -> VectorCollection:
+    """Read one shard written by :func:`_save_shard` (or an older unsharded
+    database): its ``database.json`` must name exactly the collection ``name``."""
+    entries = load_json(directory / "database.json").get("collections", [])
+    names = [entry.get("name") for entry in entries]
+    if names != [name]:
+        raise SnapshotCorruptionError(
+            f"Shard snapshot {str(directory)!r} must hold exactly the collection "
+            f"{name!r}, found {names}"
+        )
+    collection = VectorCollection.load(directory / str(entries[0]["path"]))
+    if collection.name != name:
+        raise SnapshotCorruptionError(
+            f"Collection at {entries[0]['path']!r} claims name {collection.name!r}, "
+            f"manifest says {name!r}"
+        )
+    return collection
+
 
 class ShardedCollection:
     """One named collection, partitioned across shard collections.
 
     Mirrors the :class:`VectorCollection` API (insert/flush/search/batch/
-    exhaustive/get/ids/storage) so callers never branch on shardedness.
+    exhaustive/get/ids/storage/save/load) so callers never branch on
+    shardedness.  Each shard is fronted by a replica group: by default the
+    ``num_replicas`` replicas route to the same in-process shard (giving the
+    round-robin/health semantics without duplicating memory), and
+    :meth:`add_replica` attaches independently loaded copies.
     """
+
+    SHARD_DIR = "shards"
 
     def __init__(
         self,
         name: str,
         dim: int,
-        config: IndexConfig,
-        partitioner: Partitioner,
-        primaries: Sequence[VectorCollection],
-        router: ShardRouter,
+        config: IndexConfig | None = None,
+        shard_config: ShardConfig | None = None,
+        shards: Sequence[VectorCollection] | None = None,
     ) -> None:
+        """Create an empty collection, or assemble one over loaded ``shards``."""
         self._name = name
         self._dim = dim
-        self._config = config
-        self._partitioner = partitioner
-        self._primaries = list(primaries)
-        self._router = router
+        self._config = config or IndexConfig()
+        self._shard_config = shard_config or ShardConfig()
+        if shards is None:
+            shards = [
+                VectorCollection(name, dim, self._config)
+                for _ in range(self._shard_config.num_shards)
+            ]
+        self._primaries = list(shards)
+        self._groups = [ReplicaGroup(index) for index in range(len(self._primaries))]
+        for group, shard in zip(self._groups, self._primaries):
+            for _ in range(self._shard_config.num_replicas):
+                group.add(shard)
+        self._router = ShardRouter(self._groups)
+        self._partitioner: Partitioner = make_partitioner(self._shard_config)
         self._order: List[str] = []
         self._global_position: Dict[str, int] = {}
         self._assignment: Dict[str, int] = {}
@@ -222,7 +292,7 @@ class ShardedCollection:
         )
         trainer = IVFPQIndex(self._dim, self._config)
         trainer.add(list(range(len(self._order))), matrix)
-        meta, arrays = trainer.to_state()
+        _, arrays = trainer.to_state()
 
         shared = {key: value for key, value in arrays.items() if key not in _IVFPQ_LIST_KEYS}
         clusters = arrays["list_clusters"]
@@ -253,18 +323,14 @@ class ShardedCollection:
                 split_offsets[shard].append(len(split_ids[shard]))
 
         for shard, collection in enumerate(self._primaries):
-            shard_arrays = dict(shared)
-            shard_arrays["list_clusters"] = np.asarray(split_clusters[shard], dtype=np.int64)
-            shard_arrays["list_offsets"] = np.asarray(split_offsets[shard], dtype=np.int64)
-            shard_arrays["list_ids"] = np.asarray(split_ids[shard], dtype=np.int64)
-            shard_arrays["list_codes"] = (
-                np.vstack(split_codes[shard]).astype(np.int32, copy=False)
-                if split_codes[shard]
-                else np.zeros((0, self._config.num_subspaces), dtype=np.int32)
-            )
-            shard_meta = {"kind": "ivfpq", "count": len(split_ids[shard])}
-            collection._index = IVFPQIndex.from_state(
-                self._dim, self._config, shard_meta, shard_arrays
+            collection._index = _ivfpq_shard_index(
+                self._dim,
+                self._config,
+                shared,
+                split_clusters[shard],
+                split_offsets[shard],
+                split_ids[shard],
+                split_codes[shard],
             )
             collection._built = True
         self._ivfpq_ready = True
@@ -285,10 +351,7 @@ class ShardedCollection:
             return [[] for _ in range(batch.shape[0])]
         if not self._built:
             self.flush()
-        name = self._name
-        per_shard = self._router.scatter(
-            lambda backend: backend.get_collection(name).search_batch(batch, k)
-        )
+        per_shard = self._router.scatter(lambda backend: backend.search_batch(batch, k))
         with obs_span("merge", num_shards=self.num_shards, k=k):
             return merge_top_k_batches(per_shard, k, self._tie_rank)
 
@@ -303,9 +366,8 @@ class ShardedCollection:
         )
         if self.num_entities == 0 or k <= 0:
             return [[] for _ in range(batch.shape[0])]
-        name = self._name
         per_shard = self._router.scatter(
-            lambda backend: backend.get_collection(name).search_exhaustive_batch(batch, k)
+            lambda backend: backend.search_exhaustive_batch(batch, k)
         )
         with obs_span("merge", num_shards=self.num_shards, k=k):
             return merge_top_k_batches(per_shard, k, self._tie_rank)
@@ -327,47 +389,6 @@ class ShardedCollection:
         return self.num_entities * self._dim * 8
 
 
-class ShardedDatabase:
-    """Scatter-gather facade over ``num_shards`` :class:`VectorDatabase` shards.
-
-    Mirrors the :class:`VectorDatabase` API; collections created through it
-    are :class:`ShardedCollection` objects whose entities are spread across
-    the shard databases and whose searches are merged back into exact global
-    rankings.  Each shard is fronted by a replica group: by default the
-    ``num_replicas`` replicas route to the same in-process shard (giving the
-    round-robin/health semantics without duplicating memory), and
-    :meth:`add_replica` attaches independently loaded copies.
-    """
-
-    SHARD_DIR = "shards"
-
-    def __init__(self, config: ShardConfig | None = None) -> None:
-        self._config = config or ShardConfig()
-        self._collections: Dict[str, ShardedCollection] = {}
-        self._install_shards([VectorDatabase() for _ in range(self._config.num_shards)])
-
-    def _install_shards(self, shards: Sequence[VectorDatabase]) -> None:
-        self._shards = list(shards)
-        self._groups = [ReplicaGroup(index) for index in range(len(self._shards))]
-        for group, shard in zip(self._groups, self._shards):
-            for _ in range(self._config.num_replicas):
-                group.add(shard)
-        self._router = ShardRouter(self._groups)
-
-    @property
-    def num_shards(self) -> int:
-        """Number of shard databases."""
-        return len(self._shards)
-
-    @property
-    def shard_config(self) -> ShardConfig:
-        """The sharding configuration."""
-        return self._config
-
-    @property
-    def shards(self) -> List[VectorDatabase]:
-        """The primary shard databases, indexed by shard."""
-        return list(self._shards)
 
     @property
     def router(self) -> ShardRouter:
@@ -382,7 +403,8 @@ class ShardedDatabase:
     def add_replica(self, shard_index: int, backend: object) -> None:
         """Attach one more replica backend to a shard's group.
 
-        The backend must answer the same queries as the shard (typically a
+        The backend must answer the shard's ``search_batch`` and
+        ``search_exhaustive_batch`` calls identically (typically a
         separately loaded copy of the same shard snapshot).
         """
         if not 0 <= shard_index < len(self._groups):
@@ -390,61 +412,6 @@ class ShardedDatabase:
                 f"Shard index {shard_index} out of range for {len(self._groups)} shards"
             )
         self._groups[shard_index].add(backend)
-
-    def create_collection(
-        self, name: str, dim: int, config: IndexConfig | None = None
-    ) -> ShardedCollection:
-        """Create a sharded collection; raises if the name is taken."""
-        if name in self._collections:
-            raise CollectionExistsError(f"Collection {name!r} already exists")
-        index_config = config or IndexConfig()
-        primaries = [shard.create_collection(name, dim, index_config) for shard in self._shards]
-        collection = ShardedCollection(
-            name,
-            dim,
-            index_config,
-            make_partitioner(self._config),
-            primaries,
-            self._router,
-        )
-        self._collections[name] = collection
-        return collection
-
-    def get_collection(self, name: str) -> ShardedCollection:
-        """Fetch an existing sharded collection by name."""
-        try:
-            return self._collections[name]
-        except KeyError as error:
-            raise CollectionNotFoundError(f"Collection {name!r} does not exist") from error
-
-    def has_collection(self, name: str) -> bool:
-        """Whether a collection with ``name`` exists."""
-        return name in self._collections
-
-    def drop_collection(self, name: str) -> None:
-        """Delete a collection from every shard; raises if it does not exist."""
-        if name not in self._collections:
-            raise CollectionNotFoundError(f"Collection {name!r} does not exist")
-        del self._collections[name]
-        for shard in self._shards:
-            if shard.has_collection(name):
-                shard.drop_collection(name)
-
-    def search(self, name: str, query: np.ndarray, k: int) -> List[SearchHit]:
-        """Single-query scatter-gather search against a named collection."""
-        return self.get_collection(name).search(query, k)
-
-    def search_batch(self, name: str, queries: np.ndarray, k: int) -> List[List[SearchHit]]:
-        """Multi-query scatter-gather search (one merged list per row)."""
-        return self.get_collection(name).search_batch(queries, k)
-
-    def list_collections(self) -> List[str]:
-        """Names of all collections."""
-        return sorted(self._collections)
-
-    def total_entities(self) -> int:
-        """Total number of vectors across every collection."""
-        return sum(collection.num_entities for collection in self._collections.values())
 
     def status(self) -> Dict[str, object]:
         """Shard/replica health and balance summary (for ``/v1/stats``).
@@ -454,14 +421,10 @@ class ShardedDatabase:
         shard still has at least one), or ``"unavailable"`` (a shard has no
         healthy replica left — scatter queries will fail).
         """
-        shards = []
-        for index, group_status in enumerate(self._router.status()):
-            entry = dict(group_status)
-            entry["entities"] = sum(
-                collection.shard_collections[index].num_entities
-                for collection in self._collections.values()
-            )
-            shards.append(entry)
+        shards = [
+            {**group_status, "entities": primary.num_entities}
+            for group_status, primary in zip(self._router.status(), self._primaries)
+        ]
         if any(entry["healthy_replicas"] == 0 for entry in shards):
             health = "unavailable"
         elif any(entry["healthy_replicas"] < entry["replicas"] for entry in shards):
@@ -471,149 +434,135 @@ class ShardedDatabase:
         return {"num_shards": self.num_shards, "health": health, "shards": shards}
 
     def save(self, path: str | Path) -> None:
-        """Persist the whole sharded database to a directory tree.
+        """Persist the collection and every shard to a directory tree.
 
-        Layout: ``sharded.json`` (shard config + per-collection routing
+        Layout: ``sharded.json`` (shard config + the collection's routing
         state), ``sharded.npz`` (global insertion order and partitioner
-        arrays), and ``shards/{i:04d}/`` — one full, self-contained
-        :class:`VectorDatabase` snapshot per shard.  :meth:`load` tells this
-        layout from the older unsharded one by the ``sharded.json`` marker.
+        arrays), and ``shards/{i:04d}/`` — per shard, a ``database.json``
+        naming its one :class:`VectorCollection` snapshot under
+        ``collections/0000/``.  :meth:`load` tells this layout from the older
+        unsharded one by the ``sharded.json`` marker.
         """
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
-        entries = []
-        payload_arrays: Dict[str, np.ndarray] = {}
-        for slot, name in enumerate(self.list_collections()):
-            collection = self._collections[name]
-            # Finalise before the shard saves run: IVF-PQ shards must be
-            # split from the global trainer, never trained per shard.
-            collection.flush()
-            partition_meta, partition_arrays = collection._partitioner.to_state()
-            entries.append(
-                {
-                    "name": name,
-                    "dim": collection.dim,
-                    "partitioner": partition_meta,
-                    "ivfpq_ready": collection._ivfpq_ready,
-                }
-            )
-            payload_arrays[f"c{slot:04d}_order"] = (
-                np.asarray(collection._order, dtype=np.str_)
-                if collection._order
+        # Finalise before the shard saves run: IVF-PQ shards must be split
+        # from the global trainer, never trained per shard.
+        self.flush()
+        partition_meta, partition_arrays = self._partitioner.to_state()
+        payload_arrays: Dict[str, np.ndarray] = {
+            "c0000_order": (
+                np.asarray(self._order, dtype=np.str_)
+                if self._order
                 else np.zeros(0, dtype="<U1")
             )
-            for key, value in partition_arrays.items():
-                payload_arrays[f"c{slot:04d}_{key}"] = value
-        for index, shard in enumerate(self._shards):
-            shard.save(root / self.SHARD_DIR / f"{index:04d}")
+        }
+        for key, value in partition_arrays.items():
+            payload_arrays[f"c0000_{key}"] = value
+        for index, shard in enumerate(self._primaries):
+            _save_shard(shard, root / self.SHARD_DIR / f"{index:04d}")
         save_arrays(root / "sharded.npz", payload_arrays)
         save_json(
             root / "sharded.json",
             {
                 "version": 1,
-                "shard_config": asdict(self._config),
-                "collections": entries,
+                "shard_config": asdict(self._shard_config),
+                "collections": [
+                    {
+                        "name": self._name,
+                        "dim": self._dim,
+                        "partitioner": partition_meta,
+                        "ivfpq_ready": self._ivfpq_ready,
+                    }
+                ],
             },
         )
 
     @classmethod
-    def load(cls, path: str | Path) -> "ShardedDatabase":
-        """Restore a sharded database, loading all shards in parallel.
+    def load(cls, path: str | Path, name: str) -> "ShardedCollection":
+        """Restore the collection ``name``, loading all shards in parallel.
 
         A directory without ``sharded.json`` holds the layout written before
-        every system was sharded: one :class:`VectorDatabase` snapshot
-        (``database.json`` + ``collections/``) at the root.  It is adopted
-        as shard 0 of a 1-shard database as it was saved — no re-insert and
-        no retrain — with each collection's insertion order as the global
-        order.
+        every system was sharded: one shard's ``database.json`` +
+        ``collections/`` at the root.  It is adopted as shard 0 of a 1-shard
+        collection as it was saved — no re-insert and no retrain — with its
+        insertion order as the global order.  A snapshot holding any other
+        collection than ``name`` is corrupt.
         """
         root = Path(path)
         if not (root / "sharded.json").exists():
-            return cls._adopt_unsharded(VectorDatabase.load(root))
+            shard = _load_shard(root, name)
+            # The unsharded save() flushed first, so a non-empty IVF-PQ
+            # index arrives trained, bitwise as the global train makes it.
+            collection = cls(name, shard.dim, shard.config, shards=[shard])
+            collection._restore(shard.ids(), bool(shard.num_entities))
+            return collection
         payload = load_json(root / "sharded.json")
-        config = parse_section("shard", payload["shard_config"])
+        shard_config = parse_section("shard", payload["shard_config"])
+        entries = payload.get("collections", [])
+        if [entry.get("name") for entry in entries] != [name]:
+            raise SnapshotCorruptionError(
+                f"Sharded snapshot must hold exactly the collection {name!r}, "
+                f"found {[entry.get('name') for entry in entries]}"
+            )
         shard_dirs = [
-            root / cls.SHARD_DIR / f"{index:04d}" for index in range(config.num_shards)
+            root / cls.SHARD_DIR / f"{index:04d}" for index in range(shard_config.num_shards)
         ]
         missing = [str(directory) for directory in shard_dirs if not directory.is_dir()]
         if missing:
             raise SnapshotCorruptionError(
                 f"Sharded snapshot is missing shard directories: {missing}"
             )
-        if config.num_shards > 1:
-            with ThreadPoolExecutor(max_workers=config.num_shards) as pool:
-                shards = list(pool.map(VectorDatabase.load, shard_dirs))
+        if shard_config.num_shards > 1:
+            with ThreadPoolExecutor(max_workers=shard_config.num_shards) as pool:
+                shards = list(pool.map(lambda directory: _load_shard(directory, name), shard_dirs))
         else:
-            shards = [VectorDatabase.load(shard_dirs[0])]
+            shards = [_load_shard(shard_dirs[0], name)]
 
-        database = cls._with_shards(config, shards)
+        entry = entries[0]
+        collection = cls(name, int(entry["dim"]), shards[0].config, shard_config, shards)
         arrays = load_arrays(root / "sharded.npz") if (root / "sharded.npz").exists() else {}
-        for slot, entry in enumerate(payload.get("collections", [])):
-            prefix = f"c{slot:04d}_"
-            partition_arrays = {
-                key[len(prefix) :]: value
+        collection._partitioner = Partitioner.from_state(
+            shard_config,
+            entry.get("partitioner", {}),
+            {
+                key[len("c0000_") :]: value
                 for key, value in arrays.items()
-                if key.startswith(prefix) and key != f"{prefix}order"
-            }
-            stored_order = arrays.get(f"{prefix}order")
-            order = [] if stored_order is None else [str(i) for i in stored_order.tolist()]
-            database._restore_collection(
-                str(entry["name"]),
-                int(entry["dim"]),
-                Partitioner.from_state(config, entry.get("partitioner", {}), partition_arrays),
-                order,
-                bool(entry.get("ivfpq_ready", bool(order))),
-            )
-        return database
-
-    @classmethod
-    def _adopt_unsharded(cls, shard: VectorDatabase) -> "ShardedDatabase":
-        config = ShardConfig()
-        database = cls._with_shards(config, [shard])
-        for name in shard.list_collections():
-            collection = shard.get_collection(name)
-            order = collection.ids()
-            # The unsharded save() flushed first, so a non-empty IVF-PQ
-            # index arrives trained, bitwise as the global train makes it.
-            database._restore_collection(
-                name, collection.dim, make_partitioner(config), order, bool(order)
-            )
-        return database
-
-    @classmethod
-    def _with_shards(
-        cls, config: ShardConfig, shards: Sequence[VectorDatabase]
-    ) -> "ShardedDatabase":
-        database = cls(config)
-        database._router.close()
-        database._install_shards(shards)
-        return database
-
-    def _restore_collection(
-        self,
-        name: str,
-        dim: int,
-        partitioner: Partitioner,
-        order: List[str],
-        ivfpq_ready: bool,
-    ) -> None:
-        primaries = []
-        for shard in self._shards:
-            if not shard.has_collection(name):
-                raise SnapshotCorruptionError(f"Shard snapshot is missing collection {name!r}")
-            primaries.append(shard.get_collection(name))
-        collection = ShardedCollection(
-            name, dim, primaries[0].config, partitioner, primaries, self._router
+                if key.startswith("c0000_") and key != "c0000_order"
+            },
         )
+        stored_order = arrays.get("c0000_order")
+        order = [] if stored_order is None else [str(i) for i in stored_order.tolist()]
+        collection._restore(order, bool(entry.get("ivfpq_ready", bool(order))))
+        return collection
+
+    def _restore(self, order: List[str], ivfpq_ready: bool) -> None:
+        """Rebuild the global bookkeeping of loaded shards from the saved order."""
         assignment: Dict[str, int] = {}
-        for shard_index, primary in enumerate(primaries):
+        for shard_index, primary in enumerate(self._primaries):
             assignment.update(dict.fromkeys(primary.ids(), shard_index))
         if len(order) != len(assignment) or assignment.keys() != set(order):
             raise SnapshotCorruptionError(
-                f"Sharded collection {name!r} order does not match shard membership"
+                f"Sharded collection {self._name!r} order does not match shard membership"
             )
-        collection._order = order
-        collection._global_position = dict(zip(order, range(len(order))))
-        collection._assignment = assignment
-        collection._ivfpq_ready = ivfpq_ready
-        self._collections[name] = collection
+        self._order = order
+        self._global_position = dict(zip(order, range(len(order))))
+        self._assignment = assignment
+        self._ivfpq_ready = ivfpq_ready
+        empty = [shard for shard in self._primaries if not shard.num_entities]
+        if ivfpq_ready and self.index_type == "ivfpq" and empty:
+            # An empty shard saved no index state, yet it must keep sharing
+            # the global centroids and codebooks, exactly as the live split
+            # left it, or a later append to it would train its own.
+            if len(empty) == len(self._primaries):
+                raise SnapshotCorruptionError(
+                    f"Sharded collection {self._name!r} claims a trained IVF-PQ index "
+                    "but stores no vectors"
+                )
+            donor = next(shard for shard in self._primaries if shard.num_entities)
+            _, donor_arrays = donor._index.to_state()
+            shared = {
+                key: value for key, value in donor_arrays.items() if key not in _IVFPQ_LIST_KEYS
+            }
+            for shard in empty:
+                shard._index = _ivfpq_shard_index(self._dim, self._config, shared)
+                shard._built = True

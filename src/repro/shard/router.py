@@ -11,7 +11,7 @@ same group, so one dead replica degrades capacity instead of dropping
 queries.  A group with a single replica has nothing to fail over to: its
 error reaches the caller unchanged and the replica stays in rotation, so one
 failed call never takes the shard down for good.  Deterministic *request*
-errors (dimension mismatches, unknown collections, validation failures) are
+errors (dimension mismatches, validation failures) are
 propagated immediately — they would fail identically on every replica, so
 failing over would only mask the bug and poison the health state.
 """
@@ -24,8 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.errors import (
-    CollectionExistsError,
-    CollectionNotFoundError,
     ConfigurationError,
     DimensionMismatchError,
     QueryError,
@@ -60,8 +58,6 @@ SHARD_FAILOVERS = REGISTRY.counter(
 #: group would raise them identically, so the router propagates them without
 #: touching replica health.
 NON_FAILOVER_ERRORS = (
-    CollectionExistsError,
-    CollectionNotFoundError,
     ConfigurationError,
     DimensionMismatchError,
     QueryError,

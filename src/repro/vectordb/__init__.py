@@ -1,7 +1,6 @@
 """From-scratch vector database: quantization, ANN indexes, collections."""
 
 from repro.vectordb.collection import SearchHit, VectorCollection
-from repro.vectordb.database import VectorDatabase
 from repro.vectordb.flat import FlatIndex
 from repro.vectordb.hnsw import HNSWIndex
 from repro.vectordb.ivfpq import IVFPQIndex
@@ -12,7 +11,6 @@ from repro.vectordb.quantization import ProductQuantizer
 __all__ = [
     "VectorCollection",
     "SearchHit",
-    "VectorDatabase",
     "FlatIndex",
     "IVFPQIndex",
     "HNSWIndex",

@@ -222,46 +222,37 @@ class MetadataStore:
         assert row is not None
         return int(row[0])
 
-    def list_patches(self) -> List[PatchRecord]:
-        """All stored patch records ordered by frame and patch index."""
-        rows = self._fetchall(
-            "SELECT patch_id, frame_id, video_id, patch_index, x, y, w, h, objectness "
-            "FROM patches ORDER BY frame_id, patch_index, patch_id"
-        )
-        return [self._row_to_patch(row) for row in rows]
-
     def to_arrays(self) -> Dict[str, np.ndarray]:
         """Columnar array form of every frame and patch record.
 
-        The snapshot persistence subsystem stores these in one ``.npz``
-        archive; :meth:`from_arrays` rebuilds an equivalent store (SQLite
-        ``REAL`` columns are IEEE doubles, so floats round-trip exactly).
+        One ordered ``SELECT`` per table, split straight into columns: frames
+        by video and frame index, patches by frame, patch index and id.  The
+        snapshot persistence subsystem stores these in one ``.npz`` archive;
+        :meth:`from_arrays` rebuilds an equivalent store (SQLite ``REAL``
+        columns are IEEE doubles, so floats round-trip exactly).
         """
-        frames = self.list_frames()
-        patches = self.list_patches()
+        with self._lock:
+            frames = self._connection.execute(
+                "SELECT frame_id, video_id, frame_index, timestamp FROM frames "
+                "ORDER BY video_id, frame_index"
+            ).fetchall()
+            patches = self._connection.execute(
+                "SELECT patch_id, frame_id, video_id, patch_index, x, y, w, h, objectness "
+                "FROM patches ORDER BY frame_id, patch_index, patch_id"
+            ).fetchall()
+        frame_columns = list(zip(*frames)) or [()] * 4
+        patch_columns = list(zip(*patches)) or [()] * 9
         return {
-            "frame_ids": _string_array([record.frame_id for record in frames]),
-            "frame_video_ids": _string_array([record.video_id for record in frames]),
-            "frame_indexes": np.asarray(
-                [record.frame_index for record in frames], dtype=np.int64
-            ),
-            "frame_timestamps": np.asarray(
-                [record.timestamp for record in frames], dtype=np.float64
-            ),
-            "patch_ids": _string_array([record.patch_id for record in patches]),
-            "patch_frame_ids": _string_array([record.frame_id for record in patches]),
-            "patch_video_ids": _string_array([record.video_id for record in patches]),
-            "patch_indexes": np.asarray(
-                [record.patch_index for record in patches], dtype=np.int64
-            ),
-            "patch_boxes": (
-                np.asarray([record.box.to_array() for record in patches], dtype=np.float64)
-                if patches
-                else np.zeros((0, 4), dtype=np.float64)
-            ),
-            "patch_objectness": np.asarray(
-                [record.objectness for record in patches], dtype=np.float64
-            ),
+            "frame_ids": _string_array(frame_columns[0]),
+            "frame_video_ids": _string_array(frame_columns[1]),
+            "frame_indexes": np.asarray(frame_columns[2], dtype=np.int64),
+            "frame_timestamps": np.asarray(frame_columns[3], dtype=np.float64),
+            "patch_ids": _string_array(patch_columns[0]),
+            "patch_frame_ids": _string_array(patch_columns[1]),
+            "patch_video_ids": _string_array(patch_columns[2]),
+            "patch_indexes": np.asarray(patch_columns[3], dtype=np.int64),
+            "patch_boxes": np.column_stack(patch_columns[4:8]).astype(np.float64, copy=False),
+            "patch_objectness": np.asarray(patch_columns[8], dtype=np.float64),
         }
 
     @classmethod

@@ -1,4 +1,4 @@
-"""Tests for the vector collection, database facade, and metadata store."""
+"""Tests for the vector collection and the metadata store."""
 
 from __future__ import annotations
 
@@ -6,16 +6,10 @@ import numpy as np
 import pytest
 
 from repro.config import IndexConfig, ShardConfig
-from repro.errors import (
-    CollectionExistsError,
-    CollectionNotFoundError,
-    MetadataError,
-    VectorDatabaseError,
-)
-from repro.shard.database import ShardedDatabase
+from repro.errors import MetadataError, VectorDatabaseError
+from repro.shard.database import ShardedCollection
 from repro.utils.geometry import BoundingBox
 from repro.vectordb.collection import VectorCollection
-from repro.vectordb.database import VectorDatabase
 from repro.vectordb import metadata as metadata_module
 from repro.vectordb.metadata import FrameRecord, MetadataStore, PatchRecord
 
@@ -109,8 +103,7 @@ class TestRejectedInsert:
                              num_coarse_clusters=4, nprobe=4)
         if num_shards == 1:
             return VectorCollection("c", 16, config)
-        database = ShardedDatabase(ShardConfig(num_shards=num_shards))
-        return database.create_collection("c", 16, config)
+        return ShardedCollection("c", 16, config, ShardConfig(num_shards=num_shards))
 
     @staticmethod
     def snapshot(collection, query):
@@ -141,36 +134,6 @@ class TestRejectedInsert:
         assert collection.num_entities == before[0] + 1
         assert collection.search_exhaustive(b_vector, 1)[0].id == "b"
         assert "b" in [hit.id for hit in collection.search(b_vector, 5)]
-
-
-class TestVectorDatabase:
-    def test_create_get_drop(self):
-        database = VectorDatabase()
-        collection = database.create_collection("a", dim=8)
-        assert database.get_collection("a") is collection
-        assert database.has_collection("a")
-        assert database.list_collections() == ["a"]
-        database.drop_collection("a")
-        assert not database.has_collection("a")
-
-    def test_duplicate_create_rejected(self):
-        database = VectorDatabase()
-        database.create_collection("a", dim=8)
-        with pytest.raises(CollectionExistsError):
-            database.create_collection("a", dim=8)
-
-    def test_missing_collection_errors(self):
-        database = VectorDatabase()
-        with pytest.raises(CollectionNotFoundError):
-            database.get_collection("nope")
-        with pytest.raises(CollectionNotFoundError):
-            database.drop_collection("nope")
-
-    def test_total_entities(self):
-        database = VectorDatabase()
-        collection = database.create_collection("a", dim=8, config=IndexConfig(index_type="flat"))
-        collection.insert(["x"], unit_vectors(1, 8))
-        assert database.total_entities() == 1
 
 
 class TestMetadataStore:

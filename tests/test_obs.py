@@ -869,7 +869,7 @@ class TestHTTPObservability:
 
     def test_healthz_degraded_and_unavailable(self, http_service, sharded_system):
         base, _ = http_service
-        group = sharded_system.storage.database.router.groups[0]
+        group = sharded_system.storage.collection.router.groups[0]
         replicas = group.replicas
         try:
             group.mark_unhealthy(replicas[0])

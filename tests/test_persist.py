@@ -47,8 +47,8 @@ from repro.persist.manifest import (
 )
 from repro.stream import StreamingIngestor
 from repro.utils.geometry import BoundingBox
+from repro.shard.database import ShardedCollection
 from repro.vectordb.collection import VectorCollection
-from repro.vectordb.database import VectorDatabase
 from repro.vectordb.metadata import FrameRecord, MetadataStore, PatchRecord
 from repro.video.datasets import make_bellevue, make_cityscapes
 from tests.conftest import RETIRED_AT_OLD_DEFAULTS
@@ -294,7 +294,7 @@ class TestManifest:
         with pytest.raises(PersistenceError):
             VectorCollection.load(tmp_path / "missing")
         with pytest.raises(PersistenceError):
-            VectorDatabase.load(tmp_path / "missing")
+            ShardedCollection.load(tmp_path / "missing", LOVOStorage.COLLECTION_NAME)
         with pytest.raises(PersistenceError):
             LOVOStorage.load(tmp_path / "missing")
         with pytest.raises(PersistenceError):
@@ -413,7 +413,7 @@ def rewrite_manifest(root: Path) -> None:
 
 def write_unsharded_layout(root: Path) -> None:
     """Make a fresh 1-shard snapshot look like one an unsharded system wrote
-    while it kept one ``VectorDatabase``: ``storage/vectordb/shards/0000/*``
+    before every system was sharded: ``storage/vectordb/shards/0000/*``
     moves up into ``storage/vectordb/``, ``sharded.json`` and ``sharded.npz``
     are dropped, and the manifest is rewritten to match."""
     vectordb = root / "storage" / "vectordb"
@@ -438,8 +438,8 @@ def assert_same_answers(system: LOVO, reference: LOVO) -> None:
 
 @pytest.mark.parametrize("index_type", ["flat", "ivfpq", "hnsw"])
 class TestUnshardedLayout:
-    """Snapshots in the layout of an unsharded ``VectorDatabase`` load as a
-    1-shard system without re-inserting or retraining."""
+    """Snapshots in the older unsharded layout load as a 1-shard system
+    without re-inserting or retraining."""
 
     def test_old_layout_answers_equal_live(self, tmp_path, index_type):
         system = ingested_system(index_type)
@@ -447,7 +447,7 @@ class TestUnshardedLayout:
         write_unsharded_layout(tmp_path / "old")
         assert (tmp_path / "old" / "storage" / "vectordb" / "database.json").is_file()
         loaded = LOVO.load(tmp_path / "old")
-        assert loaded.storage.database.num_shards == 1
+        assert loaded.storage.collection.num_shards == 1
         assert_same_answers(loaded, system)
         # Saving again writes the one sharded layout.
         loaded.save(tmp_path / "new")
@@ -610,15 +610,59 @@ class TestVectorLayers:
         assert loaded.search(np.zeros(8), 3) == []
 
     def test_database_round_trip(self, tmp_path):
-        database = VectorDatabase()
         rng = np.random.default_rng(5)
-        for name in ("alpha", "beta"):
-            collection = database.create_collection(name, 8, IndexConfig(index_type="flat"))
-            collection.insert([f"{name}{i}" for i in range(6)], rng.normal(size=(6, 8)))
-        database.save(tmp_path / "db")
-        loaded = VectorDatabase.load(tmp_path / "db")
-        assert loaded.list_collections() == ["alpha", "beta"]
-        assert loaded.total_entities() == database.total_entities()
+        collection = ShardedCollection(
+            "alpha", 8, IndexConfig(index_type="flat"), ShardConfig(num_shards=2)
+        )
+        collection.insert([f"alpha{i}" for i in range(12)], rng.normal(size=(12, 8)))
+        collection.save(tmp_path / "db")
+        loaded = ShardedCollection.load(tmp_path / "db", "alpha")
+        assert loaded.ids() == collection.ids()
+        assert loaded.shard_sizes() == collection.shard_sizes()
+        query = rng.normal(size=8)
+        assert loaded.search(query, 5) == collection.search(query, 5)
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_vectordb_layout_is_pinned(self, tmp_path, num_shards):
+        config = replace(persist_config("flat"), shard=ShardConfig(num_shards=num_shards))
+        system = LOVO(config)
+        system.ingest(make_bellevue(num_videos=1, frames_per_video=30))
+        system.save(tmp_path / "snap")
+        vectordb = tmp_path / "snap" / "storage" / "vectordb"
+        expected = {"sharded.json", "sharded.npz"}
+        for shard in range(num_shards):
+            expected |= {
+                f"shards/{shard:04d}/database.json",
+                f"shards/{shard:04d}/collections/0000/collection.json",
+                f"shards/{shard:04d}/collections/0000/entities.npz",
+                f"shards/{shard:04d}/collections/0000/index.npz",
+            }
+        found = {
+            path.relative_to(vectordb).as_posix()
+            for path in vectordb.rglob("*")
+            if path.is_file()
+        }
+        assert found == expected
+        for shard in range(num_shards):
+            document = json.loads(
+                (vectordb / "shards" / f"{shard:04d}" / "database.json").read_text()
+            )
+            assert document == {
+                "collections": [
+                    {"name": LOVOStorage.COLLECTION_NAME, "path": "collections/0000"}
+                ]
+            }
+
+    def test_storage_load_rejects_a_mismatched_collection(self, tmp_path):
+        storage = LOVOStorage(8, IndexConfig(index_type="flat"))
+        storage.collection.insert(["p0"], np.ones((1, 8)))
+        storage.save(tmp_path / "storage")
+        path = tmp_path / "storage" / "storage.json"
+        document = json.loads(path.read_text())
+        document["dim"] = 16
+        path.write_text(json.dumps(document))
+        with pytest.raises(SnapshotCorruptionError, match="does not match"):
+            LOVOStorage.load(tmp_path / "storage")
 
     def test_storage_round_trip(self, tmp_path):
         system = ingested_system("ivfpq")
@@ -629,7 +673,7 @@ class TestVectorLayers:
         assert loaded.index_type == "ivfpq"
         assert loaded.metadata.count_frames() == storage.metadata.count_frames()
         assert loaded.metadata.count_patches() == storage.metadata.count_patches()
-        some_patch = storage.metadata.list_patches()[0]
+        some_patch = storage.metadata.get_patch(storage.collection.ids()[0])
         assert loaded.patch_record(some_patch.patch_id) == some_patch
 
 
@@ -673,9 +717,22 @@ class TestMetadataRoundTrip:
         assert sorted(loaded.list_frames(), key=lambda r: r.frame_id) == sorted(
             store.list_frames(), key=lambda r: r.frame_id
         )
-        assert sorted(loaded.list_patches(), key=lambda r: r.patch_id) == sorted(
-            store.list_patches(), key=lambda r: r.patch_id
-        )
+        before, after = store.to_arrays(), loaded.to_arrays()
+        for name in before:
+            if name.startswith("patch_"):
+                assert after[name].dtype == before[name].dtype
+                assert np.array_equal(after[name], before[name])
+
+    def test_empty_store_arrays_keep_their_dtypes(self):
+        arrays = MetadataStore().to_arrays()
+        assert all(value.shape[0] == 0 for value in arrays.values())
+        assert arrays["patch_boxes"].shape == (0, 4)
+        assert {name: value.dtype.kind for name, value in arrays.items()} == {
+            "frame_ids": "U", "frame_video_ids": "U", "frame_indexes": "i",
+            "frame_timestamps": "f", "patch_ids": "U", "patch_frame_ids": "U",
+            "patch_video_ids": "U", "patch_indexes": "i", "patch_boxes": "f",
+            "patch_objectness": "f",
+        }
 
     def test_save_load_file(self, tmp_path):
         store = MetadataStore()

@@ -262,6 +262,25 @@ class TestShadowSamplerMechanics:
         assert dropped.value() == 8
         sampler.stop()
 
+    def test_exact_rescan_skips_the_metadata_join(self, lovo_system, monkeypatch):
+        # The rescan reads only ids and scores, so it must not look the hits
+        # up in the metadata store.
+        def no_join(patch_ids):
+            raise AssertionError("the shadow rescan joined metadata rows")
+
+        text = QUERY_TEXTS[0]
+        fast = lovo_system.query(text).metadata["fast_search"]
+        monkeypatch.setattr(lovo_system.storage.metadata, "patch_frames", no_join)
+        sampler = ShadowSampler(lovo_system, ObsConfig(shadow_sample_rate=1.0)).start()
+        try:
+            assert sampler.maybe_sample(text, fast)
+            assert sampler.flush(timeout=30.0)
+            stats = sampler.stats()
+        finally:
+            sampler.stop()
+        family = stats["families"][lovo_system.storage.index_type]
+        assert family["samples"] == 1
+
     def test_stop_is_idempotent_and_blocks_restart(self, lovo_system):
         sampler = ShadowSampler(lovo_system, ObsConfig(shadow_sample_rate=1.0))
         sampler.start()

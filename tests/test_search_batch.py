@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.config import IndexConfig, ShardConfig
 from repro.core.storage import LOVOStorage
 from repro.errors import DimensionMismatchError
-from repro.shard.database import ShardedDatabase
+from repro.shard.database import ShardedCollection
 from repro.utils.geometry import BoundingBox
 from repro.vectordb.base import VectorIndex
 from repro.vectordb.collection import VectorCollection
@@ -138,7 +138,7 @@ def make_store(kind: str, populated: bool):
     if kind == "collection":
         store = VectorCollection("c", DIM, config)
     elif kind == "sharded":
-        store = ShardedDatabase(ShardConfig(num_shards=2)).create_collection("c", DIM, config)
+        store = ShardedCollection("c", DIM, config, ShardConfig(num_shards=2))
     else:
         store = LOVOStorage(DIM, config)
     if populated:

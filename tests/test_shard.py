@@ -2,13 +2,14 @@
 
 The headline guarantee is **bit-exact parity**: a sharded database answers
 every search with exactly the hits, scores, and ordering of a single
-unsharded :class:`~repro.vectordb.database.VectorDatabase` over the same
+unsharded :class:`~repro.vectordb.collection.VectorCollection` over the same
 inserts — across all three index families, for single and batched queries,
 through save/load, and while replicas are failing over mid-run.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from typing import List
@@ -18,9 +19,8 @@ import pytest
 
 from repro.config import IndexConfig, LOVOConfig, ShardConfig
 from repro.errors import (
-    CollectionExistsError,
-    CollectionNotFoundError,
     ConfigurationError,
+    DimensionMismatchError,
     ShardError,
     ShardUnavailableError,
     SnapshotCorruptionError,
@@ -31,14 +31,13 @@ from repro.shard import (
     KMeansPartitioner,
     ReplicaGroup,
     ShardRouter,
-    ShardedDatabase,
+    ShardedCollection,
     make_partitioner,
     merge_top_k,
     merge_top_k_batches,
     stable_shard_hash,
 )
-from repro.vectordb.collection import SearchHit
-from repro.vectordb.database import VectorDatabase
+from repro.vectordb.collection import SearchHit, VectorCollection
 
 DIM = 32
 NUM_VECTORS = 600
@@ -68,12 +67,12 @@ def hit_key(hits: List[SearchHit]) -> List[tuple]:
 
 
 def build_pair(index_config: IndexConfig, shard_config: ShardConfig, seed: int = 7):
-    """The same inserts into an unsharded and a sharded database."""
+    """The same inserts into an unsharded and a sharded collection."""
     ids, vectors, queries = make_data(seed)
-    plain = VectorDatabase()
-    plain.create_collection("c", DIM, index_config).insert(ids, vectors)
-    sharded = ShardedDatabase(shard_config)
-    sharded.create_collection("c", DIM, index_config).insert(ids, vectors)
+    plain = VectorCollection("c", DIM, index_config)
+    plain.insert(ids, vectors)
+    sharded = ShardedCollection("c", DIM, index_config, shard_config)
+    sharded.insert(ids, vectors)
     return plain, sharded, queries
 
 
@@ -172,11 +171,11 @@ class TestScatterGatherParity:
         shard_config = ShardConfig(num_shards=num_shards, partitioner=partitioner)
         plain, sharded, queries = build_pair(INDEX_CONFIGS[index_kind], shard_config)
         for query in queries:
-            assert hit_key(sharded.search("c", query, TOP_K)) == hit_key(
-                plain.search("c", query, TOP_K)
+            assert hit_key(sharded.search(query, TOP_K)) == hit_key(
+                plain.search(query, TOP_K)
             )
-        sharded_rows = sharded.search_batch("c", queries, TOP_K)
-        plain_rows = plain.search_batch("c", queries, TOP_K)
+        sharded_rows = sharded.search_batch(queries, TOP_K)
+        plain_rows = plain.search_batch(queries, TOP_K)
         assert [hit_key(row) for row in sharded_rows] == [
             hit_key(row) for row in plain_rows
         ]
@@ -184,10 +183,10 @@ class TestScatterGatherParity:
     def test_exhaustive_parity(self, index_kind, partitioner, num_shards):
         shard_config = ShardConfig(num_shards=num_shards, partitioner=partitioner)
         plain, sharded, queries = build_pair(INDEX_CONFIGS[index_kind], shard_config)
-        sharded_rows = sharded.get_collection("c").search_exhaustive_batch(
+        sharded_rows = sharded.search_exhaustive_batch(
             queries, TOP_K
         )
-        plain_rows = plain.get_collection("c").search_exhaustive_batch(queries, TOP_K)
+        plain_rows = plain.search_exhaustive_batch(queries, TOP_K)
         assert [hit_key(row) for row in sharded_rows] == [
             hit_key(row) for row in plain_rows
         ]
@@ -196,41 +195,28 @@ class TestScatterGatherParity:
         shard_config = ShardConfig(num_shards=num_shards, partitioner=partitioner)
         plain, sharded, queries = build_pair(INDEX_CONFIGS[index_kind], shard_config)
         # Force both builds, then grow both sides identically.
-        plain.search("c", queries[0], TOP_K)
-        sharded.search("c", queries[0], TOP_K)
+        plain.search(queries[0], TOP_K)
+        sharded.search(queries[0], TOP_K)
         rng = np.random.default_rng(23)
         extra_ids = [f"extra-{i}" for i in range(40)]
         extra = rng.normal(size=(40, DIM))
-        plain.get_collection("c").insert(extra_ids, extra)
-        sharded.get_collection("c").insert(extra_ids, extra)
+        plain.insert(extra_ids, extra)
+        sharded.insert(extra_ids, extra)
         for query in queries:
-            assert hit_key(sharded.search("c", query, TOP_K)) == hit_key(
-                plain.search("c", query, TOP_K)
+            assert hit_key(sharded.search(query, TOP_K)) == hit_key(
+                plain.search(query, TOP_K)
             )
 
 
 class TestShardedDatabaseSurface:
+    """The sharded collection's own surface: routing, validation, topology."""
+
     def test_single_shard_runs_inline(self):
-        sharded = ShardedDatabase(ShardConfig(num_shards=1))
+        sharded = ShardedCollection("c", DIM, shard_config=ShardConfig(num_shards=1))
         assert sharded.router._executor is None
 
-    def test_collection_lifecycle_and_errors(self):
-        sharded = ShardedDatabase(ShardConfig(num_shards=2))
-        sharded.create_collection("c", DIM)
-        with pytest.raises(CollectionExistsError):
-            sharded.create_collection("c", DIM)
-        assert sharded.has_collection("c")
-        assert sharded.list_collections() == ["c"]
-        with pytest.raises(CollectionNotFoundError):
-            sharded.get_collection("missing")
-        sharded.drop_collection("c")
-        assert not sharded.has_collection("c")
-        with pytest.raises(CollectionNotFoundError):
-            sharded.drop_collection("c")
-
     def test_insert_validation_matches_unsharded(self):
-        sharded = ShardedDatabase(ShardConfig(num_shards=2))
-        collection = sharded.create_collection("c", DIM, IndexConfig(index_type="flat"))
+        collection = ShardedCollection("c", DIM, IndexConfig(index_type="flat"), ShardConfig(num_shards=2))
         with pytest.raises(VectorDatabaseError, match="ids for"):
             collection.insert(["a"], np.zeros((2, DIM)))
         with pytest.raises(VectorDatabaseError, match="-d vectors"):
@@ -241,8 +227,7 @@ class TestShardedDatabaseSurface:
 
     def test_vector_routing(self):
         ids, vectors, _ = make_data(seed=9, count=100)
-        sharded = ShardedDatabase(ShardConfig(num_shards=4))
-        collection = sharded.create_collection("c", DIM, IndexConfig(index_type="flat"))
+        collection = ShardedCollection("c", DIM, IndexConfig(index_type="flat"), ShardConfig(num_shards=4))
         collection.insert(ids, vectors)
         assert collection.ids() == ids
         assert sum(collection.shard_sizes()) == len(ids)
@@ -253,22 +238,26 @@ class TestShardedDatabaseSurface:
 
     def test_adopt_unsharded_collection_preserves_results(self, tmp_path):
         ids, vectors, queries = make_data(seed=13)
-        plain = VectorDatabase()
-        source = plain.create_collection("c", DIM, IndexConfig(index_type="ivfpq"))
-        source.insert(ids, vectors)
-        plain.save(tmp_path)
-        sharded = ShardedDatabase.load(tmp_path)
+        plain = VectorCollection("c", DIM, IndexConfig(index_type="ivfpq"))
+        plain.insert(ids, vectors)
+        # The unsharded layout: one database.json + collections/ at the
+        # root, with no sharded.json beside them.
+        plain.save(tmp_path / "collections" / "0000")
+        (tmp_path / "database.json").write_text(
+            json.dumps({"collections": [{"name": "c", "path": "collections/0000"}]})
+        )
+        sharded = ShardedCollection.load(tmp_path, "c")
         assert sharded.num_shards == 1
-        assert sharded.get_collection("c").ids() == ids
+        assert sharded.ids() == ids
         for query in queries:
-            assert hit_key(sharded.search("c", query, TOP_K)) == hit_key(
-                plain.search("c", query, TOP_K)
+            assert hit_key(sharded.search(query, TOP_K)) == hit_key(
+                plain.search(query, TOP_K)
             )
 
     def test_status_reports_topology(self):
         ids, vectors, _ = make_data(seed=1, count=60)
-        sharded = ShardedDatabase(ShardConfig(num_shards=2, num_replicas=2))
-        sharded.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
+        sharded = ShardedCollection("c", DIM, IndexConfig(index_type="flat"), ShardConfig(num_shards=2, num_replicas=2))
+        sharded.insert(
             ids, vectors
         )
         status = sharded.status()
@@ -284,8 +273,7 @@ class TestReadsSkipTheWriteLock:
         self, index_kind, num_shards
     ):
         ids, vectors, queries = make_data(seed=37, count=200)
-        sharded = ShardedDatabase(ShardConfig(num_shards=num_shards))
-        collection = sharded.create_collection("c", DIM, INDEX_CONFIGS[index_kind])
+        collection = ShardedCollection("c", DIM, INDEX_CONFIGS[index_kind], ShardConfig(num_shards=num_shards))
         collection.insert(ids, vectors)
         collection.flush()
         held, release = threading.Event(), threading.Event()
@@ -315,11 +303,11 @@ class TestSaveLoad:
         shard_config = ShardConfig(num_shards=3, partitioner="kmeans")
         plain, sharded, queries = build_pair(INDEX_CONFIGS[index_kind], shard_config)
         sharded.save(tmp_path / "snap")
-        restored = ShardedDatabase.load(tmp_path / "snap")
+        restored = ShardedCollection.load(tmp_path / "snap", "c")
         assert restored.num_shards == 3
         for query in queries:
-            assert hit_key(restored.search("c", query, TOP_K)) == hit_key(
-                plain.search("c", query, TOP_K)
+            assert hit_key(restored.search(query, TOP_K)) == hit_key(
+                plain.search(query, TOP_K)
             )
 
     def test_loaded_database_accepts_new_inserts(self, tmp_path):
@@ -327,18 +315,46 @@ class TestSaveLoad:
         plain, sharded, queries = build_pair(INDEX_CONFIGS["ivfpq"], shard_config)
         # Build the unsharded index now: save() builds the sharded one, so
         # both sides must take the incremental-insert path for the extras.
-        plain.search("c", queries[0], TOP_K)
+        plain.search(queries[0], TOP_K)
         sharded.save(tmp_path / "snap")
-        restored = ShardedDatabase.load(tmp_path / "snap")
+        restored = ShardedCollection.load(tmp_path / "snap", "c")
         rng = np.random.default_rng(31)
         extra_ids = [f"late-{i}" for i in range(20)]
         extra = rng.normal(size=(20, DIM))
-        plain.get_collection("c").insert(extra_ids, extra)
-        restored.get_collection("c").insert(extra_ids, extra)
+        plain.insert(extra_ids, extra)
+        restored.insert(extra_ids, extra)
         for query in queries:
-            assert hit_key(restored.search("c", query, TOP_K)) == hit_key(
-                plain.search("c", query, TOP_K)
+            assert hit_key(restored.search(query, TOP_K)) == hit_key(
+                plain.search(query, TOP_K)
             )
+
+    def test_empty_shard_keeps_shared_ivfpq_codebooks_through_reload(self, tmp_path):
+        # Shard 2 is empty at save, so it writes no index state; the loaded
+        # copy must still share the global centroids and codebooks, or an
+        # append to it trains its own and answers drift from the live ones.
+        rng = np.random.default_rng(43)
+        candidates = [f"vec-{i:05d}" for i in range(1000)]
+        kept = [c for c in candidates if stable_shard_hash(c, 3) != 2][:300]
+        late = [c for c in candidates if stable_shard_hash(c, 3) == 2][:40]
+        queries = rng.normal(size=(NUM_QUERIES, DIM))
+        live = ShardedCollection("c", DIM, INDEX_CONFIGS["ivfpq"], ShardConfig(num_shards=3))
+        live.insert(kept, rng.normal(size=(len(kept), DIM)))
+        live.save(tmp_path / "snap")
+        assert live.shard_sizes()[2] == 0
+        loaded = ShardedCollection.load(tmp_path / "snap", "c")
+        extra = rng.normal(size=(len(late), DIM))
+        live.insert(late, extra)
+        loaded.insert(late, extra)
+        assert loaded.shard_sizes() == live.shard_sizes()
+        assert [hit_key(row) for row in loaded.search_batch(queries, TOP_K)] == [
+            hit_key(row) for row in live.search_batch(queries, TOP_K)
+        ]
+
+    def test_snapshot_of_another_collection_is_corruption(self, tmp_path):
+        _, sharded, _ = build_pair(INDEX_CONFIGS["flat"], ShardConfig(num_shards=2))
+        sharded.save(tmp_path / "snap")
+        with pytest.raises(SnapshotCorruptionError, match="exactly the collection"):
+            ShardedCollection.load(tmp_path / "snap", "other")
 
     def test_missing_shard_directory_is_corruption(self, tmp_path):
         _, sharded, _ = build_pair(INDEX_CONFIGS["flat"], ShardConfig(num_shards=2))
@@ -347,7 +363,7 @@ class TestSaveLoad:
 
         shutil.rmtree(tmp_path / "snap" / "shards" / "0001")
         with pytest.raises(SnapshotCorruptionError):
-            ShardedDatabase.load(tmp_path / "snap")
+            ShardedCollection.load(tmp_path / "snap", "c")
 
 
 class FlakyBackend:
@@ -359,13 +375,20 @@ class FlakyBackend:
         self.calls = 0
         self._lock = threading.Lock()
 
-    def get_collection(self, name):
+    def _call(self) -> None:
         with self._lock:
             self.calls += 1
             if self._failures > 0:
                 self._failures -= 1
                 raise RuntimeError("replica crashed")
-        return self._inner.get_collection(name)
+
+    def search_batch(self, queries, k):
+        self._call()
+        return self._inner.search_batch(queries, k)
+
+    def search_exhaustive_batch(self, queries, k):
+        self._call()
+        return self._inner.search_exhaustive_batch(queries, k)
 
 
 class TestReplicaFailover:
@@ -381,22 +404,22 @@ class TestReplicaFailover:
 
     def test_failover_marks_replica_unhealthy_and_recovers(self):
         ids, vectors, queries = make_data(seed=17, count=120)
-        plain = VectorDatabase()
-        plain.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
+        plain = VectorCollection("c", DIM, IndexConfig(index_type="flat"))
+        plain.insert(
             ids, vectors
         )
-        sharded = ShardedDatabase(ShardConfig(num_shards=2))
-        sharded.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
+        sharded = ShardedCollection("c", DIM, IndexConfig(index_type="flat"), ShardConfig(num_shards=2))
+        sharded.insert(
             ids, vectors
         )
-        flaky = FlakyBackend(sharded.shards[0], failures=1)
+        flaky = FlakyBackend(sharded.shard_collections[0], failures=1)
         sharded.add_replica(0, flaky)
         group = sharded.replica_groups[0]
-        expected = hit_key(plain.search("c", queries[0], TOP_K))
+        expected = hit_key(plain.search(queries[0], TOP_K))
         # The round-robin rotation reaches the flaky replica within two
         # searches; its one crash must fail over with identical results.
         for _ in range(4):
-            assert hit_key(sharded.search("c", queries[0], TOP_K)) == expected
+            assert hit_key(sharded.search(queries[0], TOP_K)) == expected
         unhealthy = [replica for replica in group.replicas if not replica.healthy]
         assert len(unhealthy) == 1
         assert flaky.calls >= 1
@@ -406,67 +429,69 @@ class TestReplicaFailover:
 
     def test_all_replicas_dead_raises_shard_unavailable(self):
         ids, vectors, queries = make_data(seed=19, count=50)
-        sharded = ShardedDatabase(ShardConfig(num_shards=2))
-        sharded.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
+        sharded = ShardedCollection("c", DIM, IndexConfig(index_type="flat"), ShardConfig(num_shards=2))
+        sharded.insert(
             ids, vectors
         )
-        sharded.search("c", queries[0], TOP_K)  # build once
+        sharded.search(queries[0], TOP_K)  # build once
         group = sharded.replica_groups[1]
         for replica in group.replicas:
             group.mark_unhealthy(replica)
         with pytest.raises(ShardUnavailableError) as excinfo:
-            sharded.search("c", queries[0], TOP_K)
+            sharded.search(queries[0], TOP_K)
         assert excinfo.value.retryable is True
         assert excinfo.value.code == "shard_unavailable"
 
     def test_single_replica_error_reaches_caller_and_keeps_shard_healthy(self):
         ids, vectors, queries = make_data(seed=41, count=120)
-        plain = VectorDatabase()
-        plain.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
+        plain = VectorCollection("c", DIM, IndexConfig(index_type="flat"))
+        plain.insert(
             ids, vectors
         )
-        sharded = ShardedDatabase(ShardConfig(num_shards=2))
-        sharded.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
+        sharded = ShardedCollection("c", DIM, IndexConfig(index_type="flat"), ShardConfig(num_shards=2))
+        sharded.insert(
             ids, vectors
         )
         replica = sharded.replica_groups[0].replicas[0]
         replica.backend = FlakyBackend(replica.backend, failures=1)
         with pytest.raises(RuntimeError, match="replica crashed"):
-            sharded.search("c", queries[0], TOP_K)
-        assert hit_key(sharded.search("c", queries[0], TOP_K)) == hit_key(
-            plain.search("c", queries[0], TOP_K)
+            sharded.search(queries[0], TOP_K)
+        assert hit_key(sharded.search(queries[0], TOP_K)) == hit_key(
+            plain.search(queries[0], TOP_K)
         )
         assert replica.healthy
         assert sharded.status()["health"] == "ok"
 
     def test_request_errors_do_not_trigger_failover(self):
-        sharded = ShardedDatabase(ShardConfig(num_shards=2, num_replicas=2))
-        sharded.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
+        sharded = ShardedCollection("c", DIM, IndexConfig(index_type="flat"), ShardConfig(num_shards=2, num_replicas=2))
+        sharded.insert(
             ["a"], np.zeros((1, DIM))
         )
-        with pytest.raises(CollectionNotFoundError):
-            sharded.router.scatter(lambda backend: backend.get_collection("missing"))
+        with pytest.raises(DimensionMismatchError):
+            sharded.router.scatter(
+                lambda backend: backend.search_batch(np.zeros((1, DIM + 1)), TOP_K)
+            )
         for group in sharded.replica_groups:
             assert all(replica.healthy for replica in group.replicas)
 
     def test_failover_mid_run_drops_zero_queries(self):
         """Replicas dying mid-stream must not lose or corrupt any query."""
         ids, vectors, queries = make_data(seed=29, count=300)
-        plain = VectorDatabase()
-        plain.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
+        plain = VectorCollection("c", DIM, IndexConfig(index_type="flat"))
+        plain.insert(
             ids, vectors
         )
         expected = {
-            i: hit_key(plain.search("c", queries[i % NUM_QUERIES], TOP_K))
+            i: hit_key(plain.search(queries[i % NUM_QUERIES], TOP_K))
             for i in range(NUM_QUERIES)
         }
 
-        sharded = ShardedDatabase(ShardConfig(num_shards=3))
-        sharded.create_collection("c", DIM, IndexConfig(index_type="flat")).insert(
+        sharded = ShardedCollection("c", DIM, IndexConfig(index_type="flat"), ShardConfig(num_shards=3))
+        sharded.insert(
             ids, vectors
         )
         # Every shard gets a replica that will crash partway through the run.
-        for shard_index, shard in enumerate(sharded.shards):
+        for shard_index, shard in enumerate(sharded.shard_collections):
             sharded.add_replica(shard_index, FlakyBackend(shard, failures=3))
 
         errors: List[BaseException] = []
@@ -475,7 +500,7 @@ class TestReplicaFailover:
         def client(worker: int) -> None:
             try:
                 for i in range(NUM_QUERIES):
-                    got = sharded.search("c", queries[i % NUM_QUERIES], TOP_K)
+                    got = sharded.search(queries[i % NUM_QUERIES], TOP_K)
                     if hit_key(got) != expected[i]:
                         mismatches.append(worker)
             except BaseException as error:  # noqa: BLE001 - collected for assert
@@ -498,7 +523,7 @@ class TestReplicaFailover:
         assert unhealthy
 
     def test_add_replica_validates_index(self):
-        sharded = ShardedDatabase(ShardConfig(num_shards=2))
+        sharded = ShardedCollection("c", DIM, shard_config=ShardConfig(num_shards=2))
         with pytest.raises(ShardError):
             sharded.add_replica(5, object())
 
@@ -554,8 +579,8 @@ class TestEndToEndLOVO:
         for system in (plain, sharded):
             for dataset in datasets:
                 system.ingest(dataset)
-        assert sharded.storage.database.num_shards > 1
-        assert not plain.storage.database.num_shards > 1
+        assert sharded.storage.collection.num_shards > 1
+        assert not plain.storage.collection.num_shards > 1
         for text in texts:
             expected = result_key(plain.query(text))
             assert expected
@@ -581,7 +606,7 @@ class TestEndToEndLOVO:
         system.ingest(make_bellevue(num_videos=1, frames_per_video=30))
         text = "A red car driving in the center of the road"
         expected = result_key(system.query(text))
-        replica = system.storage.database.replica_groups[0].replicas[0]
+        replica = system.storage.collection.replica_groups[0].replicas[0]
         replica.backend = FlakyBackend(replica.backend, failures=1)
         with pytest.raises(RuntimeError, match="replica crashed"):
             system.query(text)
@@ -599,7 +624,7 @@ class TestEndToEndLOVO:
         before = system.query(text)
         system.save(tmp_path / "snap")
         restored = LOVO.load(tmp_path / "snap")
-        assert restored.storage.database.num_shards > 1
+        assert restored.storage.collection.num_shards > 1
         after = restored.query(text)
         assert [(r.frame_id, r.score) for r in before.results] == [
             (r.frame_id, r.score) for r in after.results
