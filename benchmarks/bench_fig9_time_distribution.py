@@ -4,6 +4,12 @@ Splits LOVO's total execution time on each dataset into video processing,
 cross-modality rerank, and indexing + fast search, as Fig. 9 does.  A fresh
 LOVO instance is used per dataset so the breakdown reflects exactly one
 ingestion plus that dataset's Table II queries.
+
+The gated breakdown turns the rerank-candidate cache off
+(``candidate_cache_bytes=0``): every query re-encodes its candidate frames,
+which is the paper's per-query cost model.  The default configuration, whose
+cache re-encodes a frame once per system, is printed beside it; its rerank
+share is smaller, so the paper's shape is not asserted on it.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro import LOVO
+from repro.core.query import DEFAULT_CANDIDATE_CACHE_BYTES
 from repro.eval.reporting import format_table
 from repro.eval.workloads import queries_for_dataset
 
@@ -19,10 +26,12 @@ from conftest import bench_lovo_config, report
 DATASETS = ["cityscapes", "bellevue", "qvhighlights", "beach"]
 
 
-def run_time_distribution(bench_env) -> Dict[str, Dict[str, float]]:
+def run_time_distribution(
+    bench_env, candidate_cache_bytes: int
+) -> Dict[str, Dict[str, float]]:
     distributions: Dict[str, Dict[str, float]] = {}
     for dataset_name in DATASETS:
-        system = LOVO(bench_lovo_config())
+        system = LOVO(bench_lovo_config(), candidate_cache_bytes=candidate_cache_bytes)
         system.ingest(bench_env.dataset(dataset_name))
         for spec in queries_for_dataset(dataset_name):
             system.query(spec.text)
@@ -30,10 +39,7 @@ def run_time_distribution(bench_env) -> Dict[str, Dict[str, float]]:
     return distributions
 
 
-def test_fig9_time_distribution(benchmark, bench_env):
-    distributions = benchmark.pedantic(
-        run_time_distribution, args=(bench_env,), rounds=1, iterations=1
-    )
+def distribution_table(distributions: Dict[str, Dict[str, float]], title: str) -> str:
     rows = []
     for dataset_name, phases in distributions.items():
         total = sum(phases.values())
@@ -44,13 +50,34 @@ def test_fig9_time_distribution(benchmark, bench_env):
             f"{phases['indexing_fast_search']:.3f}",
             f"{100 * phases['processing'] / total:.1f}%",
         ])
-    table = format_table(
+    return format_table(
         ["dataset", "processing (s)", "rerank (s)", "indexing + fast search (s)",
          "processing share"],
         rows,
-        title="Fig. 9: LOVO execution-time distribution per dataset",
+        title=title,
     )
-    report("fig9_time_distribution", table)
+
+
+def test_fig9_time_distribution(benchmark, bench_env):
+    distributions = benchmark.pedantic(
+        run_time_distribution,
+        args=(bench_env, 0),
+        rounds=1,
+        iterations=1,
+    )
+    cached = run_time_distribution(bench_env, DEFAULT_CANDIDATE_CACHE_BYTES)
+    report(
+        "fig9_time_distribution",
+        distribution_table(
+            distributions,
+            "Fig. 9: LOVO execution-time distribution per dataset "
+            "(candidate cache off: re-encode per query, as the paper)",
+        )
+        + "\n\n"
+        + distribution_table(
+            cached, "Default configuration (candidate cache on: encode once per system)"
+        ),
+    )
 
     # Shape assertions from the paper: indexing + fast search is by far the
     # smallest share, rerank is the dominant *query-time* cost, and the

@@ -46,7 +46,9 @@ def main() -> None:
 
     print(f"\nBatch of {batch.batch_size} queries "
           f"({batch.metadata['num_unique_queries']} unique, "
-          f"{batch.metadata['num_unique_candidate_frames']} candidate frames re-encoded once)")
+          f"{batch.metadata['num_unique_candidate_frames']} candidate frames, "
+          f"{batch.metadata['num_built_candidate_frames']} re-encoded: "
+          "the sequential loop left the rest in the candidate cache)")
     print(f"  sequential loop: {sequential_seconds:.2f}s "
           f"({len(queue) / sequential_seconds:.0f} queries/s)")
     print(f"  query_batch:     {batch_seconds:.2f}s "

@@ -7,8 +7,15 @@ candidate key frames.
 
 Stage 2 — **cross-modality rerank**: the candidate frames are re-encoded with
 the full-dimensional visual encoder into array-form candidates that keep only
-the detections the reranker scores, each distinct frame once per batch.  Each
-query's candidates are then scored against the complete query (including
+the detections the reranker scores.  A candidate depends only on its frame,
+the frame's scene and the encoder and reranker configurations, and no
+operation changes a stored frame, so each system keeps an LRU of candidates,
+bounded by their bytes (``candidate_cache_bytes``), that needs no
+invalidation: a frame is re-encoded once while it stays cached, not once per
+query batch.  The budget belongs to the process, not the model: it is a
+constructor argument, never part of the configuration or a snapshot, and a
+loaded system starts cold.
+Each query's candidates are then scored against the complete query (including
 relational tokens evaluated over the predicted boxes) by one call of the
 cross-modality reranker, which stacks them into row blocks (see
 :mod:`repro.encoders.cross_modal`).  The top-``n`` frames with their refined
@@ -18,7 +25,7 @@ bounding boxes are returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.config import QueryConfig
 from repro.core.results import BatchQueryResponse, ObjectQueryResult, QueryResponse
@@ -28,6 +35,7 @@ from repro.encoders.cross_modal import CrossModalityReranker, FrameCandidate, Re
 from repro.encoders.text import ParsedQuery, TextEncoder
 from repro.errors import QueryError
 from repro.obs.trace import span as obs_span
+from repro.utils.cache import LRUCache
 from repro.utils.timing import PhaseTimer
 from repro.vectordb.collection import SearchHit
 from repro.video.model import Frame
@@ -149,6 +157,10 @@ class QueryRequest:
 #: EXPLAIN score margins without bloating cached responses.
 FAST_SEARCH_PROVENANCE_CAP = 64
 
+#: Default memory budget of a system's rerank-candidate cache, in bytes of
+#: cached candidates (:attr:`FrameCandidate.nbytes`).
+DEFAULT_CANDIDATE_CACHE_BYTES = 64 * 1024 * 1024
+
 
 def _fast_search_provenance(
     patch_hits: Sequence[Tuple[str, float]], fast_k: int
@@ -219,7 +231,12 @@ def as_query_batch(
 
 
 class QueryStrategy:
-    """Implements Algorithm 2 over a populated :class:`LOVOStorage`."""
+    """Implements Algorithm 2 over a populated :class:`LOVOStorage`.
+
+    ``candidate_cache_bytes`` bounds the summed :attr:`FrameCandidate.nbytes`
+    of the cached rerank candidates; ``0`` turns the cache off, so every
+    batch re-encodes its candidate frames (the paper's per-query cost).
+    """
 
     def __init__(
         self,
@@ -230,6 +247,7 @@ class QueryStrategy:
         frame_registry: Mapping[str, Frame],
         frame_scene: Mapping[str, str],
         config: QueryConfig | None = None,
+        candidate_cache_bytes: int = DEFAULT_CANDIDATE_CACHE_BYTES,
     ) -> None:
         self._text_encoder = text_encoder
         self._reranker = reranker
@@ -238,6 +256,11 @@ class QueryStrategy:
         self._frames = frame_registry
         self._frame_scene = frame_scene
         self._config = config or QueryConfig()
+        self._candidates: Optional[LRUCache[str, FrameCandidate]] = (
+            LRUCache(candidate_cache_bytes, weigh=lambda candidate: candidate.nbytes)
+            if candidate_cache_bytes > 0
+            else None
+        )
 
     @property
     def config(self) -> QueryConfig:
@@ -255,13 +278,14 @@ class QueryStrategy:
         This is the only query path: a single query is a batch of one.
         Stage 1 embeds every query with one vectorized text-encoder pass and
         runs one multi-query ANN search.  Stage 2 builds candidates over the
-        *union* of the per-query candidate frames, so each distinct frame is
-        re-encoded exactly once no matter how many queries retrieved it, and
-        then reranks each query in its own call: rows are never stacked
-        across queries, so each query's hits and scores depend only on that
-        query, never on the rest of the batch.  Requests may be strings or
-        :class:`QueryRequest` objects but must share one
-        :class:`QueryOptions` (the batch runs as one pass).
+        *union* of the per-query candidate frames, taking each from the
+        system's candidate cache, so a distinct frame is re-encoded once per
+        system while it stays cached (once per batch with the cache off), no
+        matter how many queries retrieved it.  It then reranks each query in
+        its own call: rows are never stacked across queries, so each query's
+        hits and scores depend only on that query, never on the rest of the
+        batch.  Requests may be strings or :class:`QueryRequest` objects but
+        must share one :class:`QueryOptions` (the batch runs as one pass).
         """
         texts, batch_options = as_query_batch(
             requests, options, caller="QueryStrategy.query_batch"
@@ -292,17 +316,15 @@ class QueryStrategy:
 
         results_by_query: Dict[ParsedQuery, List[ObjectQueryResult]] = {}
         union: Dict[str, None] = {}
+        num_built = 0
         if self._config.rerank_enabled:
             with timer.phase("rerank"), obs_span("rerank"):
                 for candidate_frames, _ in grouped.values():
                     for frame_id in candidate_frames:
                         union.setdefault(frame_id, None)
-                # Each distinct candidate frame is re-encoded exactly once for
-                # the whole batch, no matter how many queries retrieved it.
-                with obs_span("candidate_build", frames=len(union)):
-                    shared = {
-                        frame_id: self._frame_candidate(frame_id) for frame_id in union
-                    }
+                with obs_span("candidate_build", frames=len(union)) as building:
+                    shared, num_built = self._candidates_for(union)
+                    building.set("built", num_built)
                 with obs_span("rerank_score") as scoring:
                     frames = patches = 0
                     for parsed in unique:
@@ -348,6 +370,7 @@ class QueryStrategy:
                 "batch_size": num_queries,
                 "num_unique_queries": len(unique),
                 "num_unique_candidate_frames": len(union),
+                "num_built_candidate_frames": num_built,
                 "rerank_enabled": self._config.rerank_enabled,
                 "ann_enabled": self._config.ann_enabled,
             },
@@ -372,6 +395,35 @@ class QueryStrategy:
                 frame_order[frame_id] = hit.score
         candidate_frames = list(frame_order)[: self._config.max_candidate_frames]
         return candidate_frames, patch_hits
+
+    def _candidates_for(
+        self, frame_ids: Iterable[str]
+    ) -> Tuple[Dict[str, FrameCandidate], int]:
+        """Each frame's rerank candidate, and how many had to be built.
+
+        Every hit is taken before the first miss is stored, so a budget
+        smaller than the batch's candidate set still serves the frames it
+        holds instead of evicting them for this batch's misses.  A miss is
+        built outside the cache's lock.  Two threads that miss on the same
+        frame both build it, which is harmless: the build is deterministic,
+        so either copy gives the same answers.
+        """
+        cache = self._candidates
+        frame_ids = list(frame_ids)
+        hits = {} if cache is None else {
+            frame_id: cache.get(frame_id) for frame_id in frame_ids
+        }
+        candidates: Dict[str, FrameCandidate] = {}
+        built = 0
+        for frame_id in frame_ids:
+            candidate = hits.get(frame_id)
+            if candidate is None:
+                candidate = self._frame_candidate(frame_id)
+                built += 1
+                if cache is not None:
+                    cache.put(frame_id, candidate)
+            candidates[frame_id] = candidate
+        return candidates, built
 
     def _frame_candidate(self, frame_id: str) -> FrameCandidate:
         """Re-encode one key frame into a rerank candidate (deterministic)."""

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import LOVOConfig
 from repro.core.query import (
+    DEFAULT_CANDIDATE_CACHE_BYTES,
     QueryOptions,
     QueryRequest,
     QueryStrategy,
@@ -31,7 +32,12 @@ from repro.core.storage import LOVOStorage
 from repro.core.summary import SummaryOutput, VideoSummarizer
 from repro.encoders.cross_modal import CrossModalityReranker, RerankerConfig
 from repro.encoders.text import TextEncoder
-from repro.errors import PersistenceError, SnapshotCorruptionError, SystemNotReadyError
+from repro.errors import (
+    ConfigurationError,
+    PersistenceError,
+    SnapshotCorruptionError,
+    SystemNotReadyError,
+)
 from repro.obs.trace import Tracer
 from repro.persist.manifest import SnapshotManifest
 from repro.persist.snapshot import load_system, save_system
@@ -46,18 +52,29 @@ class LOVO:
     Thread safety: once built (via :meth:`ingest` or :meth:`load`), the query
     path — :meth:`query` and :meth:`query_batch` — is safe to call from many
     threads at once; the shared pieces it touches (the text-encoder LRU
-    caches, the lazily built reranker layers, the phase timer) synchronize
-    internally, and everything else is read-only.  The serving subsystem
-    (:mod:`repro.serve`) relies on this.  :meth:`ingest` itself is serialized
-    by an internal lock, but running it *concurrently with* queries gives no
-    atomicity guarantee about which queries see the newly ingested data.
+    caches, the rerank-candidate cache, the lazily built reranker layers,
+    the phase timer) synchronize internally, and everything else is
+    read-only.  The serving subsystem (:mod:`repro.serve`) relies on this.
+    :meth:`ingest` itself is serialized by an internal lock, but running it
+    *concurrently with* queries gives no atomicity guarantee about which
+    queries see the newly ingested data.
+
+    ``candidate_cache_bytes`` is the memory budget of the rerank-candidate
+    cache (see :mod:`repro.core.query`); ``0`` turns it off.  It sizes this
+    process, not the model, so it is not part of :class:`LOVOConfig` and is
+    never saved: :meth:`load` takes its own.
     """
 
     def __init__(
         self,
         config: LOVOConfig | None = None,
         reranker_config: RerankerConfig | None = None,
+        *,
+        candidate_cache_bytes: int = DEFAULT_CANDIDATE_CACHE_BYTES,
     ) -> None:
+        if candidate_cache_bytes < 0:
+            raise ConfigurationError("candidate_cache_bytes must be non-negative")
+        self._candidate_cache_bytes = candidate_cache_bytes
         self._config = config or LOVOConfig()
         self._summarizer = VideoSummarizer(self._config)
         self._text_encoder = TextEncoder(
@@ -74,7 +91,8 @@ class LOVO:
         self._frame_scene: Dict[str, str] = {}
         self._timer = PhaseTimer()
         self._tracer = Tracer(self._config.obs)
-        self._summary: Optional[SummaryOutput] = None
+        self._frames_processed = 0
+        self._total_frames = 0
         self._datasets: List[str] = []
         self._ingest_lock = create_lock("LOVO._ingest_lock")
         self._data_version = 0
@@ -124,7 +142,7 @@ class LOVO:
     @property
     def num_keyframes(self) -> int:
         """Number of key frames selected during ingestion."""
-        return 0 if self._summary is None else self._summary.num_keyframes
+        return len(self._frame_registry)
 
     @property
     def ingested_datasets(self) -> List[str]:
@@ -179,6 +197,7 @@ class LOVO:
             frame_registry=self._frame_registry,
             frame_scene=self._frame_scene,
             config=self._config.query,
+            candidate_cache_bytes=self._candidate_cache_bytes,
         )
 
     def ingest(self, dataset: VideoDataset) -> SummaryOutput:
@@ -213,15 +232,11 @@ class LOVO:
         for frame in summary.keyframes:
             self._frame_registry[frame.frame_id] = frame
         self._frame_scene.update(summary.frame_scene)
-
-        if self._summary is None:
-            self._summary = summary
-        else:
-            self._summary.keyframes.extend(summary.keyframes)
-            self._summary.encodings.extend(summary.encodings)
-            self._summary.frame_scene.update(summary.frame_scene)
-            self._summary.frames_processed += summary.frames_processed
-            self._summary.total_frames += summary.total_frames
+        # Only the counters outlive the call: the summary is the caller's,
+        # and its patch encodings are intermediates whose vectors now live
+        # in the collection.
+        self._frames_processed += summary.frames_processed
+        self._total_frames += summary.total_frames
         self._datasets.append(dataset_name)
         # Bumped last: by the time any cache observes the new epoch, the
         # newly indexed data and its frames are registered.
@@ -250,8 +265,9 @@ class LOVO:
     ) -> BatchQueryResponse:
         """Answer several complex object queries in one batched engine pass.
 
-        The batch path amortises text encoding, the ANN probes, and the
-        re-encoding of candidate frames shared between queries, so throughput
+        The batch path amortises text encoding and the ANN probes over the
+        batch, and candidate frames come from the system's candidate cache
+        (built at most once per batch when it is off), so throughput
         scales with query concurrency instead of paying the full pipeline per
         call; each query's hits and scores are the ones it gets on its own.
         Requests may be strings or :class:`~repro.core.query.QueryRequest`
@@ -280,7 +296,7 @@ class LOVO:
             )
         # A storage-bearing system with zero datasets (e.g. a streaming
         # deployment snapshotted before its first segment arrived) still
-        # round-trips: the summary is simply absent and the counters zero.
+        # round-trips with zero counters.
         return save_system(
             path,
             config=self._config,
@@ -288,15 +304,19 @@ class LOVO:
             keyframes=list(self._frame_registry.values()),
             frame_scene=self._frame_scene,
             datasets=self._datasets,
-            frames_processed=0 if self._summary is None else self._summary.frames_processed,
-            total_frames=0 if self._summary is None else self._summary.total_frames,
+            frames_processed=self._frames_processed,
+            total_frames=self._total_frames,
             reranker_config=asdict(self._reranker.config),
             info={"backend": self._storage.backend_status()},
         )
 
     @classmethod
     def load(
-        cls, path: str | Path, reranker_config: RerankerConfig | None = None
+        cls,
+        path: str | Path,
+        reranker_config: RerankerConfig | None = None,
+        *,
+        candidate_cache_bytes: int = DEFAULT_CANDIDATE_CACHE_BYTES,
     ) -> "LOVO":
         """Restore a system saved by :meth:`save`, ready to serve queries.
 
@@ -306,8 +326,9 @@ class LOVO:
         deterministic given their seeds — and the warm-loaded system's
         ``query()`` / ``query_batch()`` results match the original exactly.
         Pass ``reranker_config`` only to deliberately override the snapshot's
-        stored reranker configuration.  Further :meth:`ingest` calls keep
-        working and grow the loaded index.
+        stored reranker configuration.  ``candidate_cache_bytes`` sizes the
+        loaded system's candidate cache, which starts empty.  Further
+        :meth:`ingest` calls keep working and grow the loaded index.
         """
         restored = load_system(path)
         if reranker_config is None and restored.reranker_config is not None:
@@ -324,21 +345,17 @@ class LOVO:
                 raise SnapshotCorruptionError(
                     f"Snapshot reranker configuration is malformed: {error}"
                 ) from error
-        system = cls(restored.config, reranker_config)
+        system = cls(
+            restored.config, reranker_config, candidate_cache_bytes=candidate_cache_bytes
+        )
         system._attach(restored.storage)
         system._data_version = len(restored.datasets)
         for frame in restored.keyframes:
             system._frame_registry[frame.frame_id] = frame
         system._frame_scene.update(restored.frame_scene)
         system._datasets = list(restored.datasets)
-        # Patch encodings are ingest-time intermediates (their vectors live
-        # on in the collection), so the restored summary carries none.
-        system._summary = SummaryOutput(
-            keyframes=list(restored.keyframes),
-            frame_scene=dict(restored.frame_scene),
-            frames_processed=restored.frames_processed,
-            total_frames=restored.total_frames,
-        )
+        system._frames_processed = restored.frames_processed
+        system._total_frames = restored.total_frames
         return system
 
     def time_distribution(self) -> Dict[str, float]:

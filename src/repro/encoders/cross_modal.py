@@ -36,6 +36,7 @@ query per call.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -76,6 +77,16 @@ class FrameCandidate:
     boxes: np.ndarray  # (P, 4) [x, y, w, h]
     objectness: np.ndarray  # (P,)
     patch_ids: Tuple[str, ...]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the candidate holds: its three arrays and its patch-id strings."""
+        return (
+            self.embeddings.nbytes
+            + self.boxes.nbytes
+            + self.objectness.nbytes
+            + sum(sys.getsizeof(patch) for patch in self.patch_ids)
+        )
 
 
 @dataclass(frozen=True)
@@ -184,15 +195,23 @@ class CrossModalityReranker:
 
         Rows below ``min_objectness`` are dropped; a frame where no row
         reaches it keeps them all, so every encoded frame stays rankable.
+        The arrays are read-only: a candidate may be cached and shared by
+        later queries, so an in-place write raises instead of changing
+        their answers.
         """
         keep = np.flatnonzero(frame.objectness >= self._config.min_objectness)
         if keep.size == 0:
             keep = np.arange(frame.objectness.shape[0])
+        embeddings, boxes, objectness = (
+            frame.embeddings[keep], frame.boxes[keep], frame.objectness[keep]
+        )
+        for array in (embeddings, boxes, objectness):
+            array.setflags(write=False)
         return FrameCandidate(
             frame_id=frame_id,
-            embeddings=frame.embeddings[keep],
-            boxes=frame.boxes[keep],
-            objectness=frame.objectness[keep],
+            embeddings=embeddings,
+            boxes=boxes,
+            objectness=objectness,
             patch_ids=tuple(patch_id(frame_id, index) for index in keep.tolist()),
         )
 

@@ -12,6 +12,7 @@ from repro.core.storage import LOVOStorage
 from repro.core.summary import VideoSummarizer
 from repro.errors import MetadataError, QueryError, VectorDatabaseError
 from repro.utils.geometry import BoundingBox, box_array
+from repro.video.datasets import make_bellevue, make_cityscapes
 from tests.conftest import small_config
 
 
@@ -185,9 +186,19 @@ class TestLOVOSystem:
         assert lovo_system.num_keyframes > 0
         assert lovo_system.ingested_datasets == [bellevue_small.name]
 
-    def test_incremental_ingest_grows_index(self, tiny_config):
-        from repro.video.datasets import make_bellevue
+    def test_second_ingest_leaves_the_first_summary_alone(self, tmp_path):
+        system = LOVO(small_config())
+        first = system.ingest(make_bellevue(num_videos=1, frames_per_video=60))
+        counts = (first.num_keyframes, first.num_entities, first.frames_processed,
+                  first.total_frames, dict(first.frame_scene))
+        second = system.ingest(make_cityscapes(num_videos=1, frames_per_video=60))
+        assert (first.num_keyframes, first.num_entities, first.frames_processed,
+                first.total_frames, dict(first.frame_scene)) == counts
+        assert system.num_keyframes == first.num_keyframes + second.num_keyframes
+        system.save(tmp_path / "snap")
+        assert LOVO.load(tmp_path / "snap").num_keyframes == system.num_keyframes
 
+    def test_incremental_ingest_grows_index(self, tiny_config):
         system = LOVO(small_config())
         system.ingest(make_bellevue(num_videos=1, frames_per_video=60))
         first_count = system.num_entities

@@ -62,18 +62,24 @@ class TestLatencyShape:
         assert figo_seconds > lovo_seconds
 
     def test_rerank_cost_scales_with_candidates_not_dataset(self, bellevue_small):
-        config = small_config()
+        # A cap below the small system's key-frame count, so it binds on both.
+        config = small_config().with_overrides(
+            query=QueryConfig(fast_search_k=128, rerank_n=20, max_candidate_frames=5)
+        )
         small_system = LOVO(config)
         small_system.ingest(bellevue_small.subset(60))
         big_system = LOVO(config)
         big_system.ingest(bellevue_small)
+        assert big_system.num_keyframes > small_system.num_keyframes > 5
 
         query = "A red car driving in the center of the road."
-        small_rerank = small_system.query(query).timings.get("rerank", 0.0)
-        big_rerank = big_system.query(query).timings.get("rerank", 0.0)
-        # Rerank touches at most max_candidate_frames frames, so the larger
-        # dataset must not blow rerank cost up proportionally (15x frames).
-        assert big_rerank < small_rerank * 10
+        small_frames = small_system.query(query).metadata["num_candidates"]
+        big_frames = big_system.query(query).metadata["num_candidates"]
+        # Rerank touches at most max_candidate_frames frames, so its work
+        # does not grow with the dataset: the bigger system reranks no more
+        # frames than the smaller one.
+        assert 0 < big_frames <= config.query.max_candidate_frames
+        assert big_frames <= small_frames
 
 
 class TestIndexVariants:

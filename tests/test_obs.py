@@ -621,7 +621,8 @@ class TestRerankSpans:
         build, score = self.rerank_children(trace)
         frames = response.metadata["num_candidates"]
         assert frames > 0
-        assert build.attributes == {"frames": frames}
+        assert build.attributes["frames"] == frames
+        assert 0 <= build.attributes["built"] <= frames
         assert score.attributes["frames"] == frames
         assert score.attributes["patches"] >= frames
         assert self.scoring_stages(trace, score) == self.STAGES
@@ -631,7 +632,10 @@ class TestRerankSpans:
         with activate([trace]):
             batch = sharded_system.query_batch(["person", "car", "person"])
         build, score = self.rerank_children(trace)
-        assert build.attributes == {"frames": batch.metadata["num_unique_candidate_frames"]}
+        assert build.attributes == {
+            "frames": batch.metadata["num_unique_candidate_frames"],
+            "built": batch.metadata["num_built_candidate_frames"],
+        }
         # Two unique queries: every candidate list is scored once.
         assert score.attributes["frames"] == sum(
             batch.responses[i].metadata["num_candidates"] for i in (0, 1)
