@@ -2,11 +2,13 @@
 
 The cross-modality rerank model (paper §VI-B, Fig. 5) is a stack of feature
 enhancer and decoder layers built around image↔text cross-attention.  These
-primitives implement that machinery directly in NumPy.  The "pretrained"
-projection matrices are deterministic orthonormal matrices shared between the
-query and key paths, which preserves the dot-product structure of the shared
-concept space — the NumPy analogue of a model whose modalities were aligned
-during pretraining.
+primitives implement that machinery directly in NumPy.  Image and text
+tokens already live in one aligned concept space, so attention needs no
+query, key or value projection: it compares and mixes the tokens themselves.
+
+The feed-forward MLPs run in float32 over zero-padded tiles of
+:data:`_FFN_TILE_ROWS` rows, so every matrix product has one fixed shape and
+a row's output is the same bits whichever rows are stacked around it.
 """
 
 from __future__ import annotations
@@ -32,28 +34,39 @@ def layer_norm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return (x - mean) / np.sqrt(variance + eps)
 
 
-def orthonormal_matrix(dim: int, name: str, seed: int = 7) -> np.ndarray:
-    """Deterministic orthonormal ``dim x dim`` matrix keyed by ``name``."""
-    rng = rng_from_tokens("orthonormal", name, dim, base_seed=seed)
-    matrix = rng.normal(size=(dim, dim))
-    q, _ = np.linalg.qr(matrix)
-    return q
+#: Rows of one feed-forward tile.  Every FFN matrix product runs on exactly
+#: this many rows (the input is zero-padded to whole tiles), so BLAS picks the
+#: same kernel and reduction order for a row wherever it sits in a stack.
+_FFN_TILE_ROWS = 64
+
+
+def _pad_segments(
+    rows: np.ndarray, bounds: Sequence[int]
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Stack segment ``s`` (rows ``bounds[s]:bounds[s + 1]``) as ``padded[s]``.
+
+    Returns the zero-padded ``(segments, widest, dim)`` stack and the
+    ``(segment, slot)`` index of every row, so ``padded[index]`` gives the
+    rows back in order.
+    """
+    starts = np.asarray(bounds[:-1])
+    sizes = np.diff(bounds)
+    segment = np.repeat(np.arange(sizes.shape[0]), sizes)
+    slot = np.arange(rows.shape[0]) - starts[segment]
+    padded = np.zeros((sizes.shape[0], sizes.max(initial=0), rows.shape[1]))
+    padded[segment, slot] = rows
+    return padded, (segment, slot)
 
 
 class CrossAttention:
-    """Single-head cross-attention with aligned (shared) Q/K projections.
+    """Single-head cross-attention over aligned modalities.
 
     ``attend(queries, keys_values)`` returns, for each query token, a mixture
-    of the value tokens weighted by softmax similarity.  Because the query and
-    key projections are the same orthonormal matrix, similarity in the
-    projected space equals similarity in the input space — the alignment a
-    pretrained cross-modal model provides.
+    of the key tokens weighted by softmax similarity.  The modalities share
+    one concept space, so similarity is the plain dot product of the tokens.
     """
 
-    def __init__(self, dim: int, name: str, temperature: float | None = None, seed: int = 7) -> None:
-        self._dim = dim
-        self._shared_qk = orthonormal_matrix(dim, f"{name}/qk", seed=seed)
-        self._value = orthonormal_matrix(dim, f"{name}/v", seed=seed)
+    def __init__(self, dim: int, temperature: float | None = None) -> None:
         self._temperature = temperature if temperature is not None else float(np.sqrt(dim))
 
     def attend(self, queries: np.ndarray, keys_values: np.ndarray) -> np.ndarray:
@@ -81,50 +94,54 @@ class CrossAttention:
         """Cross-attend stacked segments, each only over its own keys.
 
         Segment ``s`` is query rows ``query_bounds[s]:query_bounds[s + 1]``
-        attending over key rows ``key_bounds[s]:key_bounds[s + 1]``.  The
-        projections run once over all rows and only the softmax runs per
-        segment, so one segment gives exactly :meth:`attend`.  With no key
-        rows at all the queries are returned unchanged; otherwise every key
-        segment must be non-empty.
+        attending over key rows ``key_bounds[s]:key_bounds[s + 1]``.  All
+        segments run as one batched product: each is zero-padded to the
+        widest segment and its padding keys get zero weight, so no Python
+        loop runs per segment.  With no key rows at all the queries are
+        returned unchanged; otherwise every key segment must be non-empty.
         """
         if keys_values.shape[0] == 0:
             return queries.copy()
-        projected_q = queries @ self._shared_qk
-        projected_k = keys_values @ self._shared_qk
-        projected_v = keys_values @ self._value
-        attended = np.empty_like(projected_q)
-        segments = zip(query_bounds[:-1], query_bounds[1:], key_bounds[:-1], key_bounds[1:])
-        for q0, q1, k0, k1 in segments:
-            logits = projected_q[q0:q1] @ projected_k[k0:k1].T / self._temperature
-            attended[q0:q1] = softmax(logits, axis=-1) @ projected_v[k0:k1]
-        # Undo the value rotation so the output stays in the concept space.
-        return attended @ self._value.T
+        padded_queries, query_rows = _pad_segments(queries, query_bounds)
+        padded_keys, _ = _pad_segments(keys_values, key_bounds)
+        logits = padded_queries @ padded_keys.transpose(0, 2, 1) / self._temperature
+        key_padding = np.arange(padded_keys.shape[1]) >= np.diff(key_bounds)[:, None]
+        logits[np.broadcast_to(key_padding[:, None, :], logits.shape)] = -np.inf
+        return (softmax(logits, axis=-1) @ padded_keys)[query_rows]
 
     def attention_weights(self, queries: np.ndarray, keys_values: np.ndarray) -> np.ndarray:
         """The softmax attention matrix (used by tests and diagnostics)."""
         if keys_values.shape[0] == 0:
             return np.zeros((queries.shape[0], 0))
-        projected_q = queries @ self._shared_qk
-        projected_k = keys_values @ self._shared_qk
-        logits = projected_q @ projected_k.T / self._temperature
-        return softmax(logits, axis=-1)
+        return softmax(queries @ keys_values.T / self._temperature, axis=-1)
 
 
 class FeedForward:
-    """Two-layer position-wise MLP with a GELU-like nonlinearity."""
+    """Two-layer position-wise MLP with a GELU-like nonlinearity, in float32.
+
+    The weights are seeded float64 normals rounded to float32 once.  Rows run
+    in zero-padded tiles of :data:`_FFN_TILE_ROWS`, so a row's output does not
+    depend on how many rows are stacked with it or where it sits.
+    """
 
     def __init__(self, dim: int, hidden_dim: int, name: str, seed: int = 7) -> None:
         rng = rng_from_tokens("ffn", name, dim, hidden_dim, base_seed=seed)
         scale_in = 1.0 / np.sqrt(dim)
         scale_out = 1.0 / np.sqrt(hidden_dim)
-        self._w_in = rng.normal(scale=scale_in, size=(dim, hidden_dim))
-        self._w_out = rng.normal(scale=scale_out, size=(hidden_dim, dim))
+        self._w_in = rng.normal(scale=scale_in, size=(dim, hidden_dim)).astype(np.float32)
+        self._w_out = rng.normal(scale=scale_out, size=(hidden_dim, dim)).astype(np.float32)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Apply the MLP token-wise."""
-        hidden = x @ self._w_in
+        """Apply the MLP token-wise; returns float64 rows."""
+        num_rows, dim = x.shape
+        num_tiles = -(-num_rows // _FFN_TILE_ROWS)
+        tiles = np.zeros((num_tiles * _FFN_TILE_ROWS, dim), dtype=np.float32)
+        tiles[:num_rows] = x
+        # One fixed-shape product per tile (matmul runs each 2-D slice alone).
+        hidden = tiles.reshape(num_tiles, _FFN_TILE_ROWS, dim) @ self._w_in
         activated = hidden * (1.0 / (1.0 + np.exp(-1.702 * hidden)))
-        return activated @ self._w_out
+        out = activated @ self._w_out
+        return out.reshape(-1, dim)[:num_rows].astype(np.float64)
 
 
 class CrossModalLayer:
@@ -137,8 +154,8 @@ class CrossModalLayer:
     """
 
     def __init__(self, dim: int, hidden_dim: int, name: str, blend: float = 0.5, seed: int = 7) -> None:
-        self._image_to_text = CrossAttention(dim, f"{name}/i2t", seed=seed)
-        self._text_to_image = CrossAttention(dim, f"{name}/t2i", seed=seed)
+        self._image_to_text = CrossAttention(dim)
+        self._text_to_image = CrossAttention(dim)
         self._image_ffn = FeedForward(dim, hidden_dim, f"{name}/img_ffn", seed=seed)
         self._text_ffn = FeedForward(dim, hidden_dim, f"{name}/txt_ffn", seed=seed)
         self._blend = blend

@@ -10,9 +10,10 @@ fast search, each in array form (:class:`FrameCandidate`).  For one query it:
    relation concepts), one copy per frame;
 3. runs a stack of feature-enhancer and decoder layers with image↔text
    cross-attention (see :mod:`repro.encoders.attention`) over each block:
-   projections, FFNs and layer norms run once over the block's rows, and
-   only the two attention softmaxes run per frame, so a frame's tokens
-   attend only to its own text copy and vice versa;
+   the float32 FFNs and the layer norms run once over the block's rows, and
+   each attention runs as one batched product over the block's frames,
+   padded to the widest frame, so a frame's tokens attend only to its own
+   text copy and vice versa;
 4. scores every image token as its alignment with the query
    (``ls = max_j (X_I X_T^T)_{j,-1}`` in Algorithm 2), augmented with a
    geometric evaluation of the relational tokens over the predicted boxes
@@ -26,12 +27,12 @@ center of the road", which the fast search deliberately ignores, change the
 ranking — reproducing the accuracy gap between LOVO and its w/o-rerank
 ablation.
 
-Blocks never mix queries.  Stacking rows into one matrix product does not
-round like one product per frame (BLAS picks its kernel by matrix size), so a
-frame's scores depend on the frame's block, and the block on the query's
-candidate list.  A query therefore gets the same bits whether it runs alone
-or in a batch, because :class:`~repro.core.query.QueryStrategy` reranks one
-query per call.
+Blocks never mix queries.  The FFNs run on fixed-shape tiles and give a row
+the same bits in any block, but the attention and alignment products do not
+(BLAS picks its kernel by matrix size and layout), so a frame's scores
+depend on the frame's block, and the block on the query's candidate list.
+A query therefore gets the same bits whether it runs alone or in a batch,
+because :class:`~repro.core.query.QueryStrategy` reranks one query per call.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ class CrossModalityReranker:
     def __init__(self, concept_space: ConceptSpace, config: RerankerConfig | None = None) -> None:
         self._space = concept_space
         self._config = config or RerankerConfig()
-        # Layer weights (several QR factorizations) are built lazily on first
+        # Layer weights (the FFNs' seeded normals) are built lazily on first
         # use: they dominate construction cost, and query-free paths — e.g.
         # warm-starting a system from a snapshot and serving only fast-search
         # queries — never need them.  The weights are deterministic given the

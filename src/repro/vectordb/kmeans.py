@@ -98,7 +98,12 @@ def lloyd_kmeans(
 
 
 def _plus_plus_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: spread initial centroids proportionally to distance."""
+    """k-means++ seeding: spread initial centroids proportionally to distance.
+
+    Each draw runs the steps of ``rng.choice(num_points, p=closest / total)``
+    (inverse-CDF of one uniform sample) without its per-call validation of
+    ``p``, so it picks the same points from the same stream.
+    """
     num_points = data.shape[0]
     centroids = np.empty((k, data.shape[1]), dtype=np.float64)
     first = int(rng.integers(num_points))
@@ -109,8 +114,9 @@ def _plus_plus_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
         if total <= 0:
             choice = int(rng.integers(num_points))
         else:
-            probabilities = closest / total
-            choice = int(rng.choice(num_points, p=probabilities))
+            cdf = (closest / total).cumsum()
+            cdf /= cdf[-1]
+            choice = int(cdf.searchsorted(rng.random(), side="right"))
         centroids[index] = data[choice]
         distances = ((data - centroids[index]) ** 2).sum(axis=1)
         closest = np.minimum(closest, distances)

@@ -8,8 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DimensionMismatchError, IndexNotBuiltError, VectorDatabaseError
-from repro.vectordb.kmeans import lloyd_kmeans
+from repro.vectordb.kmeans import _plus_plus_init, lloyd_kmeans
 from repro.vectordb.quantization import ProductQuantizer
+
+
+def choice_plus_plus_init(data, k, rng):
+    """k-means++ seeding drawn with ``Generator.choice``, the reference."""
+    num_points = data.shape[0]
+    centroids = np.empty((k, data.shape[1]))
+    centroids[0] = data[int(rng.integers(num_points))]
+    closest = ((data - centroids[0]) ** 2).sum(axis=1)
+    for index in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            choice = int(rng.integers(num_points))
+        else:
+            choice = int(rng.choice(num_points, p=closest / total))
+        centroids[index] = data[choice]
+        closest = np.minimum(closest, ((data - centroids[index]) ** 2).sum(axis=1))
+    return centroids
 
 
 def clustered_data(num_clusters=4, points_per_cluster=50, dim=8, seed=0):
@@ -62,6 +79,17 @@ class TestKMeans:
         first = lloyd_kmeans(points, num_clusters=4, seed=5)
         second = lloyd_kmeans(points, num_clusters=4, seed=5)
         np.testing.assert_allclose(first.centroids, second.centroids)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_plus_plus_draws_match_generator_choice(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        # Duplicate points drive the remaining distance mass to zero, which
+        # takes the uniform fallback draw too.
+        data = np.concatenate([rng.normal(size=(300, 8)), np.zeros((40, 8))])
+        for k in (16, 256, data.shape[0]):
+            got = _plus_plus_init(data, k, np.random.default_rng(seed))
+            want = choice_plus_plus_init(data, k, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)
 
     @given(st.integers(2, 6), st.integers(10, 60))
     @settings(max_examples=20, deadline=None)

@@ -4,8 +4,11 @@ replaced.
 The reference below is the earlier ``CrossModalityReranker`` scoring path:
 one frame at a time, over per-patch records, with the objectness filter
 applied at scoring time, the relations as Python loops over the scalar box
-predicates, and greedy NMS over ``BoundingBox.iou``.  It reads the
-reranker's layer weights and query features but none of its scoring code.
+predicates, and greedy NMS over ``BoundingBox.iou``.  Its attention keeps
+the orthonormal query/key and value projections the reranker folds away, with
+its own seeded matrices, so it also checks that folding them is an identity.
+It reads the reranker's FFN weights and query features but none of its
+scoring code.
 
 Stacking a query's frames into one matrix product rounds differently from
 one product per frame, so scores are held to ``1e-12``; everything discrete —
@@ -15,6 +18,7 @@ verdict — must be equal.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,16 +42,27 @@ SCORE_TOLERANCE = 1e-12
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def orthonormal(dim: int, seed: int) -> np.ndarray:
+    matrix, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))
+    return matrix
+
+
 def reference_attend(attention, queries, keys_values):
+    """Attention with a shared query/key rotation ``Q`` and a value rotation
+    ``V`` that is undone at the end: ``(xQ)(yQ)ᵀ = xyᵀ`` and
+    ``softmax(·)(yV)Vᵀ = softmax(·)y``."""
     if keys_values.shape[0] == 0:
         return queries.copy()
-    projected_q = queries @ attention._shared_qk
-    projected_k = keys_values @ attention._shared_qk
-    projected_v = keys_values @ attention._value
+    dim = queries.shape[1]
+    shared_qk, value = orthonormal(dim, seed=11), orthonormal(dim, seed=12)
+    projected_q = queries @ shared_qk
+    projected_k = keys_values @ shared_qk
+    projected_v = keys_values @ value
     logits = projected_q @ projected_k.T / attention._temperature
     weights = softmax(logits, axis=-1)
     attended = weights @ projected_v
-    return attended @ attention._value.T
+    return attended @ value.T
 
 
 def reference_layer(layer, image_tokens, text_tokens):
