@@ -6,14 +6,21 @@ primitives implement that machinery directly in NumPy.  Image and text
 tokens already live in one aligned concept space, so attention needs no
 query, key or value projection: it compares and mixes the tokens themselves.
 
-The feed-forward MLPs run in float32 over zero-padded tiles of
+Attention over several stacked frames pads every frame's rows to the widest
+frame and runs one batched product; a :class:`CrossModalLayer` pads each
+side once per layer, and both attention directions read the same padded
+arrays.  The feed-forward MLPs run in float32 over zero-padded tiles of
 :data:`_FFN_TILE_ROWS` rows, so every matrix product has one fixed shape and
 a row's output is the same bits whichever rows are stacked around it.
+
+Layer norm, the MLP activation and the residual adds run in place, one
+operation at a time in the order of the plain expressions they stand for,
+so they round exactly like them and allocate fewer temporaries.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,10 +35,16 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def layer_norm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Layer normalisation over the last dimension (no learned affine)."""
-    mean = x.mean(axis=-1, keepdims=True)
-    variance = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(variance + eps)
+    """Layer normalisation over the last dimension (no learned affine).
+
+    ``x - mean`` is taken once and the variance is summed from it, in the
+    operations :func:`numpy.var` runs, so the result has the bits of
+    ``(x - x.mean(-1)) / np.sqrt(x.var(-1) + eps)``.
+    """
+    centred = x - x.mean(axis=-1, keepdims=True)
+    variance = np.square(centred).sum(axis=-1, keepdims=True) / x.shape[-1]
+    centred /= np.sqrt(variance + eps)
+    return centred
 
 
 #: Rows of one feed-forward tile.  Every FFN matrix product runs on exactly
@@ -40,22 +53,27 @@ def layer_norm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 _FFN_TILE_ROWS = 64
 
 
-def _pad_segments(
-    rows: np.ndarray, bounds: Sequence[int]
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Stack segment ``s`` (rows ``bounds[s]:bounds[s + 1]``) as ``padded[s]``.
+class _Padded(NamedTuple):
+    """Stacked segments zero-padded to the widest: segment ``s`` is ``rows[s]``."""
 
-    Returns the zero-padded ``(segments, widest, dim)`` stack and the
-    ``(segment, slot)`` index of every row, so ``padded[index]`` gives the
-    rows back in order.
-    """
+    rows: np.ndarray  # (segments, widest, dim)
+    sizes: np.ndarray  # (segments,) real rows of each segment
+    index: tuple[np.ndarray, np.ndarray]  # (segment, slot) of every stacked row, in order
+
+    def unpad(self, padded: np.ndarray) -> np.ndarray:
+        """The stacked rows of a ``(segments, widest, dim)`` result, in order."""
+        return padded[self.index]
+
+
+def _pad_segments(rows: np.ndarray, bounds: Sequence[int]) -> _Padded:
+    """Stack segment ``s`` (rows ``bounds[s]:bounds[s + 1]``) as ``padded.rows[s]``."""
     starts = np.asarray(bounds[:-1])
     sizes = np.diff(bounds)
     segment = np.repeat(np.arange(sizes.shape[0]), sizes)
     slot = np.arange(rows.shape[0]) - starts[segment]
     padded = np.zeros((sizes.shape[0], sizes.max(initial=0), rows.shape[1]))
     padded[segment, slot] = rows
-    return padded, (segment, slot)
+    return _Padded(padded, sizes, (segment, slot))
 
 
 class CrossAttention:
@@ -95,19 +113,30 @@ class CrossAttention:
 
         Segment ``s`` is query rows ``query_bounds[s]:query_bounds[s + 1]``
         attending over key rows ``key_bounds[s]:key_bounds[s + 1]``.  All
-        segments run as one batched product: each is zero-padded to the
-        widest segment and its padding keys get zero weight, so no Python
-        loop runs per segment.  With no key rows at all the queries are
-        returned unchanged; otherwise every key segment must be non-empty.
+        segments run as one batched product (see :meth:`attend_padded`), so
+        no Python loop runs per segment.  With no key rows at all the queries
+        are returned unchanged; otherwise every key segment must be non-empty.
         """
-        if keys_values.shape[0] == 0:
-            return queries.copy()
-        padded_queries, query_rows = _pad_segments(queries, query_bounds)
-        padded_keys, _ = _pad_segments(keys_values, key_bounds)
-        logits = padded_queries @ padded_keys.transpose(0, 2, 1) / self._temperature
-        key_padding = np.arange(padded_keys.shape[1]) >= np.diff(key_bounds)[:, None]
-        logits[np.broadcast_to(key_padding[:, None, :], logits.shape)] = -np.inf
-        return (softmax(logits, axis=-1) @ padded_keys)[query_rows]
+        padded_queries = _pad_segments(queries, query_bounds)
+        return padded_queries.unpad(
+            self.attend_padded(padded_queries, _pad_segments(keys_values, key_bounds))
+        )
+
+    def attend_padded(self, queries: _Padded, keys_values: _Padded) -> np.ndarray:
+        """Attention of padded query segments over the same segments' padded keys.
+
+        Returns the ``(segments, widest query, dim)`` result; its padding rows
+        are garbage.  Padding keys get zero weight.  With no key rows at all
+        the queries are returned unchanged.
+        """
+        keys = keys_values.rows
+        if keys.shape[1] == 0:
+            return queries.rows.copy()
+        logits = queries.rows @ keys.transpose(0, 2, 1) / self._temperature
+        key_padding = np.arange(keys.shape[1]) >= keys_values.sizes[:, None]
+        if key_padding.any():
+            np.copyto(logits, -np.inf, where=key_padding[:, None, :])
+        return softmax(logits, axis=-1) @ keys
 
     def attention_weights(self, queries: np.ndarray, keys_values: np.ndarray) -> np.ndarray:
         """The softmax attention matrix (used by tests and diagnostics)."""
@@ -139,8 +168,14 @@ class FeedForward:
         tiles[:num_rows] = x
         # One fixed-shape product per tile (matmul runs each 2-D slice alone).
         hidden = tiles.reshape(num_tiles, _FFN_TILE_ROWS, dim) @ self._w_in
-        activated = hidden * (1.0 / (1.0 + np.exp(-1.702 * hidden)))
-        out = activated @ self._w_out
+        # hidden * (1 / (1 + exp(-1.702 * hidden))), one operation at a time
+        # in place: the same roundings with one temporary instead of four.
+        gate = np.multiply(hidden, -1.702)
+        np.exp(gate, out=gate)
+        np.add(gate, 1.0, out=gate)
+        np.divide(1.0, gate, out=gate)
+        hidden *= gate
+        out = hidden @ self._w_out
         return out.reshape(-1, dim)[:num_rows].astype(np.float64)
 
 
@@ -180,18 +215,25 @@ class CrossModalLayer:
         Frame ``s`` owns image rows ``image_bounds[s]:image_bounds[s + 1]``
         and text rows ``text_bounds[s]:text_bounds[s + 1]``; attention never
         crosses frames, while the FFNs and layer norms are token-wise and run
-        once over all rows.
+        once over all rows.  Each side is padded once and the padded rows
+        serve both attention directions.  The residual adds run in place.
         """
-        enhanced_image = image_tokens + self._blend * self._image_to_text.attend_segments(
-            image_tokens, image_bounds, text_tokens, text_bounds
+        image = _pad_segments(image_tokens, image_bounds)
+        text = _pad_segments(text_tokens, text_bounds)
+        enhanced_image = image.unpad(self._image_to_text.attend_padded(image, text))
+        enhanced_image *= self._blend
+        enhanced_image += image_tokens
+        enhanced_text = text.unpad(self._text_to_image.attend_padded(text, image))
+        enhanced_text *= self._blend
+        enhanced_text += text_tokens
+        return self._feed_forward(self._image_ffn, enhanced_image), self._feed_forward(
+            self._text_ffn, enhanced_text
         )
-        enhanced_text = text_tokens + self._blend * self._text_to_image.attend_segments(
-            text_tokens, text_bounds, image_tokens, image_bounds
-        )
-        enhanced_image = layer_norm(
-            enhanced_image + 0.1 * self._image_ffn.apply(enhanced_image)
-        )
-        enhanced_text = layer_norm(
-            enhanced_text + 0.1 * self._text_ffn.apply(enhanced_text)
-        )
-        return enhanced_image, enhanced_text
+
+    @staticmethod
+    def _feed_forward(ffn: FeedForward, x: np.ndarray) -> np.ndarray:
+        """``layer_norm(x + 0.1 * ffn.apply(x))``, the residual add in place."""
+        out = ffn.apply(x)
+        out *= 0.1
+        out += x
+        return layer_norm(out)

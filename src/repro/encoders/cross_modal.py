@@ -13,14 +13,16 @@ fast search, each in array form (:class:`FrameCandidate`).  For one query it:
    the float32 FFNs and the layer norms run once over the block's rows, and
    each attention runs as one batched product over the block's frames,
    padded to the widest frame, so a frame's tokens attend only to its own
-   text copy and vice versa;
+   text copy and vice versa.  A layer pads each side once and both
+   attention directions share the padded arrays;
 4. scores every image token as its alignment with the query
    (``ls = max_j (X_I X_T^T)_{j,-1}`` in Algorithm 2), augmented with a
    geometric evaluation of the relational tokens over the predicted boxes
-   (the "box position embeddings" path of Fig. 3) — ``(P, P)`` box-array
-   masks per frame;
+   (the "box position embeddings" path of Fig. 3) — the pairwise relations
+   over a flat list of each block's same-frame row pairs;
 5. decodes each frame's best non-overlapping boxes by greedy non-maximum
-   suppression as the output localizations.
+   suppression as the output localizations, in one pass over all of the
+   query's frames: each greedy round picks every frame's best row at once.
 
 The geometric relation check is how phrases such as "side by side" or "in the
 center of the road", which the fast search deliberately ignores, change the
@@ -51,9 +53,9 @@ from repro.obs.trace import span as obs_span
 from repro.utils.geometry import (
     BoundingBox,
     center_region_mask,
-    iou_matrix,
-    next_to_matrix,
-    side_by_side_matrix,
+    iou_array,
+    next_to_array,
+    side_by_side_array,
 )
 from repro.utils.locking import create_lock
 
@@ -259,20 +261,12 @@ class CrossModalityReranker:
             del states
         with obs_span("relations"):
             relation = self._relation_scores(
-                query, frames, bounds, image_tokens, features.companion
+                query, frames, blocks, image_tokens, features.companion
             )
         with obs_span("nms"):
-            combined = appearance + relation
-            results = [
-                self._decode_detections(
-                    frame, combined[start:stop], appearance[start:stop], relation[start:stop]
-                )
-                for frame, start, stop in zip(frames, bounds[:-1], bounds[1:])
-            ]
-        results.sort(key=lambda result: result.score, reverse=True)
-        if top_n is not None:
-            results = results[:top_n]
-        return results
+            return self._decode_detections(
+                frames, bounds, appearance + relation, appearance, relation, top_n
+            )
 
     def _query_features(self, query: ParsedQuery) -> _QueryFeatures:
         """Everything the frame scoring needs from the query alone."""
@@ -348,45 +342,82 @@ class CrossModalityReranker:
 
     def _decode_detections(
         self,
-        frame: FrameCandidate,
+        frames: Sequence[FrameCandidate],
+        bounds: Sequence[int],
         combined: np.ndarray,
         appearance: np.ndarray,
         relation: np.ndarray,
-    ) -> RerankResult:
-        """Greedy non-maximum suppression over one frame's row scores.
+        top_n: int | None,
+    ) -> List[RerankResult]:
+        """Greedy non-maximum suppression over every frame of a query at once.
 
-        Keeps up to ``max_boxes_per_frame`` detections whose boxes do not
-        substantially overlap, so a frame containing several matching objects
-        yields one localization per object rather than only the single best.
+        Keeps up to ``max_boxes_per_frame`` detections per frame whose boxes
+        do not substantially overlap, so a frame containing several matching
+        objects yields one localization per object rather than only the
+        single best.  Frame ``f`` owns rows ``bounds[f]:bounds[f + 1]``.
+
+        Each greedy round takes every frame's best row still standing (the
+        lower row on a tie) and drops the rows whose IoU with it reaches
+        ``nms_iou_threshold``: IoU is computed only between a round's picks
+        and their own frames' boxes, an ``O(frames × widest)`` array.  The
+        frames come back best first (ties in candidate order), at most
+        ``top_n`` of them.
         """
-        overlaps = iou_matrix(frame.boxes, frame.boxes)
-        kept: List[int] = []
-        for index in np.argsort(-combined).tolist():
-            if (overlaps[index, kept] >= self._config.nms_iou_threshold).any():
-                continue
-            kept.append(index)
-            if len(kept) >= self._config.max_boxes_per_frame:
+        starts = np.asarray(bounds[:-1])
+        sizes = np.diff(bounds)
+        num_frames = sizes.shape[0]
+        frame_of_row = np.repeat(np.arange(num_frames), sizes)
+        slots = (frame_of_row, np.arange(combined.shape[0]) - starts[frame_of_row])
+        flat_boxes = np.concatenate([frame.boxes for frame in frames])
+        standing = np.full((num_frames, int(sizes.max())), -np.inf)
+        standing[slots] = combined
+        boxes = np.zeros(standing.shape + (4,))
+        boxes[slots] = flat_boxes
+
+        every_frame = np.arange(num_frames)
+        picks, found = [], []
+        for _ in range(self._config.max_boxes_per_frame):
+            pick = standing.argmax(axis=1)
+            alive = standing[every_frame, pick] > -np.inf
+            if not alive.any():
                 break
-        detections = tuple(
-            RerankDetection(
-                box=BoundingBox(*frame.boxes[index].tolist()),
-                patch_id=frame.patch_ids[index],
-                score=float(combined[index]),
-                appearance_score=float(appearance[index]),
-                relation_score=float(relation[index]),
+            picks.append(pick)
+            found.append(alive)
+            suppressed = (
+                iou_array(boxes[every_frame, pick][:, None, :], boxes)
+                >= self._config.nms_iou_threshold
             )
-            for index in kept
-        )
-        best = detections[0]
-        return RerankResult(
-            frame_id=frame.frame_id,
-            score=best.score,
-            box=best.box,
-            patch_id=best.patch_id,
-            appearance_score=best.appearance_score,
-            relation_score=best.relation_score,
-            detections=detections,
-        )
+            suppressed[every_frame, pick] = True
+            np.copyto(standing, -np.inf, where=suppressed)
+
+        # (round, frame) -> the picked row; a frame's picks stop at its first miss.
+        rows, found = starts + np.stack(picks), np.stack(found)
+        # Round 0 picks every frame's best row, whose score is the frame's.
+        order = np.argsort(-combined[rows[0]], kind="stable")[:top_n]
+        results = []
+        for frame in order.tolist():
+            candidate = frames[frame]
+            detections = tuple(
+                RerankDetection(
+                    box=BoundingBox(*flat_boxes[row].tolist()),
+                    patch_id=candidate.patch_ids[row - bounds[frame]],
+                    score=float(combined[row]),
+                    appearance_score=float(appearance[row]),
+                    relation_score=float(relation[row]),
+                )
+                for row in rows[found[:, frame], frame].tolist()
+            )
+            best = detections[0]
+            results.append(RerankResult(
+                frame_id=candidate.frame_id,
+                score=best.score,
+                box=best.box,
+                patch_id=best.patch_id,
+                appearance_score=best.appearance_score,
+                relation_score=best.relation_score,
+                detections=detections,
+            ))
+        return results
 
     def _text_tokens(
         self, query: ParsedQuery
@@ -415,7 +446,7 @@ class CrossModalityReranker:
         self,
         query: ParsedQuery,
         frames: Sequence[FrameCandidate],
-        bounds: Sequence[int],
+        blocks: Sequence["_Block"],
         image_tokens: np.ndarray,
         companion_vector: Optional[np.ndarray],
     ) -> np.ndarray:
@@ -435,17 +466,31 @@ class CrossModalityReranker:
         if "center" in relations or "intersection" in relations:
             margin = 0.25 if "center" in relations else 0.15
             scores += np.where(center_region_mask(boxes, margin=margin), bonus, -penalty)
-        companions = self._companion_mask(image_tokens, companion_vector)
-        pairwise = (("side by side", side_by_side_matrix), ("next to", next_to_matrix))
-        for relation, predicate in pairwise:
-            if relation not in relations:
-                continue
-            satisfied = np.zeros(boxes.shape[0], dtype=bool)
-            for start, stop in zip(bounds[:-1], bounds[1:]):
-                pairs = predicate(boxes[start:stop], boxes[start:stop]) & companions[start:stop]
-                np.fill_diagonal(pairs, False)
-                satisfied[start:stop] = pairs.any(axis=1)
-            scores += np.where(satisfied, bonus, -penalty)
+        pairwise = [
+            predicate for relation, predicate in
+            (("side by side", side_by_side_array), ("next to", next_to_array))
+            if relation in relations
+        ]
+        if pairwise:
+            companions = self._companion_mask(image_tokens, companion_vector)
+            satisfied = np.zeros((len(pairwise), boxes.shape[0]), dtype=bool)
+            # Each unordered pair of distinct rows of one frame that holds a
+            # companion, a block at a time: at most sum(P²) / 2 pairs per
+            # block, so the temporaries stay bounded like the block's own.
+            # Both predicates are symmetric in their two boxes, so one
+            # verdict serves the pair in either direction.
+            for block in blocks:
+                first, second = _same_frame_pairs(np.add(block.image_bounds, block.rows.start))
+                keep = (first < second) & (companions[first] | companions[second])
+                first, second = first[keep], second[keep]
+                # np.take gathers whole rows far faster than fancy indexing.
+                pair_boxes = np.take(boxes, first, axis=0), np.take(boxes, second, axis=0)
+                for verdicts, predicate in zip(satisfied, pairwise):
+                    holds = predicate(*pair_boxes)
+                    verdicts[first[holds & companions[second]]] = True
+                    verdicts[second[holds & companions[first]]] = True
+            for verdicts in satisfied:
+                scores += np.where(verdicts, bonus, -penalty)
         return scores
 
     def _companion_mask(
@@ -478,6 +523,20 @@ class _Block(NamedTuple):
     rows: slice  # the block's rows of the query's stacked image tokens
     image_bounds: List[int]  # block-local row boundaries of each frame
     text_bounds: List[int]  # the same for the per-frame copies of the text tokens
+
+
+def _same_frame_pairs(bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(first, second)`` rows of every ordered pair within one frame, self-pairs included.
+
+    ``bounds[f]:bounds[f + 1]`` are frame ``f``'s rows.
+    """
+    sizes = np.diff(bounds)
+    row_sizes = np.repeat(sizes, sizes)  # the size of each row's frame
+    first = np.repeat(np.arange(bounds[0], bounds[-1]), row_sizes)
+    run_starts = np.cumsum(row_sizes) - row_sizes  # where each row's pairs begin
+    frame_starts = np.repeat(bounds[:-1], sizes)
+    second = np.arange(first.shape[0]) + np.repeat(frame_starts - run_starts, row_sizes)
+    return first, second
 
 
 def _blocks(bounds: Sequence[int], num_text: int) -> List[_Block]:

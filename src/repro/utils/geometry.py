@@ -138,20 +138,20 @@ def _box_rows(boxes: Sequence[BoundingBox] | np.ndarray) -> np.ndarray:
 
 
 def _centers(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Box centres ``(cx, cy)`` of ``(N, 4)`` rows, rounded like :attr:`BoundingBox.center`."""
-    return boxes[:, 0] + boxes[:, 2] / 2.0, boxes[:, 1] + boxes[:, 3] / 2.0
+    """Box centres ``(cx, cy)`` of ``[..., 4]`` rows, rounded like :attr:`BoundingBox.center`."""
+    return boxes[..., 0] + boxes[..., 2] / 2.0, boxes[..., 1] + boxes[..., 3] / 2.0
 
 
-def iou_matrix(
-    boxes_a: Sequence[BoundingBox] | np.ndarray, boxes_b: Sequence[BoundingBox] | np.ndarray
-) -> np.ndarray:
-    """Pairwise IoU matrix with shape ``(len(boxes_a), len(boxes_b))``.
+def iou_array(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
+    """IoU of ``[x, y, w, h]`` rows ``boxes_a[..., :]`` and ``boxes_b[..., :]``.
 
-    Entry ``[i, j]`` equals ``iou(a_i, b_j)`` exactly: the array code repeats
-    the scalar's floating-point operations in the same order.  Both arguments
-    may be box sequences or ``(N, 4)`` ``[x, y, w, h]`` arrays.
+    The leading axes broadcast, so one call compares whole sets of pairs.
+    Each entry equals :func:`iou` of its two boxes exactly: the array code
+    repeats the scalar's floating-point operations in the same order.  Every
+    operation is commutative in its two boxes, so swapping the arguments
+    gives the same bits.
     """
-    a, b = _box_rows(boxes_a)[:, None, :], _box_rows(boxes_b)[None, :, :]
+    a, b = boxes_a, boxes_b
     right = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2])
     bottom = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3])
     ix = np.maximum(0.0, right - np.maximum(a[..., 0], b[..., 0]))
@@ -160,6 +160,17 @@ def iou_matrix(
     union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(union > 0.0, np.minimum(inter / union, 1.0), 0.0)
+
+
+def iou_matrix(
+    boxes_a: Sequence[BoundingBox] | np.ndarray, boxes_b: Sequence[BoundingBox] | np.ndarray
+) -> np.ndarray:
+    """Pairwise IoU matrix with shape ``(len(boxes_a), len(boxes_b))``.
+
+    Entry ``[i, j]`` equals ``iou(a_i, b_j)`` exactly (see :func:`iou_array`).
+    Both arguments may be box sequences or ``(N, 4)`` ``[x, y, w, h]`` arrays.
+    """
+    return iou_array(_box_rows(boxes_a)[:, None, :], _box_rows(boxes_b)[None, :, :])
 
 
 def pairwise_center_distance(boxes: Sequence[BoundingBox]) -> np.ndarray:
@@ -210,19 +221,37 @@ def center_region_mask(
     return (margin <= cx) & (cx <= 1.0 - margin) & (margin <= cy) & (cy <= 1.0 - margin)
 
 
+def side_by_side_array(
+    boxes_a: np.ndarray,
+    boxes_b: np.ndarray,
+    max_center_gap: float = 0.25,
+    max_vertical_offset: float = 0.08,
+) -> np.ndarray:
+    """Array twin of :func:`boxes_side_by_side` over broadcasting ``[x, y, w, h]`` rows."""
+    (ax, ay), (bx, by) = _centers(boxes_a), _centers(boxes_b)
+    return (
+        (iou_array(boxes_a, boxes_b) <= 0.3)
+        & (np.abs(ay - by) <= max_vertical_offset)
+        & (np.abs(ax - bx) <= max_center_gap)
+    )
+
+
+def next_to_array(boxes_a: np.ndarray, boxes_b: np.ndarray, max_gap: float = 0.15) -> np.ndarray:
+    """Array twin of :func:`box_next_to` over broadcasting ``[x, y, w, h]`` rows."""
+    (ax, ay), (bx, by) = _centers(boxes_a), _centers(boxes_b)
+    return np.hypot(ax - bx, ay - by) <= max_gap + (boxes_a[..., 2] + boxes_b[..., 2]) / 4.0
+
+
 def side_by_side_matrix(
     boxes_a: Sequence[BoundingBox] | np.ndarray,
     boxes_b: Sequence[BoundingBox] | np.ndarray,
     max_center_gap: float = 0.25,
     max_vertical_offset: float = 0.08,
 ) -> np.ndarray:
-    """Array twin of :func:`boxes_side_by_side`: ``[i, j]`` relates ``a_i`` to ``b_j``."""
-    a, b = _box_rows(boxes_a), _box_rows(boxes_b)
-    (ax, ay), (bx, by) = _centers(a), _centers(b)
-    return (
-        (iou_matrix(a, b) <= 0.3)
-        & (np.abs(ay[:, None] - by[None, :]) <= max_vertical_offset)
-        & (np.abs(ax[:, None] - bx[None, :]) <= max_center_gap)
+    """:func:`side_by_side_array` of every pair: ``[i, j]`` relates ``a_i`` to ``b_j``."""
+    return side_by_side_array(
+        _box_rows(boxes_a)[:, None, :], _box_rows(boxes_b)[None, :, :],
+        max_center_gap=max_center_gap, max_vertical_offset=max_vertical_offset,
     )
 
 
@@ -231,11 +260,8 @@ def next_to_matrix(
     boxes_b: Sequence[BoundingBox] | np.ndarray,
     max_gap: float = 0.15,
 ) -> np.ndarray:
-    """Array twin of :func:`box_next_to`: ``[i, j]`` relates ``a_i`` to ``b_j``."""
-    a, b = _box_rows(boxes_a), _box_rows(boxes_b)
-    (ax, ay), (bx, by) = _centers(a), _centers(b)
-    distance = np.hypot(ax[:, None] - bx[None, :], ay[:, None] - by[None, :])
-    return distance <= max_gap + (a[:, None, 2] + b[None, :, 2]) / 4.0
+    """:func:`next_to_array` of every pair: ``[i, j]`` relates ``a_i`` to ``b_j``."""
+    return next_to_array(_box_rows(boxes_a)[:, None, :], _box_rows(boxes_b)[None, :, :], max_gap)
 
 
 def box_inside(inner: BoundingBox, outer: BoundingBox, min_overlap: float = 0.7) -> bool:

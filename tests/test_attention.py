@@ -121,3 +121,99 @@ class TestLayers:
         text = np.random.default_rng(1).normal(size=(3, 16))
         new_image, _new_text = layer.apply(image, text)
         assert not np.allclose(new_image, image)
+
+
+def old_layer_norm(x, eps=1e-6):
+    return (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + eps)
+
+
+def old_feed_forward(ffn, x):
+    """``FeedForward.apply`` with the activation as one expression."""
+    num_rows, dim = x.shape
+    num_tiles = -(-num_rows // _FFN_TILE_ROWS)
+    tiles = np.zeros((num_tiles * _FFN_TILE_ROWS, dim), dtype=np.float32)
+    tiles[:num_rows] = x
+    hidden = tiles.reshape(num_tiles, _FFN_TILE_ROWS, dim) @ ffn._w_in
+    activated = hidden * (1.0 / (1.0 + np.exp(-1.702 * hidden)))
+    return (activated @ ffn._w_out).reshape(-1, dim)[:num_rows].astype(np.float64)
+
+
+def old_pad(rows, bounds):
+    sizes = np.diff(bounds)
+    segment = np.repeat(np.arange(sizes.shape[0]), sizes)
+    slot = np.arange(rows.shape[0]) - np.asarray(bounds[:-1])[segment]
+    padded = np.zeros((sizes.shape[0], sizes.max(initial=0), rows.shape[1]))
+    padded[segment, slot] = rows
+    return padded, (segment, slot)
+
+
+def old_attend_segments(attention, queries, query_bounds, keys_values, key_bounds):
+    """``attend_segments`` padding both of its own sides, masking by boolean index."""
+    padded_queries, query_rows = old_pad(queries, query_bounds)
+    padded_keys, _ = old_pad(keys_values, key_bounds)
+    logits = padded_queries @ padded_keys.transpose(0, 2, 1) / attention._temperature
+    key_padding = np.arange(padded_keys.shape[1]) >= np.diff(key_bounds)[:, None]
+    logits[np.broadcast_to(key_padding[:, None, :], logits.shape)] = -np.inf
+    return (softmax(logits, axis=-1) @ padded_keys)[query_rows]
+
+
+def old_apply_segments(layer, image, image_bounds, text, text_bounds):
+    """``CrossModalLayer.apply_segments`` with each attention direction
+    padding its own inputs and the residuals as out-of-place expressions."""
+    enhanced_image = image + layer._blend * old_attend_segments(
+        layer._image_to_text, image, image_bounds, text, text_bounds
+    )
+    enhanced_text = text + layer._blend * old_attend_segments(
+        layer._text_to_image, text, text_bounds, image, image_bounds
+    )
+    return (
+        old_layer_norm(enhanced_image + 0.1 * old_feed_forward(layer._image_ffn, enhanced_image)),
+        old_layer_norm(enhanced_text + 0.1 * old_feed_forward(layer._text_ffn, enhanced_text)),
+    )
+
+
+def bounds_of(sizes):
+    return np.cumsum([0] + sizes).tolist()
+
+
+class TestInPlaceArithmeticIsBitExact:
+    """The in-place and shared-padding forms round exactly like the expressions they replaced."""
+
+    @given(
+        rows=st.integers(1, 40),
+        dim=st.integers(1, 130),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_layer_norm(self, rows, dim, scale, seed):
+        x = np.random.default_rng(seed).normal(loc=scale, scale=scale, size=(rows, dim))
+        np.testing.assert_array_equal(layer_norm(x), old_layer_norm(x))
+
+    @given(rows=st.integers(1, 2 * _FFN_TILE_ROWS + 5), seed=st.integers(0, 2**16))
+    @settings(max_examples=15, deadline=None)
+    def test_feed_forward_activation(self, rows, seed):
+        ffn = FeedForward(dim=128, hidden_dim=256, name="decoder1/txt_ffn")
+        x = np.random.default_rng(seed).normal(size=(rows, 128))
+        np.testing.assert_array_equal(ffn.apply(x), old_feed_forward(ffn, x))
+
+    @given(
+        image_sizes=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+        text_rows=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_layer_shares_padding_between_directions(self, image_sizes, text_rows, seed):
+        """One padding per side serving both directions equals each
+        direction padding its own inputs, as ``attend_segments`` did."""
+        layer = CrossModalLayer(dim=32, hidden_dim=64, name="enhancer0")
+        rng = np.random.default_rng(seed)
+        image = rng.normal(size=(sum(image_sizes), 32))
+        text = rng.normal(size=(text_rows * len(image_sizes), 32))
+        image_bounds = bounds_of(image_sizes)
+        text_bounds = bounds_of([text_rows] * len(image_sizes))
+        for got, want in zip(
+            layer.apply_segments(image, image_bounds, text, text_bounds),
+            old_apply_segments(layer, image, image_bounds, text, text_bounds),
+        ):
+            np.testing.assert_array_equal(got, want)

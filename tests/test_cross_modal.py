@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.encoders.concepts import ConceptSpace
 from repro.encoders.cross_modal import (
     RERANK_BLOCK_ROWS,
     CrossModalityReranker,
     FrameCandidate,
+    RerankDetection,
     RerankerConfig,
+    RerankResult,
     _blocks,
 )
 from repro.encoders.text import QueryParser
@@ -279,3 +285,104 @@ class TestCompanionRounding:
         rows = np.zeros((2, space.dim))
         rows[1] = space.encode(["woman"])
         assert reranker._companion_mask(rows, space.encode(["woman"])).tolist() == [False, True]
+
+
+# Few distinct values, so generated frames hold duplicate and zero-area boxes,
+# clusters that overlap more than ``max_boxes_per_frame`` allows, and tied
+# scores within and across frames.
+_nms_boxes = st.builds(
+    BoundingBox,
+    x=st.sampled_from([0.0, 0.05, 0.1, 0.4]),
+    y=st.sampled_from([0.0, 0.05, 0.1]),
+    w=st.sampled_from([0.0, 0.1, 0.2, 0.3]),
+    h=st.sampled_from([0.0, 0.1, 0.2]),
+)
+_nms_scores = st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(-1.0, 1.0))
+
+
+def reference_nms(config, frames, appearance, relation, top_n):
+    """Per-frame greedy NMS over ``BoundingBox.iou`` in descending score
+    order, ties to the lower row; frames best first, ties in candidate order."""
+    combined = appearance + relation
+    results, start = [], 0
+    for frame in frames:
+        rows = range(start, start + len(frame.patch_ids))
+        start += len(frame.patch_ids)
+        kept = []
+        for row in sorted(rows, key=lambda row: -combined[row]):
+            box = BoundingBox(*frame.boxes[row - rows.start].tolist())
+            if any(box.iou(other.box) >= config.nms_iou_threshold for other in kept):
+                continue
+            kept.append(RerankDetection(
+                box=box,
+                patch_id=frame.patch_ids[row - rows.start],
+                score=float(combined[row]),
+                appearance_score=float(appearance[row]),
+                relation_score=float(relation[row]),
+            ))
+            if len(kept) >= config.max_boxes_per_frame:
+                break
+        best = kept[0]
+        results.append(RerankResult(
+            frame_id=frame.frame_id, score=best.score, box=best.box, patch_id=best.patch_id,
+            appearance_score=best.appearance_score, relation_score=best.relation_score,
+            detections=tuple(kept),
+        ))
+    results.sort(key=lambda result: result.score, reverse=True)
+    return results if top_n is None else results[:top_n]
+
+
+def nms_frames(box_lists):
+    """Candidates with the given boxes; NMS reads no embedding."""
+    return [
+        FrameCandidate(
+            frame_id=f"f{index}",
+            embeddings=np.zeros((len(boxes), 1)),
+            boxes=box_array(boxes),
+            objectness=np.ones(len(boxes)),
+            patch_ids=tuple(f"f{index}/p{row}" for row in range(len(boxes))),
+        )
+        for index, boxes in enumerate(box_lists)
+    ]
+
+
+class TestNonMaximumSuppression:
+    @given(
+        box_lists=st.lists(st.lists(_nms_boxes, min_size=1, max_size=8), min_size=1, max_size=6),
+        max_boxes=st.integers(1, 3),
+        threshold=st.sampled_from([0.3, 0.45, 1.0]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_frame_greedy_reference(self, space, box_lists, max_boxes, threshold, data):
+        config = RerankerConfig(max_boxes_per_frame=max_boxes, nms_iou_threshold=threshold)
+        reranker = CrossModalityReranker(space, config)
+        frames = nms_frames(box_lists)
+        rows = sum(len(boxes) for boxes in box_lists)
+        appearance = np.array(data.draw(st.lists(_nms_scores, min_size=rows, max_size=rows)))
+        relation = np.array(data.draw(
+            st.lists(st.sampled_from([0.0, 0.35, -0.2]), min_size=rows, max_size=rows)
+        ))
+        top_n = data.draw(st.one_of(st.none(), st.integers(0, len(frames) + 2)), label="top_n")
+        bounds = np.cumsum([0] + [len(boxes) for boxes in box_lists]).tolist()
+        got = reranker._decode_detections(
+            frames, bounds, appearance + relation, appearance, relation, top_n
+        )
+        assert got == reference_nms(config, frames, appearance, relation, top_n)
+
+    def test_memory_grows_with_rows_not_rows_squared(self, space, reranker):
+        """60 frames × 64 rows: a padded 64×64 IoU per frame peaked at 15.4 MB."""
+        rng = np.random.default_rng(5)
+        frames = nms_frames([
+            [BoundingBox(*rng.uniform(0.0, 0.8, size=2), 0.1, 0.1) for _ in range(64)]
+            for _ in range(60)
+        ])
+        combined = rng.normal(size=60 * 64)
+        bounds = list(range(0, 60 * 64 + 1, 64))
+        tracemalloc.start()
+        try:
+            reranker._decode_detections(frames, bounds, combined, combined, combined * 0, None)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
