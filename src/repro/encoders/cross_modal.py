@@ -18,8 +18,8 @@ fast search, each in array form (:class:`FrameCandidate`).  For one query it:
 4. scores every image token as its alignment with the query
    (``ls = max_j (X_I X_T^T)_{j,-1}`` in Algorithm 2), augmented with a
    geometric evaluation of the relational tokens over the predicted boxes
-   (the "box position embeddings" path of Fig. 3) — the pairwise relations
-   over a flat list of each block's same-frame row pairs;
+   (the "box position embeddings" path of Fig. 3) — ``(P, P)`` box-array
+   masks per frame;
 5. decodes each frame's best non-overlapping boxes by greedy non-maximum
    suppression as the output localizations, in one pass over all of the
    query's frames: each greedy round picks every frame's best row at once.
@@ -54,8 +54,8 @@ from repro.utils.geometry import (
     BoundingBox,
     center_region_mask,
     iou_array,
-    next_to_array,
-    side_by_side_array,
+    next_to_matrix,
+    side_by_side_matrix,
 )
 from repro.utils.locking import create_lock
 
@@ -261,7 +261,7 @@ class CrossModalityReranker:
             del states
         with obs_span("relations"):
             relation = self._relation_scores(
-                query, frames, blocks, image_tokens, features.companion
+                query, frames, bounds, image_tokens, features.companion
             )
         with obs_span("nms"):
             return self._decode_detections(
@@ -376,7 +376,8 @@ class CrossModalityReranker:
 
         every_frame = np.arange(num_frames)
         picks, found = [], []
-        for _ in range(self._config.max_boxes_per_frame):
+        # Every frame keeps its best row even when the cap is below one.
+        for _ in range(max(1, self._config.max_boxes_per_frame)):
             pick = standing.argmax(axis=1)
             alive = standing[every_frame, pick] > -np.inf
             if not alive.any():
@@ -446,7 +447,7 @@ class CrossModalityReranker:
         self,
         query: ParsedQuery,
         frames: Sequence[FrameCandidate],
-        blocks: Sequence["_Block"],
+        bounds: Sequence[int],
         image_tokens: np.ndarray,
         companion_vector: Optional[np.ndarray],
     ) -> np.ndarray:
@@ -466,31 +467,17 @@ class CrossModalityReranker:
         if "center" in relations or "intersection" in relations:
             margin = 0.25 if "center" in relations else 0.15
             scores += np.where(center_region_mask(boxes, margin=margin), bonus, -penalty)
-        pairwise = [
-            predicate for relation, predicate in
-            (("side by side", side_by_side_array), ("next to", next_to_array))
-            if relation in relations
-        ]
-        if pairwise:
-            companions = self._companion_mask(image_tokens, companion_vector)
-            satisfied = np.zeros((len(pairwise), boxes.shape[0]), dtype=bool)
-            # Each unordered pair of distinct rows of one frame that holds a
-            # companion, a block at a time: at most sum(P²) / 2 pairs per
-            # block, so the temporaries stay bounded like the block's own.
-            # Both predicates are symmetric in their two boxes, so one
-            # verdict serves the pair in either direction.
-            for block in blocks:
-                first, second = _same_frame_pairs(np.add(block.image_bounds, block.rows.start))
-                keep = (first < second) & (companions[first] | companions[second])
-                first, second = first[keep], second[keep]
-                # np.take gathers whole rows far faster than fancy indexing.
-                pair_boxes = np.take(boxes, first, axis=0), np.take(boxes, second, axis=0)
-                for verdicts, predicate in zip(satisfied, pairwise):
-                    holds = predicate(*pair_boxes)
-                    verdicts[first[holds & companions[second]]] = True
-                    verdicts[second[holds & companions[first]]] = True
-            for verdicts in satisfied:
-                scores += np.where(verdicts, bonus, -penalty)
+        companions = self._companion_mask(image_tokens, companion_vector)
+        pairwise = (("side by side", side_by_side_matrix), ("next to", next_to_matrix))
+        for relation, predicate in pairwise:
+            if relation not in relations:
+                continue
+            satisfied = np.zeros(boxes.shape[0], dtype=bool)
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                pairs = predicate(boxes[start:stop], boxes[start:stop]) & companions[start:stop]
+                np.fill_diagonal(pairs, False)
+                satisfied[start:stop] = pairs.any(axis=1)
+            scores += np.where(satisfied, bonus, -penalty)
         return scores
 
     def _companion_mask(
@@ -523,20 +510,6 @@ class _Block(NamedTuple):
     rows: slice  # the block's rows of the query's stacked image tokens
     image_bounds: List[int]  # block-local row boundaries of each frame
     text_bounds: List[int]  # the same for the per-frame copies of the text tokens
-
-
-def _same_frame_pairs(bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(first, second)`` rows of every ordered pair within one frame, self-pairs included.
-
-    ``bounds[f]:bounds[f + 1]`` are frame ``f``'s rows.
-    """
-    sizes = np.diff(bounds)
-    row_sizes = np.repeat(sizes, sizes)  # the size of each row's frame
-    first = np.repeat(np.arange(bounds[0], bounds[-1]), row_sizes)
-    run_starts = np.cumsum(row_sizes) - row_sizes  # where each row's pairs begin
-    frame_starts = np.repeat(bounds[:-1], sizes)
-    second = np.arange(first.shape[0]) + np.repeat(frame_starts - run_starts, row_sizes)
-    return first, second
 
 
 def _blocks(bounds: Sequence[int], num_text: int) -> List[_Block]:

@@ -138,8 +138,8 @@ def _box_rows(boxes: Sequence[BoundingBox] | np.ndarray) -> np.ndarray:
 
 
 def _centers(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Box centres ``(cx, cy)`` of ``[..., 4]`` rows, rounded like :attr:`BoundingBox.center`."""
-    return boxes[..., 0] + boxes[..., 2] / 2.0, boxes[..., 1] + boxes[..., 3] / 2.0
+    """Box centres ``(cx, cy)`` of ``(N, 4)`` rows, rounded like :attr:`BoundingBox.center`."""
+    return boxes[:, 0] + boxes[:, 2] / 2.0, boxes[:, 1] + boxes[:, 3] / 2.0
 
 
 def iou_array(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
@@ -221,37 +221,19 @@ def center_region_mask(
     return (margin <= cx) & (cx <= 1.0 - margin) & (margin <= cy) & (cy <= 1.0 - margin)
 
 
-def side_by_side_array(
-    boxes_a: np.ndarray,
-    boxes_b: np.ndarray,
-    max_center_gap: float = 0.25,
-    max_vertical_offset: float = 0.08,
-) -> np.ndarray:
-    """Array twin of :func:`boxes_side_by_side` over broadcasting ``[x, y, w, h]`` rows."""
-    (ax, ay), (bx, by) = _centers(boxes_a), _centers(boxes_b)
-    return (
-        (iou_array(boxes_a, boxes_b) <= 0.3)
-        & (np.abs(ay - by) <= max_vertical_offset)
-        & (np.abs(ax - bx) <= max_center_gap)
-    )
-
-
-def next_to_array(boxes_a: np.ndarray, boxes_b: np.ndarray, max_gap: float = 0.15) -> np.ndarray:
-    """Array twin of :func:`box_next_to` over broadcasting ``[x, y, w, h]`` rows."""
-    (ax, ay), (bx, by) = _centers(boxes_a), _centers(boxes_b)
-    return np.hypot(ax - bx, ay - by) <= max_gap + (boxes_a[..., 2] + boxes_b[..., 2]) / 4.0
-
-
 def side_by_side_matrix(
     boxes_a: Sequence[BoundingBox] | np.ndarray,
     boxes_b: Sequence[BoundingBox] | np.ndarray,
     max_center_gap: float = 0.25,
     max_vertical_offset: float = 0.08,
 ) -> np.ndarray:
-    """:func:`side_by_side_array` of every pair: ``[i, j]`` relates ``a_i`` to ``b_j``."""
-    return side_by_side_array(
-        _box_rows(boxes_a)[:, None, :], _box_rows(boxes_b)[None, :, :],
-        max_center_gap=max_center_gap, max_vertical_offset=max_vertical_offset,
+    """Array twin of :func:`boxes_side_by_side`: ``[i, j]`` relates ``a_i`` to ``b_j``."""
+    a, b = _box_rows(boxes_a), _box_rows(boxes_b)
+    (ax, ay), (bx, by) = _centers(a), _centers(b)
+    return (
+        (iou_matrix(a, b) <= 0.3)
+        & (np.abs(ay[:, None] - by[None, :]) <= max_vertical_offset)
+        & (np.abs(ax[:, None] - bx[None, :]) <= max_center_gap)
     )
 
 
@@ -260,8 +242,11 @@ def next_to_matrix(
     boxes_b: Sequence[BoundingBox] | np.ndarray,
     max_gap: float = 0.15,
 ) -> np.ndarray:
-    """:func:`next_to_array` of every pair: ``[i, j]`` relates ``a_i`` to ``b_j``."""
-    return next_to_array(_box_rows(boxes_a)[:, None, :], _box_rows(boxes_b)[None, :, :], max_gap)
+    """Array twin of :func:`box_next_to`: ``[i, j]`` relates ``a_i`` to ``b_j``."""
+    a, b = _box_rows(boxes_a), _box_rows(boxes_b)
+    (ax, ay), (bx, by) = _centers(a), _centers(b)
+    distance = np.hypot(ax[:, None] - bx[None, :], ay[:, None] - by[None, :])
+    return distance <= max_gap + (a[:, None, 2] + b[None, :, 2]) / 4.0
 
 
 def box_inside(inner: BoundingBox, outer: BoundingBox, min_overlap: float = 0.7) -> bool:
