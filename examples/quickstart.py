@@ -20,10 +20,11 @@ def main() -> None:
     #    it happens once regardless of how many queries follow.
     system = LOVO(LOVOConfig())
     summary = system.ingest(dataset)
+    # No query has run yet, so the phase totals are processing + indexing.
     print(
         f"Ingested {summary.num_keyframes} key frames "
         f"({summary.num_entities} patch vectors) "
-        f"in {system.timer.total('processing', 'indexing'):.2f}s"
+        f"in {sum(system.time_distribution().values()):.2f}s"
     )
 
     # 3. Complex object queries in natural language.  Neither query maps to a

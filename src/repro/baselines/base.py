@@ -1,9 +1,10 @@
 """Shared scaffolding for baseline query systems.
 
 Every baseline exposes the same two-call interface as LOVO — ``ingest`` once,
-``query`` per request — and records its phase timings in a
-:class:`~repro.utils.timing.PhaseTimer`, so the evaluation harness treats all
-systems identically.
+``query`` per request — and, like LOVO, times each phase with a
+:func:`~repro.obs.trace.span` and adds it up in its own
+``lovo_phase_seconds_total{phase}`` counter, so the evaluation harness
+treats all systems identically.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from repro.core.results import QueryResponse
 from repro.encoders.concepts import ConceptSpace
 from repro.encoders.text import ParsedQuery, QueryParser, TextEncoder
 from repro.errors import QueryError
-from repro.utils.timing import PhaseTimer
+from repro.obs.registry import Counter, MetricsRegistry, phase_seconds_counter
+from repro.obs.trace import span
 from repro.video.model import Frame, VideoDataset
 
 
@@ -34,15 +36,15 @@ class BaselineSystem(abc.ABC):
             self._space, class_embedding_dim=self._encoder_config.class_embedding_dim
         )
         self._parser: QueryParser = self._text_encoder.parser
-        self._timer = PhaseTimer()
+        self._phase_seconds = phase_seconds_counter(MetricsRegistry())
         self._dataset: Optional[VideoDataset] = None
         self._frames: Dict[str, Frame] = {}
         self._scene_by_video: Dict[str, str] = {}
 
     @property
-    def timer(self) -> PhaseTimer:
-        """Accumulated phase timings."""
-        return self._timer
+    def phase_seconds(self) -> Counter:
+        """Accumulated seconds per phase (``processing``, ``search``)."""
+        return self._phase_seconds
 
     @property
     def concept_space(self) -> ConceptSpace:
@@ -66,24 +68,25 @@ class BaselineSystem(abc.ABC):
         self._dataset = dataset
         self._frames = {frame.frame_id: frame for frame in dataset.iter_frames()}
         self._scene_by_video = {video.video_id: video.scene for video in dataset.videos}
-        with self._timer.phase("processing"):
+        with span("processing") as processing:
             self._preprocess(dataset)
+        self._phase_seconds.inc(processing.seconds, phase="processing")
 
     def query(self, text: str, top_n: int | None = None) -> QueryResponse:
         """Parse the query and dispatch to the system-specific search."""
         if self._dataset is None:
             raise QueryError(f"{self.name}: call ingest() before query()")
         parsed = self._parser.parse(text)
-        timer = PhaseTimer()
-        results = self._run_query(parsed, top_n or 50, timer)
-        response = QueryResponse(query=text, results=results, timings=timer.as_dict())
+        timings: Dict[str, float] = {}
+        results = self._run_query(parsed, top_n or 50, timings)
+        response = QueryResponse(query=text, results=results, timings=timings)
         response.metadata["system"] = self.name
-        for phase, seconds in timer.totals.items():
-            self._timer.add(phase, seconds)
+        for phase, seconds in timings.items():
+            self._phase_seconds.inc(seconds, phase=phase)
         return response
 
-    def _run_query(self, parsed: ParsedQuery, top_n: int, timer: PhaseTimer) -> List:
-        """Execute the query, attributing work to timing phases.
+    def _run_query(self, parsed: ParsedQuery, top_n: int, timings: Dict[str, float]) -> List:
+        """Execute the query, recording each phase's seconds into ``timings``.
 
         The default implementation times everything as ``"search"``;
         subclasses with per-query offline work (e.g. MIRIS' detector training
@@ -91,8 +94,10 @@ class BaselineSystem(abc.ABC):
         ``"processing"`` phase, which Fig. 8 counts toward total time but not
         toward user-perceived search time.
         """
-        with timer.phase("search"):
-            return self._search(parsed, top_n)
+        with span("search") as searching:
+            results = self._search(parsed, top_n)
+        timings["search"] = searching.seconds
+        return results
 
     def frame(self, frame_id: str) -> Frame:
         """Look up a registered frame by id."""

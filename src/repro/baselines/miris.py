@@ -29,8 +29,8 @@ from repro.baselines.detectors import DetectionModel, burn_model_compute
 from repro.config import EncoderConfig
 from repro.core.results import ObjectQueryResult
 from repro.encoders.text import ParsedQuery
+from repro.obs.trace import span
 from repro.tracking.bytetrack import ByteTracker, Detection
-from repro.utils.timing import PhaseTimer
 from repro.video.model import VideoDataset
 
 
@@ -56,17 +56,17 @@ class MIRISBaseline(BaselineSystem):
     def _preprocess(self, dataset: VideoDataset) -> None:
         """MIRIS has minimal query-agnostic preprocessing (frame registration)."""
 
-    def _run_query(self, parsed: ParsedQuery, top_n: int, timer: PhaseTimer) -> List:
+    def _run_query(self, parsed: ParsedQuery, top_n: int, timings: Dict[str, float]) -> List:
         """Per-query detector training counts as processing, the scan as search.
 
         Fig. 8 attributes MIRIS' plan configuration and detector tuning to its
         (per-query) processing cost — it dominates MIRIS' *total* time — while
         the tracker scan is the user-perceived search time.
         """
-        with timer.phase("processing"):
+        with span("processing") as processing:
             burn_model_compute(self._plan_units, repeats=self._plan_passes)
-        with timer.phase("search"):
-            return self._search(parsed, top_n)
+        timings["processing"] = processing.seconds
+        return super()._run_query(parsed, top_n, timings)
 
     def _search(self, parsed: ParsedQuery, top_n: int) -> List[ObjectQueryResult]:
         query_vector = self._space.encode(list(parsed.object_tokens))

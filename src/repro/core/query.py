@@ -36,7 +36,6 @@ from repro.encoders.text import ParsedQuery, TextEncoder
 from repro.errors import QueryError
 from repro.obs.trace import span as obs_span
 from repro.utils.cache import LRUCache
-from repro.utils.timing import PhaseTimer
 from repro.vectordb.collection import SearchHit
 from repro.video.model import Frame
 
@@ -290,7 +289,6 @@ class QueryStrategy:
         texts, batch_options = as_query_batch(
             requests, options, caller="QueryStrategy.query_batch"
         )
-        timer = PhaseTimer()
         parsed_list = [self._text_encoder.parse(text) for text in texts]
         fast_k, top_n = batch_options.resolved(self._config)
         num_queries = len(parsed_list)
@@ -302,23 +300,25 @@ class QueryStrategy:
         # position; the pipeline is deterministic per query.
         unique = list(dict.fromkeys(parsed_list))
 
-        with timer.phase("fast_search"):
-            with obs_span("encode", num_queries=len(unique)):
-                query_matrix = self._text_encoder.encode_batch(unique)
-            with obs_span("fast_search", k=fast_k, ann=self._config.ann_enabled):
-                hit_lists = self._storage.search_batch(
-                    query_matrix, fast_k, use_ann=self._config.ann_enabled
-                )
+        # Each stage's time is its span's: one clock for the trace and the
+        # response timings alike.
+        with obs_span("encode", num_queries=len(unique)) as encoding:
+            query_matrix = self._text_encoder.encode_batch(unique)
+        with obs_span("fast_search", k=fast_k, ann=self._config.ann_enabled) as searching:
+            hit_lists = self._storage.search_batch(
+                query_matrix, fast_k, use_ann=self._config.ann_enabled
+            )
             grouped = {
                 parsed: self._group_hits(hits)
                 for parsed, hits in zip(unique, hit_lists)
             }
+        batch_timings = {"fast_search": encoding.seconds + searching.seconds}
 
         results_by_query: Dict[ParsedQuery, List[ObjectQueryResult]] = {}
         union: Dict[str, None] = {}
         num_built = 0
         if self._config.rerank_enabled:
-            with timer.phase("rerank"), obs_span("rerank"):
+            with obs_span("rerank") as reranking:
                 for candidate_frames, _ in grouped.values():
                     for frame_id in candidate_frames:
                         union.setdefault(frame_id, None)
@@ -341,12 +341,12 @@ class QueryStrategy:
                         results_by_query[parsed] = self._results_from_rerank(reranked)
                     scoring.set("frames", frames)
                     scoring.set("patches", patches)
+            batch_timings["rerank"] = reranking.seconds
         else:
             for parsed in unique:
                 _, patch_hits = grouped[parsed]
                 results_by_query[parsed] = self._results_from_fast_search(patch_hits, top_n)
 
-        batch_timings = timer.as_dict()
         share = {phase: seconds / num_queries for phase, seconds in batch_timings.items()}
         responses: List[QueryResponse] = []
         for text, parsed in zip(texts, parsed_list):
@@ -442,20 +442,7 @@ class QueryStrategy:
         results: List[ObjectQueryResult] = []
         for entry in reranked:
             frame = self._frames[entry.frame_id]
-            detections = entry.detections or None
-            if detections is None:
-                results.append(
-                    ObjectQueryResult(
-                        frame_id=entry.frame_id,
-                        video_id=frame.video_id,
-                        box=entry.box,
-                        score=entry.score,
-                        patch_id=entry.patch_id,
-                        source="lovo",
-                    )
-                )
-                continue
-            for detection in detections:
+            for detection in entry.detections:
                 results.append(
                     ObjectQueryResult(
                         frame_id=entry.frame_id,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, List
 
 from repro.utils.geometry import BoundingBox
 
@@ -101,10 +101,3 @@ class BatchQueryResponse:
             if phase not in _OFFLINE_PHASES
         )
 
-
-def merge_timings(target: Mapping[str, float], extra: Mapping[str, float]) -> Dict[str, float]:
-    """Sum two timing dictionaries phase-by-phase."""
-    merged = dict(target)
-    for phase, seconds in extra.items():
-        merged[phase] = merged.get(phase, 0.0) + seconds
-    return merged

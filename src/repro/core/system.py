@@ -38,10 +38,10 @@ from repro.errors import (
     SnapshotCorruptionError,
     SystemNotReadyError,
 )
-from repro.obs.trace import Tracer
+from repro.obs.registry import MetricsRegistry, phase_seconds_counter
+from repro.obs.trace import Tracer, span
 from repro.persist.manifest import SnapshotManifest
 from repro.persist.snapshot import load_system, save_system
-from repro.utils.timing import PhaseTimer
 from repro.video.model import Frame, VideoDataset
 from repro.utils.locking import create_lock
 
@@ -53,7 +53,7 @@ class LOVO:
     path — :meth:`query` and :meth:`query_batch` — is safe to call from many
     threads at once; the shared pieces it touches (the text-encoder LRU
     caches, the rerank-candidate cache, the lazily built reranker layers,
-    the phase timer) synchronize internally, and everything else is
+    the phase counter) synchronize internally, and everything else is
     read-only.  The serving subsystem (:mod:`repro.serve`) relies on this.
     :meth:`ingest` itself is serialized by an internal lock, but running it
     *concurrently with* queries gives no atomicity guarantee about which
@@ -89,7 +89,8 @@ class LOVO:
         self._strategy: Optional[QueryStrategy] = None
         self._frame_registry: Dict[str, Frame] = {}
         self._frame_scene: Dict[str, str] = {}
-        self._timer = PhaseTimer()
+        self._registry = MetricsRegistry()
+        self._phase_seconds = phase_seconds_counter(self._registry)
         self._tracer = Tracer(self._config.obs)
         self._frames_processed = 0
         self._total_frames = 0
@@ -103,9 +104,14 @@ class LOVO:
         return self._config
 
     @property
-    def timer(self) -> PhaseTimer:
-        """Accumulated phase timings (processing, indexing, fast search, rerank)."""
-        return self._timer
+    def registry(self) -> MetricsRegistry:
+        """The system's metrics registry, merged into a serving engine's scrape.
+
+        It holds ``lovo_phase_seconds_total{phase}``: the seconds spent in
+        ``processing`` and ``indexing`` (ingest) and in ``fast_search`` and
+        ``rerank`` (queries), which :meth:`time_distribution` reads.
+        """
+        return self._registry
 
     @property
     def tracer(self) -> Tracer:
@@ -207,8 +213,9 @@ class LOVO:
         datasets are appended to the same collection).
         """
         with self._ingest_lock:
-            with self._timer.phase("processing"):
+            with span("processing") as processing:
                 summary = self._summarizer.summarize(dataset)
+            self._phase_seconds.inc(processing.seconds, phase="processing")
             return self._apply_summary_locked(dataset.name, summary)
 
     def ingest_summary(self, dataset_name: str, summary: SummaryOutput) -> SummaryOutput:
@@ -226,8 +233,9 @@ class LOVO:
 
     def _apply_summary_locked(self, dataset_name: str, summary: SummaryOutput) -> SummaryOutput:  # lovo: ignore[LOVO005] the frame registry IS the corpus; bounded by ingested data
         storage = self._storage_locked()
-        with self._timer.phase("indexing"):
+        with span("indexing") as indexing:
             storage.ingest(summary.keyframes, summary.encodings)
+        self._phase_seconds.inc(indexing.seconds, phase="indexing")
 
         for frame in summary.keyframes:
             self._frame_registry[frame.frame_id] = frame
@@ -278,7 +286,7 @@ class LOVO:
         texts, batch_options = as_query_batch(requests, options, caller="LOVO.query_batch")
         batch = self._strategy.query_batch(texts, options=batch_options)
         for phase, seconds in batch.timings.items():
-            self._timer.add(phase, seconds)
+            self._phase_seconds.inc(seconds, phase=phase)
         return batch
 
     def save(self, path: str | Path) -> SnapshotManifest:
@@ -360,11 +368,11 @@ class LOVO:
 
     def time_distribution(self) -> Dict[str, float]:
         """The Fig. 9 breakdown: processing / rerank / indexing + fast search."""
-        totals = self._timer.as_dict()
+        seconds = self._phase_seconds.value
         return {
-            "processing": totals.get("processing", 0.0),
-            "rerank": totals.get("rerank", 0.0),
-            "indexing_fast_search": totals.get("indexing", 0.0) + totals.get("fast_search", 0.0),
+            "processing": seconds(phase="processing"),
+            "rerank": seconds(phase="rerank"),
+            "indexing_fast_search": seconds(phase="indexing") + seconds(phase="fast_search"),
         }
 
     def storage_report(self) -> Dict[str, object]:

@@ -12,15 +12,15 @@ Three pieces, used together by the serving → shard → index stack:
   windowed summaries in a unified, thread-safe registry, plus the shared
   ceil-based nearest-rank :func:`~repro.obs.registry.percentile`.
 * :mod:`repro.obs.exposition` — Prometheus text rendering (``GET
-  /v1/metrics``) and the mapping from the engine's point-in-time stats and
-  ingest phase totals to metric families.
+  /v1/metrics``) and the mapping from the engine's point-in-time stats to
+  metric families.
 
 On top of those, the answer-quality and cost layer:
 
 * :mod:`repro.obs.quality` — :class:`~repro.obs.quality.ShadowSampler`
   (online recall@k against an exact flat re-scan of sampled served queries)
-  and :class:`~repro.obs.quality.DriftMonitor` (embedding/score distribution
-  drift under streaming ingest);
+  and :class:`~repro.obs.quality.DriftMonitor` (drift of the shadow
+  exact-scan score distribution);
 * :mod:`repro.obs.explain` — per-query EXPLAIN reports (stage costs, search
   params, per-shard candidates, cache/epoch provenance, score margins) in a
   bounded :class:`~repro.obs.explain.ExplainStore`;

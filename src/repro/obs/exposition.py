@@ -8,15 +8,16 @@ Two halves:
   series, summary quantiles);
 * :func:`service_families` — map the point-in-time part of the serving
   engine's ``stats()`` snapshot (uptime, queue, cache, backend health,
-  traces) and the system's ingest :class:`~repro.utils.timing.PhaseTimer`
-  totals into families.  The engine's request counters, latency summary and
-  micro-batch histogram are registry instruments, so they need no copy; the
-  whole stack surfaces through one ``GET /v1/metrics`` scrape.
+  traces) into families.  Everything cumulative is a registry instrument
+  and needs no copy: the engine's request counters, latency summary and
+  micro-batch histogram, and the system's ``lovo_phase_seconds_total``
+  phase totals.  The whole stack surfaces through one ``GET /v1/metrics``
+  scrape.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping
 
 from repro.obs.registry import MetricFamily, Sample, format_float
 
@@ -124,10 +125,7 @@ def _gauge(name: str, help: str, value: float) -> MetricFamily:
     return MetricFamily(name, "gauge", help, [Sample(name, {}, float(value))])
 
 
-def service_families(
-    stats: Mapping[str, object],
-    phase_totals: Optional[Mapping[str, float]] = None,
-) -> List[MetricFamily]:
+def service_families(stats: Mapping[str, object]) -> List[MetricFamily]:
     """Point-in-time metric families derived from one engine ``stats()``.
 
     Re-derived per scrape from the snapshot, so no second copy of the state
@@ -216,19 +214,6 @@ def service_families(
             _gauge(
                 "lovo_traces_slow", "Traces retained in the slow-query log.",
                 traces.get("slow", 0),
-            )
-        )
-
-    if phase_totals:
-        families.append(
-            MetricFamily(
-                "lovo_phase_seconds_total",
-                "counter",
-                "Accumulated wall-clock seconds per pipeline phase.",
-                [
-                    Sample("lovo_phase_seconds_total", {"phase": phase}, float(seconds))
-                    for phase, seconds in sorted(phase_totals.items())
-                ],
             )
         )
     return families

@@ -13,9 +13,9 @@ measures it continuously.  Two pieces do that here:
   exposed as ``lovo_recall_*`` metrics per index family and per shard.  The
   hand-off is a bounded queue that *drops* samples when full — the shadow
   path must never perturb served latency.
-* :class:`DriftMonitor` — watches a stream of scalar observations (streamed
-  embedding norms, shadow exact-scan scores) and counts drift alerts when a
-  recent window's mean wanders more than :data:`~repro.config.DRIFT_THRESHOLD` reference
+* :class:`DriftMonitor` — watches a stream of scalar observations (the
+  shadow exact-scan scores) and counts drift alerts when a recent window's
+  mean wanders more than :data:`~repro.config.DRIFT_THRESHOLD` reference
   standard deviations from the baseline established earlier, re-baselining
   after each alert so a genuine distribution shift is counted once, not on
   every subsequent observation.

@@ -424,6 +424,19 @@ class MetricsRegistry:
         return families
 
 
+def phase_seconds_counter(registry: MetricsRegistry) -> Counter:
+    """A system's ``lovo_phase_seconds_total{phase}``: seconds per pipeline phase.
+
+    Each system keeps its own (benchmarks build many systems in one
+    process), in a registry of its own.
+    """
+    return registry.counter(
+        "lovo_phase_seconds_total",
+        "Accumulated wall-clock seconds per pipeline phase.",
+        ("phase",),
+    )
+
+
 #: Module-level default registry.  Layers without an obvious owner (the shard
 #: router lives below the engine) record into it, mirroring the prometheus
 #: client's default-registry idiom; the serving engine merges it into its own

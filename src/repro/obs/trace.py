@@ -17,8 +17,10 @@ target (micro-batched queries share the work of one engine pass, so one
 measured interval is recorded into every member's trace), and thread pools
 carry the context across with ``contextvars.copy_context()``.  When no trace
 is active — or tracing is disabled via :class:`~repro.config.ObsConfig` —
-every instrumentation point is a single context-variable read and a no-op
-context manager, so the disabled path stays effectively free.
+a span is a context-variable read and two clock reads, so the disabled
+path stays effectively free.  Either way the span's handle carries the
+block's duration, which is the one clock the query path's stage timings
+read.
 
 Span clocks are ``time.perf_counter`` offsets relative to the trace's start,
 so spans recorded by different threads stay mutually comparable.
@@ -104,11 +106,12 @@ class Trace:
     def open_span(
         self,
         name: str,
+        start: float,
         parent_id: Optional[int] = None,
         attributes: Optional[Dict[str, object]] = None,
     ) -> Optional[int]:
-        """Start a span; returns its id, or ``None`` if the budget is spent."""
-        start = time.perf_counter() - self._t0
+        """Start a span at ``perf_counter`` time ``start``; returns its id, or
+        ``None`` if the budget is spent."""
         with self._lock:
             if len(self._spans) >= self._max_spans:
                 self.dropped_spans += 1
@@ -117,7 +120,7 @@ class Trace:
                 span_id=self._next_id,
                 parent_id=parent_id,
                 name=name,
-                start_s=start,
+                start_s=start - self._t0,
                 attributes=dict(attributes or {}),
             )
             self._next_id += 1
@@ -126,16 +129,15 @@ class Trace:
             self._by_id[span.span_id] = span
             return span.span_id
 
-    def close_span(self, span_id: Optional[int], **attributes: object) -> None:
-        """Seal an open span with its duration (no-op for dropped spans)."""
+    def close_span(self, span_id: Optional[int], seconds: float, **attributes: object) -> None:
+        """Seal an open span with its measured duration (no-op for dropped spans)."""
         if span_id is None:
             return
-        now = time.perf_counter() - self._t0
         with self._lock:
             span = self._by_id.get(span_id)
             if span is None:
                 return
-            span.duration_s = max(now - span.start_s, 0.0)
+            span.duration_s = seconds
             if attributes:
                 span.attributes.update(attributes)
 
@@ -247,63 +249,61 @@ def activate(traces: Sequence[Trace]) -> Iterator[None]:
 
 
 class SpanHandle:
-    """Mutable annotation surface yielded by :func:`span`.
+    """What :func:`span` yields: the block's duration and its annotations.
 
-    ``handle.set(key, value)`` attaches an attribute that is written into
-    every target span when the block exits (e.g. a failover outcome known
-    only at the end of the measured interval).
+    ``seconds`` is the block's duration, set when the block exits whether or
+    not a trace is active: the query path reads its stage timings from it,
+    so a stage is timed once, by its span.  ``handle.set(key, value)``
+    attaches an attribute that is written into every target span when the
+    block exits (e.g. a failover outcome known only at the end of the
+    measured interval).
     """
 
-    __slots__ = ("_extra",)
+    __slots__ = ("_extra", "seconds")
 
     def __init__(self) -> None:
         self._extra: Dict[str, object] = {}
+        self.seconds = 0.0
 
     def set(self, key: str, value: object) -> None:
         self._extra[key] = value
 
 
-class _NoopSpanHandle(SpanHandle):
-    """Shared handle for the tracing-inactive fast path; drops annotations."""
-
-    def set(self, key: str, value: object) -> None:  # noqa: D102 - no-op
-        pass
-
-
-_NOOP_HANDLE = _NoopSpanHandle()
-
-
 @contextmanager
 def span(name: str, **attributes: object) -> Iterator[SpanHandle]:
-    """Open a span named ``name`` in every active trace for the block.
+    """Time the block and open a span named ``name`` in every active trace.
 
-    Nested :func:`span` blocks become child spans.  With no active trace the
-    body runs against a shared no-op handle — one contextvar read of
-    overhead — which is what makes disabling observability near-free.
+    ``perf_counter`` is read once on entry and once on exit; the handle's
+    ``seconds`` and every target span are built from those two reads.
+    Nested :func:`span` blocks become child spans.  With no active trace
+    the block is only timed, which is what makes disabling observability
+    near-free.
     """
-    targets = _ACTIVE.get()
-    if not targets:
-        yield _NOOP_HANDLE
-        return
+    targets = _ACTIVE.get() or ()
+    handle = SpanHandle()
+    start = time.perf_counter()
     opened = [
-        (trace, trace.open_span(name, parent_id, attributes))
+        (trace, trace.open_span(name, start, parent_id, attributes))
         for trace, parent_id in targets
     ]
-    # Children opened inside this block parent onto this span; a trace whose
-    # span budget dropped the span keeps its previous parent.
-    token = _ACTIVE.set(
-        tuple(
-            (trace, span_id if span_id is not None else parent_id)
-            for (trace, parent_id), (_, span_id) in zip(targets, opened)
+    token = None
+    if opened:
+        # Children opened inside this block parent onto this span; a trace
+        # whose span budget dropped the span keeps its previous parent.
+        token = _ACTIVE.set(
+            tuple(
+                (trace, span_id if span_id is not None else parent_id)
+                for (trace, parent_id), (_, span_id) in zip(targets, opened)
+            )
         )
-    )
-    handle = SpanHandle()
     try:
         yield handle
     finally:
-        _ACTIVE.reset(token)
+        handle.seconds = time.perf_counter() - start
+        if token is not None:
+            _ACTIVE.reset(token)
         for trace, span_id in opened:
-            trace.close_span(span_id, **handle._extra)
+            trace.close_span(span_id, handle.seconds, **handle._extra)
 
 
 def record_span(name: str, start: float, end: float, **attributes: object) -> None:

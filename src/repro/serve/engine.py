@@ -78,6 +78,14 @@ class ServingEngine:
         self._obs_config = obs_config
         tracer = getattr(system, "tracer", None)
         self._tracer = tracer if isinstance(tracer, Tracer) else Tracer(obs_config)
+        # The system's own registry (its phase totals) joins every scrape; a
+        # stand-in without one contributes nothing.
+        system_registry = getattr(system, "registry", None)
+        self._system_registry = (
+            system_registry
+            if isinstance(system_registry, MetricsRegistry)
+            else MetricsRegistry()
+        )
         self._registry = registry = MetricsRegistry()
         registry.register_collector(self._collect_service_families)
         # Each request is counted once, here; stats() and the /v1/metrics
@@ -190,23 +198,22 @@ class ServingEngine:
         return int(getattr(self._system, "data_version", 0))
 
     def _collect_service_families(self) -> List[MetricFamily]:
-        phase_totals = None
-        timer = getattr(self._system, "timer", None)
-        if timer is not None and hasattr(timer, "as_dict"):
-            phase_totals = timer.as_dict()
-        return service_families(self.stats(), phase_totals)
+        return service_families(self.stats())
 
     def metric_families(self) -> List[MetricFamily]:
         """Everything ``GET /v1/metrics`` exposes in one snapshot.
 
         Merges this engine's registry (request counters, latency, micro-batch
-        sizes, cache, backend health, ingest phase totals, recall/SLO
-        instruments) with the module-level registry the shard router records
-        its per-replica call metrics into, plus the constant
+        sizes, cache, backend health, recall/SLO instruments), the system's
+        registry (its phase totals), and the module-level registry the shard
+        router records its per-replica call metrics into, plus the constant
         ``lovo_build_info`` gauge.
         """
         return (
-            self._registry.collect() + REGISTRY.collect() + [build_info_family()]
+            self._registry.collect()
+            + self._system_registry.collect()
+            + REGISTRY.collect()
+            + [build_info_family()]
         )
 
     @property

@@ -33,12 +33,9 @@ import threading
 import time
 from typing import TYPE_CHECKING, Dict, Optional
 
-import numpy as np
-
 from repro.config import INDEX_QUEUE_SIZE, StreamConfig
 from repro.core.summary import SummaryOutput
 from repro.errors import StreamBackpressureError, StreamClosedError, StreamError
-from repro.obs.quality import DriftMonitor
 from repro.obs.registry import REGISTRY, MetricsRegistry
 from repro.utils.locking import create_condition, create_lock
 from repro.video.model import VideoDataset
@@ -209,20 +206,6 @@ class StreamingIngestor:
             "lovo_stream_ingest_seconds",
             "End-to-end submit-to-queryable latency per segment",
         )
-        # Embedding-distribution drift under streaming ingest: the per-patch
-        # L2 norms feed a windowed monitor whose alerts count genuine shifts.
-        self._norm_gauge = registry.gauge(
-            "lovo_stream_embedding_norm",
-            "Mean patch-embedding L2 norm of the most recent indexed segment",
-        )
-        self._norm_drift = DriftMonitor(
-            "embedding_norm",
-            registry.counter(
-                "lovo_stream_drift_alerts_total",
-                "Streaming embedding-distribution drift alerts, by signal",
-                ("signal",),
-            ),
-        )
 
         self._encode_thread = threading.Thread(
             target=self._encode_loop, name="lovo-stream-encode", daemon=True
@@ -353,7 +336,6 @@ class StreamingIngestor:
                 "max_duty_cycle": self._config.max_duty_cycle,
             }
         snapshot["standing_queries"] = self._subscriptions.stats()
-        snapshot["drift"] = self._norm_drift.stats()
         if self._delta_store is not None:
             snapshot["deltas"] = len(self._delta_store.deltas())
         return snapshot
@@ -446,13 +428,6 @@ class StreamingIngestor:
             self._ingest_histogram.observe(done - submitted_at)
             self._segments_counter.inc()
             self._entities_counter.inc(len(summary.encodings))
-            if summary.encodings:
-                norms = [
-                    float(np.linalg.norm(encoding.embedding))
-                    for encoding in summary.encodings
-                ]
-                self._norm_gauge.set(sum(norms) / len(norms))
-                self._norm_drift.observe_many(norms)
             self._system.tracer.finish(trace, status="ok", matches=matches)
             with self._state:
                 self._entities += len(summary.encodings)

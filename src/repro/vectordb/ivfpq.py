@@ -369,8 +369,9 @@ class IVFPQIndex(VectorIndex):
         # assignment of every appended vector independent of the append batch
         # shape, so streamed appends land in exactly the lists an offline
         # sequence of the same inserts would fill (and so do sharded appends
-        # relative to the unsharded index).
-        scores = exact_scores(self._coarse_centroids, vectors)
-        assignments = scores.argmax(axis=0)
+        # relative to the unsharded index).  The vectors are the tiled rows
+        # and the few centroids the query columns: the other way round pads
+        # the centroids to a whole row tile for every eight vectors.
+        assignments = exact_scores(vectors, self._coarse_centroids).argmax(axis=1)
         with self._insert_lock:
             self._fill_lists(ids, vectors, assignments)

@@ -7,7 +7,7 @@ import pytest
 
 from repro import LOVO
 from repro.config import QueryConfig
-from repro.core.results import ObjectQueryResult, QueryResponse, merge_timings
+from repro.core.results import ObjectQueryResult, QueryResponse
 from repro.core.storage import LOVOStorage
 from repro.core.summary import VideoSummarizer
 from repro.errors import MetadataError, QueryError, VectorDatabaseError
@@ -39,10 +39,6 @@ class TestResults:
         payload = result.as_dict()
         assert payload["frame_id"] == "f"
         assert len(payload["box"]) == 4
-
-    def test_merge_timings(self):
-        merged = merge_timings({"a": 1.0}, {"a": 0.5, "b": 2.0})
-        assert merged == {"a": 1.5, "b": 2.0}
 
 
 class TestVideoSummarizer:
@@ -176,9 +172,29 @@ class TestLOVOSystem:
         assert set(distribution) == {"processing", "rerank", "indexing_fast_search"}
         assert distribution["processing"] > 0
         assert distribution["indexing_fast_search"] > 0
-        # One processing and one indexing interval per ingest.
-        assert lovo_system.timer.counts["processing"] == 1
-        assert lovo_system.timer.counts["indexing"] == 1
+        # The breakdown reads the system's own phase counter.
+        (family,) = [
+            family for family in lovo_system.registry.collect()
+            if family.name == "lovo_phase_seconds_total"
+        ]
+        phases = {sample.labels["phase"]: sample.value for sample in family.samples}
+        assert phases["processing"] == distribution["processing"]
+        assert phases["indexing"] > 0
+
+    def test_time_distribution_before_ingest_is_zero(self):
+        assert LOVO(small_config()).time_distribution() == {
+            "processing": 0.0, "rerank": 0.0, "indexing_fast_search": 0.0,
+        }
+
+    def test_phase_totals_are_per_system(self, lovo_system, bellevue_small):
+        # Each system owns its counter: building and querying another system
+        # in the same process leaves this one's totals alone.
+        before = lovo_system.time_distribution()
+        other = LOVO(small_config())
+        other.ingest(bellevue_small)
+        other.query("A bus driving on the road.")
+        assert lovo_system.time_distribution() == before
+        assert other.time_distribution()["rerank"] > 0
 
     def test_storage_report_and_counts(self, lovo_system, bellevue_small, tiny_config):
         report = lovo_system.storage_report()

@@ -155,6 +155,18 @@ class TestTraceModel:
         start = time.perf_counter()
         record_span("untraced", start, start)  # must not raise
 
+    def test_span_times_the_block_with_or_without_a_trace(self):
+        with span("untraced") as untraced:
+            time.sleep(0.002)
+        assert untraced.seconds >= 0.002
+        trace = Trace()
+        with activate([trace]):
+            with span("traced") as traced:
+                time.sleep(0.002)
+        (recorded,) = trace.spans()
+        assert traced.seconds >= 0.002
+        assert recorded.duration_s == traced.seconds
+
     def test_span_budget_drops_and_counts(self):
         trace = Trace(max_spans=2)
         with activate([trace]):
@@ -847,6 +859,40 @@ class TestHTTPObservability:
         }
         assert healthy == {"0": 2.0, "1": 2.0}
         assert "lovo_phase_seconds_total" in parsed
+
+    def test_timings_and_phase_totals_read_the_span_clock(self, http_service, sharded_system):
+        base, _ = http_service
+        status, _, body = self._request(base, "POST", "/v1/query", {"query": "a red car"})
+        assert status == 200
+        payload = json.loads(body)
+        status, _, body = self._request(base, "GET", f"/v1/traces/{payload['trace_id']}")
+        assert status == 200
+        seconds = {
+            span["name"]: span["duration_ms"] / 1000.0
+            for span in json.loads(body)["spans"]
+            if span["parent_id"] is None
+        }
+        # A batch of one: its timings are its own spans' durations.
+        timings = payload["timings"]
+        assert set(timings) == {"fast_search", "rerank"}
+        assert timings["fast_search"] == pytest.approx(
+            seconds["encode"] + seconds["fast_search"], rel=0, abs=1e-9
+        )
+        assert timings["rerank"] == pytest.approx(seconds["rerank"], rel=0, abs=1e-9)
+
+        _, _, body = self._request(base, "GET", "/v1/metrics")
+        phases = {
+            sample["labels"]["phase"]: sample["value"]
+            for sample in parse_exposition(body.decode("utf-8"))[
+                "lovo_phase_seconds_total"
+            ]["samples"]
+        }
+        distribution = sharded_system.time_distribution()
+        assert phases["processing"] == distribution["processing"]
+        assert phases["rerank"] == distribution["rerank"]
+        assert phases["indexing"] + phases["fast_search"] == distribution[
+            "indexing_fast_search"
+        ]
 
     def test_request_id_generated_when_absent(self, http_service):
         base, _ = http_service

@@ -36,7 +36,6 @@ from repro.obs.exposition import parse_exposition
 from repro.serve.http import make_server
 from repro.obs.registry import percentile
 from repro.utils.cache import LRUCache
-from repro.utils.timing import PhaseTimer
 
 BELLEVUE_QUERIES = [spec.text for spec in queries_for_dataset("bellevue")]
 
@@ -137,24 +136,6 @@ class TestThreadSafetySatellites:
         assert cache.pop("a") == 1
         assert cache.pop("a", 42) == 42
         assert "a" not in cache
-
-    def test_phase_timer_concurrent_adds_lose_nothing(self):
-        timer = PhaseTimer()
-        per_thread, num_threads = 500, 8
-
-        def add_many() -> None:
-            for _ in range(per_thread):
-                timer.add("phase", 1.0)
-
-        threads = [threading.Thread(target=add_many) for _ in range(num_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # Increments of exactly 1.0 are float-exact, so any lost update would
-        # show as a smaller total.
-        assert timer.totals["phase"] == float(per_thread * num_threads)
-        assert timer.counts["phase"] == per_thread * num_threads
 
 
 class TestTTLLRUCache:

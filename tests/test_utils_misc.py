@@ -1,8 +1,6 @@
-"""Tests for deterministic RNG helpers, timing, and serialization."""
+"""Tests for deterministic RNG helpers and serialization."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.utils.rng import derive_seed, rng_from_tokens, stable_shuffle
 from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
-from repro.utils.timing import PhaseTimer
 
 
 class TestRng:
@@ -48,40 +45,6 @@ class TestRng:
     def test_seed_non_negative(self):
         for token in ["a", "b", 123, ("x", "y")]:
             assert derive_seed(token) >= 0
-
-
-class TestTiming:
-    def test_phase_timer_records_phases(self):
-        timer = PhaseTimer()
-        with timer.phase("a"):
-            time.sleep(0.005)
-        with timer.phase("a"):
-            pass
-        with timer.phase("b"):
-            pass
-        assert timer.counts["a"] == 2
-        assert timer.totals["a"] > 0
-        assert timer.total() == pytest.approx(timer.totals["a"] + timer.totals["b"])
-        assert timer.total("a") == timer.totals["a"]
-        assert timer.mean("a") == pytest.approx(timer.totals["a"] / 2)
-
-    def test_phase_timer_mean_of_missing_phase(self):
-        assert PhaseTimer().mean("nope") == 0.0
-
-    def test_phase_timer_merge(self):
-        first, second = PhaseTimer(), PhaseTimer()
-        first.add("x", 1.0)
-        second.add("x", 2.0)
-        second.add("y", 3.0)
-        first.merge(second)
-        assert first.totals["x"] == pytest.approx(3.0)
-        assert first.totals["y"] == pytest.approx(3.0)
-
-    def test_phase_timer_reset(self):
-        timer = PhaseTimer()
-        timer.add("x", 1.0)
-        timer.reset()
-        assert timer.as_dict() == {}
 
 
 class TestSerialization:

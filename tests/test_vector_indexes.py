@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import IndexConfig
 from repro.errors import DimensionMismatchError, IndexNotBuiltError, VectorDatabaseError
+from repro.vectordb.base import exact_scores
 from repro.vectordb.flat import FlatIndex
 from repro.vectordb.hnsw import HNSWIndex
 from repro.vectordb.ivfpq import IVFPQIndex
@@ -145,6 +146,33 @@ class TestIVFPQIndex:
         assert index.ntotal == 400
         hits = index.search(vectors[350], 5)
         assert hits
+
+    @pytest.mark.parametrize("num_clusters", [8, 16])
+    def test_append_assignment_matches_centroid_major_scoring(self, num_clusters):
+        # Appends score the vectors as the tiled rows against the centroids.
+        # The reference is the earlier centroid-major expression; both must
+        # pick the same list for every vector at any batch size, tile edges
+        # included.
+        config = IndexConfig(num_subspaces=4, num_centroids=16,
+                             num_coarse_clusters=num_clusters, nprobe=4)
+        index = IVFPQIndex(32, config)
+        index.add(list(range(300)), unit_vectors(300, seed=5))
+        index.build()
+        centroids = index._coarse_centroids
+        next_id = 300
+        for seed, size in enumerate((1, 7, 8, 9, 2047, 2048, 2049)):
+            batch = unit_vectors(size, seed=100 + seed)
+            reference = exact_scores(centroids, batch)
+            np.testing.assert_array_equal(exact_scores(batch, centroids).T, reference)
+            ids = list(range(next_id, next_id + size))
+            next_id += size
+            index.add(ids, batch)
+            listed = {
+                member: cluster
+                for cluster, entry in index._lists.items()
+                for member in entry.ids
+            }
+            assert [listed[member] for member in ids] == reference.argmax(axis=0).tolist()
 
     def test_memory_accounting_positive(self):
         vectors = unit_vectors()
