@@ -34,7 +34,7 @@ from repro.serve import MicroBatcher, PendingQuery, ResultCache, ServingEngine, 
 from repro.serve.cache import normalize_query_text
 from repro.obs.exposition import parse_exposition
 from repro.serve.http import make_server
-from repro.obs.registry import percentile
+from repro.obs.registry import MetricsRegistry, percentile, phase_seconds_counter
 from repro.utils.cache import LRUCache
 
 BELLEVUE_QUERIES = [spec.text for spec in queries_for_dataset("bellevue")]
@@ -136,6 +136,29 @@ class TestThreadSafetySatellites:
         assert cache.pop("a") == 1
         assert cache.pop("a", 42) == 42
         assert "a" not in cache
+
+    def test_phase_timer_concurrent_adds_lose_nothing(self):
+        # A system's phase totals live in its phase-seconds counter; many
+        # threads adding into one phase must not lose an update.
+        phase_seconds = phase_seconds_counter(MetricsRegistry())
+        per_thread, num_threads = 500, 8
+
+        def add_many() -> None:
+            for _ in range(per_thread):
+                phase_seconds.inc(1.0, phase="phase")
+
+        threads = [threading.Thread(target=add_many) for _ in range(num_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        # Increments of exactly 1.0 are float-exact, so any lost update would
+        # show as a smaller total.
+        assert phase_seconds.value(phase="phase") == float(per_thread * num_threads)
+        samples = phase_seconds.collect().samples
+        assert [(sample.labels, sample.value) for sample in samples] == [
+            ({"phase": "phase"}, float(per_thread * num_threads))
+        ]
 
 
 class TestTTLLRUCache:
