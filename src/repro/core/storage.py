@@ -121,7 +121,11 @@ class LOVOStorage:
             for encoding in encodings
         )
         ids = [encoding.patch_id for encoding in encodings]
-        vectors = np.stack([encoding.class_embedding for encoding in encodings])
+        # Stacked straight into float32, the precision the collection
+        # stores, so no float64 copy of the batch is made.
+        vectors = np.stack(
+            [encoding.class_embedding for encoding in encodings], dtype=np.float32
+        )
         self._collection.insert(ids, vectors)
         self._collection.flush()
 

@@ -8,8 +8,9 @@ time.  A :class:`DeltaSnapshotStore` instead keeps
 * ``base/`` — an ordinary full snapshot (written by :func:`save_system`,
   validated by the same manifest/checksum machinery), and
 * ``deltas/delta-NNNNNN/`` — one directory per streamed segment, holding the
-  segment's key frames, frame→scene map, and encoded patch vectors, each
-  checksummed in the delta's own ``delta.json``, plus
+  segment's key frames and frame→scene map (``frames.json.gz``) and its
+  encoded patches (``encodings.npz``, vectors as float32), each checksummed
+  in the delta's own ``delta.json``, plus
 * ``deltalog.json`` — the ordered list of committed deltas (written last per
   append, so a crash mid-append leaves an orphan directory that is simply
   ignored).
@@ -19,6 +20,10 @@ deltas through :meth:`~repro.core.system.LOVO.ingest_summary` — the same
 entry point the live pipeline used — so the recovered system is bit-identical
 to the one that crashed.  :meth:`compact` folds the replayed state into a new
 base and truncates the log, bounding recovery time.
+
+Deltas are schema version 2.  Version-1 deltas (float64 encodings, indented
+``frames.json``) still replay: the collection rounds class embeddings to
+float32 on insert either way, so storing them as float32 loses nothing.
 """
 
 from __future__ import annotations
@@ -32,27 +37,39 @@ import numpy as np
 from repro.core.summary import SummaryOutput
 from repro.encoders.vision import PatchEncoding
 from repro.errors import PersistenceError, ReproError, SnapshotCorruptionError
-from repro.persist.frames import frames_from_list, frames_to_list
+from repro.persist.frames import (
+    FRAMES_FILENAME,
+    frames_filename,
+    frames_from_list,
+    frames_to_list,
+    read_frames,
+    write_frames,
+)
 from repro.persist.manifest import sha256_file
 from repro.utils.geometry import BoundingBox
 from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
 
 DELTA_LOG_FILENAME = "deltalog.json"
-DELTA_SCHEMA_VERSION = 1
+DELTA_SCHEMA_VERSION = 2
+#: Every delta schema this build replays.
+SUPPORTED_DELTA_SCHEMA_VERSIONS = (1, 2)
 
 
 def _encodings_to_arrays(encodings: List[PatchEncoding]) -> Dict[str, np.ndarray]:
+    # Both vector members are float32.  Replay rounds class embeddings to
+    # float32 on insert anyway, and nothing reads a replayed encoding's
+    # patch ``embedding``.
     return {
         "patch_ids": np.asarray([e.patch_id for e in encodings], dtype=np.str_),
         "frame_ids": np.asarray([e.frame_id for e in encodings], dtype=np.str_),
         "video_ids": np.asarray([e.video_id for e in encodings], dtype=np.str_),
         "patch_index": np.asarray([e.patch_index for e in encodings], dtype=np.int64),
-        "embeddings": np.stack([e.embedding for e in encodings])
+        "embeddings": np.stack([e.embedding for e in encodings], dtype=np.float32)
         if encodings
-        else np.zeros((0, 0), dtype=np.float64),
-        "class_embeddings": np.stack([e.class_embedding for e in encodings])
+        else np.zeros((0, 0), dtype=np.float32),
+        "class_embeddings": np.stack([e.class_embedding for e in encodings], dtype=np.float32)
         if encodings
-        else np.zeros((0, 0), dtype=np.float64),
+        else np.zeros((0, 0), dtype=np.float32),
         "boxes": np.asarray(
             [[e.box.x, e.box.y, e.box.w, e.box.h] for e in encodings], dtype=np.float64
         ).reshape(len(encodings), 4),
@@ -63,16 +80,17 @@ def _encodings_to_arrays(encodings: List[PatchEncoding]) -> Dict[str, np.ndarray
 def _encodings_from_arrays(arrays: Mapping[str, np.ndarray]) -> List[PatchEncoding]:
     try:
         count = int(arrays["patch_ids"].shape[0])
+        # One exact upcast per matrix; each encoding holds a row view of it.
+        embeddings = np.asarray(arrays["embeddings"], dtype=np.float64)
+        class_embeddings = np.asarray(arrays["class_embeddings"], dtype=np.float64)
         return [
             PatchEncoding(
                 patch_id=str(arrays["patch_ids"][i]),
                 frame_id=str(arrays["frame_ids"][i]),
                 video_id=str(arrays["video_ids"][i]),
                 patch_index=int(arrays["patch_index"][i]),
-                embedding=np.asarray(arrays["embeddings"][i], dtype=np.float64),
-                class_embedding=np.asarray(
-                    arrays["class_embeddings"][i], dtype=np.float64
-                ),
+                embedding=embeddings[i],
+                class_embedding=class_embeddings[i],
                 box=BoundingBox(*(float(v) for v in arrays["boxes"][i])),
                 objectness=float(arrays["objectness"][i]),
             )
@@ -137,8 +155,8 @@ class DeltaSnapshotStore:
         try:
             delta_dir.mkdir(parents=True, exist_ok=True)
             save_arrays(delta_dir / "encodings.npz", _encodings_to_arrays(summary.encodings))
-            save_json(
-                delta_dir / "frames.json",
+            write_frames(
+                delta_dir,
                 {
                     "keyframes": frames_to_list(summary.keyframes),
                     "frame_scene": dict(summary.frame_scene),
@@ -156,7 +174,7 @@ class DeltaSnapshotStore:
                     "total_frames": int(summary.total_frames),
                     "checksums": {
                         "encodings.npz": sha256_file(delta_dir / "encodings.npz"),
-                        "frames.json": sha256_file(delta_dir / "frames.json"),
+                        FRAMES_FILENAME: sha256_file(delta_dir / FRAMES_FILENAME),
                     },
                 },
             )
@@ -226,20 +244,21 @@ class DeltaSnapshotStore:
         name = str(entry["name"])
         delta_dir = self._deltas_dir / name
         meta = load_json(delta_dir / "delta.json")
-        if int(meta.get("schema_version", -1)) != DELTA_SCHEMA_VERSION:
+        schema_version = int(meta.get("schema_version", -1))
+        if schema_version not in SUPPORTED_DELTA_SCHEMA_VERSIONS:
             raise SnapshotCorruptionError(
                 f"Delta {name} has unsupported schema version "
                 f"{meta.get('schema_version')!r}"
             )
         checksums = meta.get("checksums", {})
-        for filename in ("encodings.npz", "frames.json"):
+        for filename in ("encodings.npz", frames_filename(schema_version)):
             recorded = checksums.get(filename)
             actual = sha256_file(delta_dir / filename)
             if recorded != actual:
                 raise SnapshotCorruptionError(
                     f"Delta artifact {delta_dir / filename} failed its checksum"
                 )
-        frames_doc = load_json(delta_dir / "frames.json")
+        frames_doc = read_frames(delta_dir, schema_version)
         summary = SummaryOutput(
             keyframes=frames_from_list(frames_doc.get("keyframes", [])),
             encodings=_encodings_from_arrays(load_arrays(delta_dir / "encodings.npz")),

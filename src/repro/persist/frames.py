@@ -5,15 +5,44 @@ must carry the full :class:`~repro.video.model.Frame` objects — object
 annotations included — not just frame ids.  Everything here is plain JSON;
 Python's ``json`` round-trips ``float`` exactly (``repr`` shortest-round-trip
 semantics), so re-encoded embeddings are bit-identical after a load.
+
+On disk the registry document is ``frames.json.gz``: compact JSON (sorted
+keys, no whitespace), gzip-compressed, in snapshots and deltas since schema
+2.  Schema 1 wrote the same document as indented, uncompressed
+``frames.json``; :func:`read_frames` reads either by the schema version.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.errors import SnapshotCorruptionError
 from repro.utils.geometry import BoundingBox
+from repro.utils.serialization import load_json, load_json_gz, save_json_gz
 from repro.video.model import Frame, ObjectAnnotation
+
+#: The frame registry's file in a snapshot or delta directory (schema 2).
+FRAMES_FILENAME = "frames.json.gz"
+#: Its schema-1 name: the same document as indented, uncompressed JSON.
+LEGACY_FRAMES_FILENAME = "frames.json"
+
+
+def frames_filename(schema_version: int) -> str:
+    """The frame registry's file name in a snapshot or delta of that schema."""
+    return LEGACY_FRAMES_FILENAME if schema_version == 1 else FRAMES_FILENAME
+
+
+def write_frames(directory: Path, document: Mapping[str, Any]) -> None:
+    """Write a frame registry document as ``directory/frames.json.gz``."""
+    save_json_gz(directory / FRAMES_FILENAME, document)
+
+
+def read_frames(directory: Path, schema_version: int) -> Dict[str, Any]:
+    """Read the frame registry document a snapshot or delta of that schema wrote."""
+    if schema_version == 1:
+        return load_json(directory / LEGACY_FRAMES_FILENAME)
+    return load_json_gz(directory / FRAMES_FILENAME)
 
 
 def annotation_to_dict(annotation: ObjectAnnotation) -> Dict[str, Any]:

@@ -26,9 +26,14 @@ from repro.errors import (
 )
 from repro.utils.serialization import load_json, save_json
 
-#: Version of the on-disk snapshot layout.  Bump on any incompatible change
-#: to the artifact set or their schemas.
-SNAPSHOT_SCHEMA_VERSION = 1
+#: Version of the on-disk snapshot layout written by this build.  Bump on any
+#: incompatible change to the artifact set or their schemas.  Version 2
+#: stores vectors as float32 and the frame registry as ``frames.json.gz``.
+SNAPSHOT_SCHEMA_VERSION = 2
+
+#: Every layout this build loads: version 1 (float64 vectors, indented
+#: ``frames.json``) is still read.
+SUPPORTED_SCHEMA_VERSIONS = (1, 2)
 
 MANIFEST_FILENAME = "manifest.json"
 
@@ -115,10 +120,10 @@ def read_manifest(root: str | Path) -> SnapshotManifest:
         raise SnapshotCorruptionError(
             f"Snapshot manifest {path} has a non-numeric schema version"
         ) from error
-    if schema_version != SNAPSHOT_SCHEMA_VERSION:
+    if schema_version not in SUPPORTED_SCHEMA_VERSIONS:
         raise SnapshotVersionError(
             f"Snapshot at {Path(root)} uses schema version {schema_version}; "
-            f"this build of repro supports version {SNAPSHOT_SCHEMA_VERSION}"
+            f"this build of repro supports versions {list(SUPPORTED_SCHEMA_VERSIONS)}"
         )
     try:
         return SnapshotManifest(

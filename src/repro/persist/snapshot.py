@@ -14,7 +14,8 @@ Layout of a snapshot at ``<root>/``::
     config.json             full LOVOConfig (the system is deterministic
                             given this plus the stored state)
     system.json             dataset names, frame→scene map, ingest counters
-    frames.json             ordered key frames incl. object annotations
+    frames.json.gz          ordered key frames incl. object annotations
+                            (gzip-compressed compact JSON)
     storage/storage.json    vector-store dimensionality and index config
     storage/metadata.npz    relational frame/patch records
     storage/vectordb/sharded.json
@@ -25,13 +26,20 @@ Layout of a snapshot at ``<root>/``::
                             names the shard's one collection (``0000`` only
                             when unsharded)
     storage/vectordb/shards/NNNN/collections/0000/...
-                            that shard's ``VectorCollection``: vectors, ids,
-                            and index state
+                            that shard's ``VectorCollection``: ids in
+                            ``entities.npz``, index state in ``index.npz``,
+                            and the float32 vectors once — in the flat and
+                            HNSW index state (``raw_vectors``), else in
+                            ``entities.npz``
 
 The vectors are one :class:`~repro.shard.database.ShardedCollection`.
 Snapshots whose ``storage/vectordb/`` holds the older unsharded layout
 (``database.json`` + ``collections/``, no ``sharded.json``) load as a 1-shard
 system.
+
+This is schema version 2.  Schema-1 snapshots still load: they hold float64
+vectors, which are rounded to float32 on load exactly as an insert rounds
+them, and an indented ``frames.json``.
 """
 
 from __future__ import annotations
@@ -44,7 +52,13 @@ import repro
 from repro.config import LOVOConfig
 from repro.core.storage import LOVOStorage
 from repro.errors import PersistenceError, ReproError, SnapshotCorruptionError
-from repro.persist.frames import frames_from_list, frames_to_list
+from repro.persist.frames import (
+    LEGACY_FRAMES_FILENAME,
+    frames_from_list,
+    frames_to_list,
+    read_frames,
+    write_frames,
+)
 from repro.persist.manifest import (
     SNAPSHOT_SCHEMA_VERSION,
     SnapshotManifest,
@@ -99,6 +113,9 @@ def save_system(
     try:
         root.mkdir(parents=True, exist_ok=True)
         (root / "manifest.json").unlink(missing_ok=True)
+        # A schema-1 snapshot being overwritten: its frame registry file has
+        # a different name, and would otherwise linger as an artifact.
+        (root / LEGACY_FRAMES_FILENAME).unlink(missing_ok=True)
         save_json(root / "config.json", config.to_dict())
         save_json(
             root / "system.json",
@@ -110,7 +127,7 @@ def save_system(
                 "reranker_config": dict(reranker_config) if reranker_config else None,
             },
         )
-        save_json(root / "frames.json", {"keyframes": frames_to_list(keyframes)})
+        write_frames(root, {"keyframes": frames_to_list(keyframes)})
         storage.save(root / "storage")
     except ReproError:
         raise
@@ -155,7 +172,7 @@ def load_system(path: str | Path) -> RestoredSystem:
             )
         config = LOVOConfig.from_dict(config_doc)
         system_doc = load_json(root / "system.json")
-        frames_doc = load_json(root / "frames.json")
+        frames_doc = read_frames(root, manifest.schema_version)
         keyframes = frames_from_list(frames_doc.get("keyframes", []))
         storage = LOVOStorage.load(root / "storage")
     except ReproError:

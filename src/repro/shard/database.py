@@ -212,8 +212,13 @@ class ShardedCollection:
             ) from error
 
     def insert(self, ids: Sequence[str], vectors: np.ndarray) -> None:
-        """Partition entities across shards; same contract as the unsharded insert."""
-        data = np.asarray(vectors, dtype=np.float64)
+        """Partition entities across shards; same contract as the unsharded insert.
+
+        Vectors are rounded to float32 here, once, before the partitioner
+        reads them, so a k-means assignment sees exactly the values the
+        shards store (and a reloaded or replayed collection reproduces it).
+        """
+        data = np.asarray(vectors, dtype=np.float32)
         if data.ndim == 1:
             data = data[None, :]
         if data.shape[0] != len(ids):
@@ -250,6 +255,10 @@ class ShardedCollection:
                     positions = np.nonzero(assignments == shard)[0]
                     if positions.size == 0:
                         continue
+                    if positions.size == len(batch_ids):
+                        # The whole batch goes to this shard: no row copy.
+                        self._primaries[shard].insert(batch_ids, data)
+                        continue
                     self._primaries[shard].insert(
                         [batch_ids[int(p)] for p in positions], data[positions]
                     )
@@ -284,12 +293,14 @@ class ShardedCollection:
         shard-local internal ids (which preserve global relative order, so
         per-shard tie-breaking matches the global one).
         """
-        matrix = np.vstack(
-            [
-                self._primaries[self._assignment[external_id]].get_vector(external_id)
-                for external_id in self._order
-            ]
-        )
+        if self.num_shards == 1:
+            matrix = self._primaries[0].rows()
+        else:
+            # Scatter each shard's rows to their global positions.
+            matrix = np.empty((len(self._order), self._dim), dtype=np.float32)
+            for collection in self._primaries:
+                positions = [self._global_position[i] for i in collection.ids()]
+                matrix[positions] = collection.rows()
         trainer = IVFPQIndex(self._dim, self._config)
         trainer.add(list(range(len(self._order))), matrix)
         _, arrays = trainer.to_state()
@@ -385,10 +396,8 @@ class ShardedCollection:
         return [collection.num_entities for collection in self._primaries]
 
     def storage_bytes(self) -> int:
-        """Approximate memory footprint of the raw vectors (for reporting)."""
-        return self.num_entities * self._dim * 8
-
-
+        """Bytes the stored vectors take across all shards (for reporting)."""
+        return sum(collection.storage_bytes() for collection in self._primaries)
 
     @property
     def router(self) -> ShardRouter:

@@ -1,18 +1,21 @@
 """The canonical JSON / ``.npz`` codec used by snapshot persistence.
 
-Four small helpers — :func:`save_json` / :func:`load_json` for structured
-documents and :func:`save_arrays` / :func:`load_arrays` for named NumPy array
-payloads.  The :mod:`repro.persist` subsystem is the single consumer: every
-snapshot artifact on disk is written and read through these functions, so
-there is exactly one place defining how the reproduction serialises data
-(UTF-8 JSON with sorted keys; compressed ``.npz`` with ``allow_pickle``
-disabled).
+Six small helpers — :func:`save_json` / :func:`load_json` for structured
+documents, :func:`save_json_gz` / :func:`load_json_gz` for large ones (the
+frame registry), and :func:`save_arrays` / :func:`load_arrays` for named
+NumPy array payloads.  The :mod:`repro.persist` subsystem is the single
+consumer: every snapshot artifact on disk is written and read through these
+functions, so there is exactly one place defining how the reproduction
+serialises data (UTF-8 JSON with sorted keys, indented or gzip-compressed
+compact; compressed ``.npz`` with ``allow_pickle`` disabled).
 """
 
 from __future__ import annotations
 
+import gzip
 import json
 import zipfile
+import zlib
 from pathlib import Path
 from typing import Any, Dict, Mapping
 
@@ -56,6 +59,42 @@ def load_json(path: str | Path) -> Dict[str, Any]:
         raise SnapshotCorruptionError(
             f"Snapshot artifact {target} is not valid JSON"
         ) from error
+
+
+def save_json_gz(path: str | Path, payload: Mapping[str, Any]) -> None:
+    """Write ``payload`` as gzip-compressed compact UTF-8 JSON.
+
+    Sorted keys, no whitespace and a zero gzip timestamp make the bytes a
+    function of the payload alone, so re-saving equal data reproduces the
+    file and its manifest checksum.  Floats round-trip exactly, as with
+    :func:`save_json`.
+    """
+    target = Path(path)
+    document = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=_json_default
+    ).encode("utf-8")
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(gzip.compress(document, mtime=0))
+    except OSError as error:
+        raise PersistenceError(f"Cannot write snapshot artifact {target}: {error}") from error
+
+
+def load_json_gz(path: str | Path) -> Dict[str, Any]:
+    """Load a document written by :func:`save_json_gz`, with the errors of
+    :func:`load_json` (a damaged gzip stream is a
+    :class:`~repro.errors.SnapshotCorruptionError`)."""
+    target = Path(path)
+    try:
+        return json.loads(gzip.decompress(target.read_bytes()).decode("utf-8"))
+    except FileNotFoundError as error:
+        raise PersistenceError(f"Snapshot artifact {target} is missing") from error
+    except (gzip.BadGzipFile, EOFError, zlib.error, UnicodeDecodeError, ValueError) as error:
+        raise SnapshotCorruptionError(
+            f"Snapshot artifact {target} is not valid gzip-compressed JSON"
+        ) from error
+    except OSError as error:
+        raise PersistenceError(f"Cannot read snapshot artifact {target}: {error}") from error
 
 
 def save_arrays(path: str | Path, arrays: Mapping[str, np.ndarray]) -> None:

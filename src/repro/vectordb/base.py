@@ -67,11 +67,17 @@ def exact_scores(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
     the row and query contents — not on matrix size, query-batch size, or
     placement.  Zero rows/columns cost a bounded ~((block-1)/total) overhead
     only on the final tile.
+
+    A float32 ``matrix`` (the stored corpus) is upcast one row tile at a
+    time into a float64 buffer, never as a whole.  The upcast is exact, so
+    the scores equal those of ``matrix.astype(np.float64)`` bit for bit.
     """
     num_rows, dim = matrix.shape
     num_queries = queries.shape[0]
     scores = np.empty((num_rows, num_queries), dtype=np.float64)
     query_tile = np.zeros((_SCORE_QUERY_BLOCK, dim), dtype=np.float64)
+    upcast = matrix.dtype != np.float64
+    row_tile: np.ndarray | None = None
     for q_start in range(0, num_queries, _SCORE_QUERY_BLOCK):
         q_stop = min(q_start + _SCORE_QUERY_BLOCK, num_queries)
         width = q_stop - q_start
@@ -80,14 +86,31 @@ def exact_scores(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
         for r_start in range(0, num_rows, _SCORE_ROW_BLOCK):
             r_stop = min(r_start + _SCORE_ROW_BLOCK, num_rows)
             chunk = matrix[r_start:r_stop]
-            if chunk.shape[0] < _SCORE_ROW_BLOCK:
-                row_tile = np.zeros((_SCORE_ROW_BLOCK, dim), dtype=np.float64)
-                row_tile[: chunk.shape[0]] = chunk
+            rows = chunk.shape[0]
+            if rows < _SCORE_ROW_BLOCK or upcast:
+                if row_tile is None:
+                    row_tile = np.empty((_SCORE_ROW_BLOCK, dim), dtype=np.float64)
+                row_tile[:rows] = chunk
+                row_tile[rows:] = 0.0
                 tile = row_tile @ query_tile.T
             else:
                 tile = chunk @ query_tile.T
-            scores[r_start:r_stop, q_start:q_stop] = tile[: chunk.shape[0], :width]
+            scores[r_start:r_stop, q_start:q_stop] = tile[:rows, :width]
     return scores
+
+
+def lossless_float32(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as float32 when that holds every value exactly, else as is.
+
+    Index snapshots write their raw vectors through this: rows that entered
+    through a collection were rounded to float32 on insert and are stored
+    in half the bytes, while a standalone index fed float64 keeps full
+    precision, so a loaded index always scores exactly as the live one.
+    """
+    if matrix.dtype == np.float32:
+        return matrix
+    narrowed = matrix.astype(np.float32)
+    return narrowed if np.array_equal(narrowed, matrix) else matrix
 
 
 class VectorIndex(abc.ABC):
@@ -161,8 +184,13 @@ class VectorIndex(abc.ABC):
         """Rebuild an index from :meth:`to_state` output without re-ingesting."""
         raise PersistenceError(f"{cls.__name__} does not implement snapshot persistence")
 
-    def _validate(self, vectors: np.ndarray) -> np.ndarray:
-        data = np.asarray(vectors, dtype=np.float64)
+    def _validate(self, vectors: np.ndarray, *, keep_float32: bool = False) -> np.ndarray:
+        """``vectors`` as an ``(n, dim)`` float64 matrix, or float32 when they
+        arrive as float32 and ``keep_float32`` is set (no copy either way
+        when the dtype already fits)."""
+        data = np.asarray(vectors)
+        if not (keep_float32 and data.dtype == np.float32):
+            data = data.astype(np.float64, copy=False)
         if data.ndim == 1:
             data = data[None, :]
         if data.shape[1] != self._dim:

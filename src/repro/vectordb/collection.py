@@ -7,6 +7,10 @@ ids.  It stores nothing else per entity: what a patch id refers to (its key
 frame, video and box) lives in the relational
 :class:`~repro.vectordb.metadata.MetadataStore`, which
 :class:`~repro.core.storage.LOVOStorage` joins to search hits by patch id.
+
+The vectors themselves are one contiguous float32 matrix in insertion order:
+every vector is rounded to float32 once, on insert, and all scoring runs in
+float64 on the exact upcast of the stored rows.
 """
 
 from __future__ import annotations
@@ -92,7 +96,10 @@ class VectorCollection:
         self._index = build_index(dim, self._config)
         self._external_to_internal: Dict[str, int] = {}
         self._internal_to_external: List[str] = []
-        self._vectors: List[np.ndarray] = []
+        # ``_buffer`` has room for more rows than are stored; ``_vectors`` is
+        # the published view of the stored rows, ``_buffer[:num_entities]``.
+        self._buffer = np.zeros((0, dim), dtype=np.float32)
+        self._vectors = self._buffer
         self._built = False
         self._insert_lock = create_rlock("VectorCollection._insert_lock")
 
@@ -121,11 +128,12 @@ class VectorCollection:
         """Number of stored vectors."""
         return len(self._internal_to_external)
 
-    def insert(  # lovo: ignore[LOVO005] the id maps and vectors ARE the stored corpus
+    def insert(  # lovo: ignore[LOVO005] the id maps and vector matrix ARE the stored corpus
         self, ids: Sequence[str], vectors: np.ndarray
     ) -> None:
-        """Insert entities; ids must be unique within the collection."""
-        data = np.asarray(vectors, dtype=np.float64)
+        """Insert entities, rounded to float32; ids must be unique within the
+        collection."""
+        data = np.asarray(vectors, dtype=np.float32)
         if data.ndim == 1:
             data = data[None, :]
         if data.shape[0] != len(ids):
@@ -137,12 +145,15 @@ class VectorCollection:
                 f"Collection {self._name!r} stores {self._dim}-d vectors, got {data.shape[1]}-d"
             )
 
-        # Writers are serialised; concurrent searches stay lock-free.  The id
-        # maps and vectors are appended *before* the index sees the new
-        # internal ids, so any hit a racing search gets back from the index
-        # already resolves to a complete (external id, vector) row — never a
-        # torn read.  Every id is checked before anything is written, so a
-        # rejected batch leaves the collection exactly as it was.
+        # Writers are serialised; concurrent searches stay lock-free.  The
+        # rows are written first, then the id maps, then the view of the
+        # stored rows is published with one assignment, and only then does
+        # the index see the new internal ids.  So an id a racing reader can
+        # look up already has its row in ``_buffer``, a row it can score
+        # already has its id, and every index hit resolves to a complete
+        # (external id, vector) pair — never a torn read.  Every id is
+        # checked before anything is written, so a rejected batch leaves the
+        # collection exactly as it was.
         with self._insert_lock:
             seen = set()
             for external_id in ids:
@@ -152,11 +163,22 @@ class VectorCollection:
                     )
                 seen.add(external_id)
             start = len(self._internal_to_external)
+            stop = start + len(ids)
+            buffer = self._buffer
+            if stop > buffer.shape[0]:
+                # Grow by doubling into a new buffer: readers keep the old
+                # one, whose first ``start`` rows stay valid and unchanged.
+                grown = np.empty((max(stop, 2 * buffer.shape[0]), self._dim), dtype=np.float32)
+                if start:
+                    grown[:start] = buffer[:start]
+                buffer = grown
+            buffer[start:stop] = data
+            self._buffer = buffer
             for position, external_id in enumerate(ids):
                 self._external_to_internal[external_id] = start + position
                 self._internal_to_external.append(external_id)
-                self._vectors.append(data[position])
-            self._index.add(list(range(start, start + len(ids))), data)
+            self._vectors = buffer[:stop]
+            self._index.add(list(range(start, stop)), data)
             self._built = False
 
     def flush(self) -> None:
@@ -201,9 +223,9 @@ class VectorCollection:
     def search_exhaustive_batch(self, queries: np.ndarray, k: int) -> List[List[SearchHit]]:
         """Exact brute-force multi-query search (batched w/o-ANNS ablation)."""
         batch = self._as_query_matrix(queries)
-        if self.num_entities == 0 or k <= 0:
+        matrix = self._vectors
+        if matrix.shape[0] == 0 or k <= 0:
             return [[] for _ in range(batch.shape[0])]
-        matrix = np.vstack(self._vectors)
         scores = exact_scores(matrix, batch).T
         k = min(k, matrix.shape[0])
         results: List[List[SearchHit]] = []
@@ -225,14 +247,21 @@ class VectorCollection:
         )
 
     def get_vector(self, external_id: str) -> np.ndarray:
-        """Return the stored vector for an id."""
+        """Return a copy of the stored (float32) vector for an id."""
         try:
             internal = self._external_to_internal[external_id]
         except KeyError as error:
             raise VectorDatabaseError(
                 f"Id {external_id!r} not found in collection {self._name!r}"
             ) from error
-        return self._vectors[internal]
+        return self._buffer[internal].copy()
+
+    def rows(self) -> np.ndarray:
+        """All stored vectors as one read-only float32 matrix in insertion
+        order (a view, not a copy)."""
+        view = self._vectors.view()
+        view.flags.writeable = False
+        return view
 
     def ids(self) -> List[str]:
         """All external ids in insertion order."""
@@ -274,11 +303,7 @@ class VectorCollection:
         # order (flat, HNSW), storing them again here would double the
         # snapshot's dominant payload; load() pulls them from the index.
         if index_meta is None or "raw_vectors" not in index_meta:
-            entities["vectors"] = (
-                np.vstack(self._vectors)
-                if self._vectors
-                else np.zeros((0, self._dim), dtype=np.float64)
-            )
+            entities["vectors"] = self._vectors
         save_arrays(root / "entities.npz", entities)
 
     @classmethod
@@ -301,16 +326,20 @@ class VectorCollection:
                     f"Collection {document['name']!r} has entities but no index state"
                 )
             index_arrays = load_arrays(root / "index.npz")
+        # Schema-1 snapshots hold float64 rows; they are rounded here as an
+        # insert rounds them, and a flat or HNSW index restores from the
+        # rounded rows too, so the loaded collection is float32 throughout.
         if "vectors" in entities:
-            vectors = entities["vectors"]
+            vectors = np.asarray(entities["vectors"], dtype=np.float32)
         else:
-            raw_key = (index_meta or {}).get("raw_vectors")
-            if index_arrays is None or raw_key not in (index_arrays or {}):
+            raw_key = str((index_meta or {}).get("raw_vectors"))
+            if index_arrays is None or raw_key not in index_arrays:
                 raise SnapshotCorruptionError(
                     f"Collection {document['name']!r} snapshot stores no raw vectors"
                 )
-            vectors = index_arrays[str(raw_key)]
-        vectors = np.asarray(vectors, dtype=np.float64)
+            vectors = index_arrays[raw_key] = np.asarray(
+                index_arrays[raw_key], dtype=np.float32
+            )
         if vectors.ndim != 2 or (vectors.shape[0] and vectors.shape[1] != collection._dim):
             raise SnapshotCorruptionError(
                 f"Collection {document['name']!r} vectors must have shape "
@@ -330,7 +359,7 @@ class VectorCollection:
             raise SnapshotCorruptionError(
                 f"Collection {document['name']!r} snapshot contains duplicate ids"
             )
-        collection._vectors = [row for row in vectors]
+        collection._buffer = collection._vectors = vectors
         if ids:
             assert index_meta is not None and index_arrays is not None
             collection._index = restore_index(collection._dim, config, index_meta, index_arrays)
@@ -338,5 +367,5 @@ class VectorCollection:
         return collection
 
     def storage_bytes(self) -> int:
-        """Approximate memory footprint of the raw vectors (for reporting)."""
-        return self.num_entities * self._dim * 8
+        """Bytes the stored vectors take (for reporting)."""
+        return int(self._vectors.nbytes)

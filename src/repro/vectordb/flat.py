@@ -12,6 +12,11 @@ matrix because :func:`~repro.vectordb.base.exact_scores` pads every row/query
 tile to a fixed shape: each (row, query) score is independent of where the row
 lives.  Segment scores are concatenated in insertion order before ranking, so
 streamed ingest produces exactly the results of an offline build.
+
+Blocks keep the dtype they arrive in: float32 from a collection (which
+rounds every vector on insert), float64 from a direct caller.  Scoring
+upcasts float32 rows exactly, so either way a score is the float64 inner
+product of the stored values.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SnapshotCorruptionError, VectorDatabaseError
-from repro.vectordb.base import IndexHit, VectorIndex, exact_scores
+from repro.vectordb.base import IndexHit, VectorIndex, exact_scores, lossless_float32
 from repro.utils.locking import create_lock
 
 #: Tail chunks are folded into one sealed block once they reach this many rows.
@@ -53,7 +58,7 @@ class FlatIndex(VectorIndex):
         return [int(block.shape[0]) for block in blocks]
 
     def add(self, ids: Sequence[int], vectors: np.ndarray) -> None:
-        data = self._validate(vectors)
+        data = self._validate(vectors, keep_float32=True)
         if len(ids) != data.shape[0]:
             raise VectorDatabaseError(
                 f"Got {len(ids)} ids for {data.shape[0]} vectors"
@@ -119,6 +124,8 @@ class FlatIndex(VectorIndex):
 
         ``raw_vectors`` tells the owning collection that ``matrix`` holds the
         raw vectors in insertion order, so it need not store its own copy.
+        The matrix is written as float32 whenever that is lossless (always,
+        for rows a collection inserted).
         The segment boundaries are deliberately *not* persisted: a loaded
         index starts from one sealed block, and searches stay bit-identical
         because per-row scores do not depend on segmentation.
@@ -132,7 +139,7 @@ class FlatIndex(VectorIndex):
             matrix = np.vstack(blocks)
         return (
             {"kind": "flat", "raw_vectors": "matrix"},
-            {"matrix": matrix, "ids": ids},
+            {"matrix": lossless_float32(matrix), "ids": ids},
         )
 
     @classmethod
@@ -144,7 +151,9 @@ class FlatIndex(VectorIndex):
         arrays: Mapping[str, np.ndarray],
     ) -> "FlatIndex":
         index = cls(dim)
-        matrix = np.asarray(arrays["matrix"], dtype=np.float64)
+        matrix = np.asarray(arrays["matrix"])
+        if matrix.dtype != np.float32:
+            matrix = matrix.astype(np.float64, copy=False)
         ids = np.asarray(arrays["ids"], dtype=np.int64)
         if matrix.ndim != 2 or matrix.shape[1] != dim or matrix.shape[0] != ids.shape[0]:
             raise SnapshotCorruptionError(

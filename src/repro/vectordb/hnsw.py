@@ -25,7 +25,7 @@ import numpy as np
 from repro.config import IndexConfig
 from repro.errors import SnapshotCorruptionError, VectorDatabaseError
 from repro.obs.trace import record_span, tracing_active
-from repro.vectordb.base import IndexHit, VectorIndex
+from repro.vectordb.base import IndexHit, VectorIndex, lossless_float32
 from repro.utils.locking import create_lock
 
 
@@ -117,7 +117,10 @@ class HNSWIndex(VectorIndex):
         restores exactly — searches over a loaded index visit the same nodes
         in the same order as the original.  ``raw_vectors`` tells the owning
         collection that ``vectors`` holds the raw vectors in insertion order,
-        so it need not store its own copy.
+        so it need not store its own copy.  They are written as float32
+        whenever that is lossless (always, for rows a collection inserted);
+        in memory the graph keeps float64 rows, so its per-node scoring never
+        casts.
         """
         meta: Dict[str, object] = {
             "kind": "hnsw",
@@ -131,7 +134,7 @@ class HNSWIndex(VectorIndex):
             "level_draws": len(self._vectors),
         }
         arrays: Dict[str, np.ndarray] = {
-            "vectors": (
+            "vectors": lossless_float32(
                 np.vstack(self._vectors)
                 if self._vectors
                 else np.zeros((0, self.dim), dtype=np.float64)

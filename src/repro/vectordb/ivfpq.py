@@ -113,12 +113,14 @@ class IVFPQIndex(VectorIndex):
         return self._config.nprobe
 
     def add(self, ids: Sequence[int], vectors: np.ndarray) -> None:
-        data = self._validate(vectors)
+        # Float32 input (a collection's rounded rows) is kept as it is until
+        # the build, which trains on the exact float64 upcast.
+        data = self._validate(vectors, keep_float32=True)
         if len(ids) != data.shape[0]:
             raise VectorDatabaseError(f"Got {len(ids)} ids for {data.shape[0]} vectors")
         if self._built:
             # Incremental insertion after build: assign to existing structures.
-            self._insert_built(list(ids), data)
+            self._insert_built(list(ids), data.astype(np.float64, copy=False))
             return
         self._pending_ids.extend(int(identifier) for identifier in ids)
         self._pending_vectors.append(data)
@@ -129,7 +131,7 @@ class IVFPQIndex(VectorIndex):
             return
         if not self._pending_vectors:
             raise IndexNotBuiltError("Cannot build an IVF-PQ index with no vectors")
-        vectors = np.vstack(self._pending_vectors)
+        vectors = np.concatenate(self._pending_vectors, axis=0, dtype=np.float64)
         ids = list(self._pending_ids)
 
         num_clusters = min(self._config.num_coarse_clusters, vectors.shape[0])

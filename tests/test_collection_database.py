@@ -75,7 +75,7 @@ class TestVectorCollection:
         collection.insert(["a", "b"], unit_vectors(2, 16))
         assert collection.ids() == ["a", "b"]
         assert collection.num_entities == 2
-        assert collection.storage_bytes() == 2 * 16 * 8
+        assert collection.storage_bytes() == 2 * 16 * 4  # float32 rows
 
     def test_invalid_construction(self):
         with pytest.raises(VectorDatabaseError):

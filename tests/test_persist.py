@@ -12,6 +12,7 @@ arbitrary values (hypothesis property test).
 from __future__ import annotations
 
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -224,7 +225,7 @@ class TestManifest:
         system = ingested_system("flat")
         root = tmp_path / "snap"
         system.save(root)
-        (root / "frames.json").unlink()
+        (root / "frames.json.gz").unlink()
         with pytest.raises(PersistenceError):
             LOVO.load(root)
 
@@ -600,7 +601,10 @@ class TestVectorLayers:
             entities = np.load(tmp_path / index_type / "entities.npz")
             assert "vectors" not in entities.files  # carried by the index state
             loaded = VectorCollection.load(tmp_path / index_type)
-            assert np.array_equal(loaded.get_vector(f"{index_type}3"), vectors[3])
+            # Stored rows are the float32 rounding of the inserted vectors.
+            assert np.array_equal(
+                loaded.get_vector(f"{index_type}3"), vectors[3].astype(np.float32)
+            )
 
     def test_empty_collection_round_trip(self, tmp_path):
         collection = VectorCollection("empty", 8, IndexConfig(index_type="flat"))
@@ -761,3 +765,85 @@ class TestVersionSingleSourcing:
     def test_version_stamped_into_manifest(self, saved_system):
         _, _, _, manifest = saved_system
         assert manifest.repro_version == repro.__version__
+
+
+#: Written by the last schema-1 release with ``tests/fixtures/make_schema1.py``.
+SCHEMA1_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "schema1"
+
+
+def fixture_answer(system: LOVO, expected: dict) -> list:
+    """The fixture query's answer, in the layout of ``expected.json``."""
+    response = system.query(QueryRequest(expected["query"], QueryOptions(top_n=expected["top_n"])))
+    return [
+        {
+            "frame_id": result.frame_id,
+            "patch_id": result.patch_id,
+            "box": [result.box.x, result.box.y, result.box.w, result.box.h],
+            "score": result.score,
+        }
+        for result in response.results
+    ]
+
+
+class TestSchemaOneFixtures:
+    """Schema-1 snapshots and deltas (float64 vectors, indented ``frames.json``)
+    still load, and answer exactly as the release that wrote them did."""
+
+    @pytest.fixture(scope="class")
+    def expected(self) -> dict:
+        return json.loads((SCHEMA1_FIXTURES / "expected.json").read_text())
+
+    @pytest.fixture
+    def fixtures(self, tmp_path) -> Path:
+        """A scratch copy, so no test can alter the committed files."""
+        shutil.copytree(SCHEMA1_FIXTURES, tmp_path / "schema1")
+        return tmp_path / "schema1"
+
+    def test_fixtures_are_schema_one(self, fixtures):
+        assert read_manifest(fixtures / "snapshot").schema_version == 1
+        assert (fixtures / "snapshot" / "frames.json").is_file()
+        entities = fixtures.glob("**/entities.npz")
+        assert all(np.load(path)["vectors"].dtype == np.float64 for path in entities)
+        delta = json.loads((fixtures / "deltastore/deltas/delta-000001/delta.json").read_text())
+        assert delta["schema_version"] == 1
+
+    def test_snapshot_answers_as_recorded(self, fixtures, expected):
+        # IVF-PQ: ids, boxes, order and scores all bit-exact.
+        assert fixture_answer(LOVO.load(fixtures / "snapshot"), expected) == expected["snapshot"]
+
+    def test_delta_store_replays_as_recorded(self, fixtures, expected):
+        system = DeltaSnapshotStore(fixtures / "deltastore").load_system()
+        assert fixture_answer(system, expected) == expected["deltastore"]
+
+    def test_resave_writes_schema_two_with_the_same_answers(self, fixtures, expected, tmp_path):
+        loaded = LOVO.load(fixtures / "snapshot")
+        stored = loaded.storage.collection
+        rows = [stored.get_vector(external_id) for external_id in stored.ids()]
+        assert all(row.dtype == np.float32 for row in rows)
+        # Re-saving over the schema-1 directory leaves no schema-1 artifact.
+        manifest = loaded.save(fixtures / "snapshot")
+        assert manifest.schema_version == SNAPSHOT_SCHEMA_VERSION == 2
+        assert "frames.json" not in manifest.artifacts
+        assert "frames.json.gz" in manifest.artifacts
+        reloaded = LOVO.load(fixtures / "snapshot")
+        assert fixture_answer(reloaded, expected) == expected["snapshot"]
+        again = reloaded.storage.collection
+        for external_id, row in zip(stored.ids(), rows):
+            assert np.array_equal(again.get_vector(external_id), row)
+
+    def test_compacted_delta_store_answers_as_recorded(self, fixtures, expected):
+        store = DeltaSnapshotStore(fixtures / "deltastore")
+        compacted = store.compact()
+        assert read_manifest(store.base_path).schema_version == 2
+        assert store.deltas() == []
+        assert fixture_answer(compacted, expected) == expected["deltastore"]
+        assert fixture_answer(store.load_system(), expected) == expected["deltastore"]
+
+    @pytest.mark.parametrize("version", [0, 3, -1])
+    def test_other_schema_versions_are_rejected(self, fixtures, version):
+        manifest_path = fixtures / "snapshot" / "manifest.json"
+        document = json.loads(manifest_path.read_text())
+        document["schema_version"] = version
+        manifest_path.write_text(json.dumps(document))
+        with pytest.raises(SnapshotVersionError):
+            LOVO.load(fixtures / "snapshot")

@@ -374,8 +374,8 @@ class TestDeltaSnapshots:
         store.initialize(system)
         ingestor = stream_segments(system, segments[:1], delta_store=store)
         ingestor.stop()
-        target = store.root / "deltas" / "delta-000001" / "frames.json"
-        target.write_text(target.read_text() + " ", encoding="utf-8")
+        target = store.root / "deltas" / "delta-000001" / "frames.json.gz"
+        target.write_bytes(target.read_bytes() + b" ")
         from repro.errors import SnapshotCorruptionError
 
         with pytest.raises(SnapshotCorruptionError):
