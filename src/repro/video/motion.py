@@ -9,6 +9,15 @@ frame and the displacement with the lowest sum-of-absolute-differences wins.
 The resulting field has exactly the same role as codec motion vectors — it
 measures how much, and where, the scene moved — which is all the MVmed-style
 key-frame selector needs.
+
+:func:`estimate_motion_run` matches every consecutive pair of an ``(n, H, W)``
+luminance stack at once: for each candidate displacement it shifts the whole
+stack of earlier frames, takes one difference against the stack of later
+frames and sums it per block, so a run of ``n`` frames costs one pass over the
+displacements instead of ``n - 1``.  :func:`estimate_motion` is its two-frame
+case.  Each block cost is added in the order NumPy's
+``reshape(rows, b, cols, b).sum(axis=(1, 3))`` adds it, so the costs, and the
+chosen vectors, are the same bits however the frames are grouped.
 """
 
 from __future__ import annotations
@@ -20,7 +29,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MotionField:
-    """Dense block-level motion vectors between two frames.
+    """Dense block-level motion vectors between frames.
+
+    A field from :func:`estimate_motion` is ``(rows, cols)``; one from
+    :func:`estimate_motion_run` has a leading axis with one entry per
+    consecutive frame pair.
 
     Attributes:
         dx: Horizontal displacement per block (in pixels).
@@ -38,16 +51,25 @@ class MotionField:
     @property
     def mean_magnitude(self) -> float:
         """Average motion magnitude over all blocks."""
-        if self.magnitude.size == 0:
+        magnitude = self.magnitude
+        if magnitude.size == 0:
             return 0.0
-        return float(self.magnitude.mean())
+        return float(magnitude.mean())
 
     @property
     def active_fraction(self) -> float:
         """Fraction of blocks with non-trivial motion (> 0.5 pixel)."""
-        if self.magnitude.size == 0:
+        magnitude = self.magnitude
+        if magnitude.size == 0:
             return 0.0
-        return float((self.magnitude > 0.5).mean())
+        return float((magnitude > 0.5).mean())
+
+    def pair_mean_magnitudes(self) -> np.ndarray:
+        """Mean magnitude of each pair of a run field (0.0 for no blocks)."""
+        magnitude = self.magnitude
+        if magnitude.size == 0:
+            return np.zeros(len(magnitude))
+        return magnitude.reshape(len(magnitude), -1).mean(axis=1)
 
 
 def estimate_motion(
@@ -71,37 +93,82 @@ def estimate_motion(
         raise ValueError(
             f"Frame shapes differ: {previous.shape} vs {current.shape}"
         )
-    height, width = previous.shape
-    rows = height // block_size
-    cols = width // block_size
-    usable_h = rows * block_size
-    usable_w = cols * block_size
-    current_blocks = current[:usable_h, :usable_w]
+    field = estimate_motion_run(np.stack((previous, current)), block_size, search_radius)
+    return MotionField(dx=field.dx[0], dy=field.dy[0])
 
-    offsets = [
+
+def estimate_motion_run(
+    frames: np.ndarray,
+    block_size: int = 8,
+    search_radius: int = 2,
+) -> MotionField:
+    """Estimate block motion between each consecutive pair of a frame stack.
+
+    Args:
+        frames: ``(n, H, W)`` luminance images in temporal order.
+        block_size: Side length of the matching blocks in pixels; rows and
+            columns past the last whole block are ignored.
+        search_radius: Maximum displacement searched in each direction.
+
+    Returns:
+        A :class:`MotionField` of shape ``(n - 1, rows, cols)``: entry ``i``
+        is the motion from frame ``i`` to frame ``i + 1``.
+    """
+    count, height, width = frames.shape
+    rows, cols = height // block_size, width // block_size
+    usable_h, usable_w = rows * block_size, cols * block_size
+    radius = search_radius
+    displacements = [
         (offset_x, offset_y)
-        for offset_y in range(-search_radius, search_radius + 1)
-        for offset_x in range(-search_radius, search_radius + 1)
+        for offset_y in range(-radius, radius + 1)
+        for offset_x in range(-radius, radius + 1)
     ]
-    # For every candidate displacement, shift the previous frame once and
-    # accumulate the per-block SAD with a reshape; this is equivalent to the
-    # classic per-block search but vectorised over the whole frame.
-    costs = np.full((len(offsets), rows, cols), np.inf, dtype=np.float64)
-    padded = np.pad(previous, search_radius, mode="edge")
-    for index, (offset_x, offset_y) in enumerate(offsets):
+    offsets = np.array(displacements, dtype=np.float64)
+    costs = np.empty((len(offsets), max(count - 1, 0), rows, cols))
+    padded = np.pad(frames[:-1], ((0, 0), (radius, radius), (radius, radius)), mode="edge")
+    current = frames[1:, :usable_h, :usable_w]
+    difference = np.empty(current.shape)
+    for index, (offset_x, offset_y) in enumerate(displacements):
         shifted = padded[
-            search_radius + offset_y: search_radius + offset_y + usable_h,
-            search_radius + offset_x: search_radius + offset_x + usable_w,
+            :,
+            radius + offset_y: radius + offset_y + usable_h,
+            radius + offset_x: radius + offset_x + usable_w,
         ]
-        difference = np.abs(current_blocks - shifted)
-        per_block = difference.reshape(rows, block_size, cols, block_size).sum(axis=(1, 3))
-        costs[index] = per_block
+        np.subtract(current, shifted, out=difference)
+        np.abs(difference, out=difference)
+        _block_sums(difference, block_size, out=costs[index])
 
-    best = costs.reshape(len(offsets), -1).argmin(axis=0).reshape(rows, cols)
-    offset_array = np.array(offsets, dtype=np.float64)
-    dx = offset_array[best, 0]
-    dy = offset_array[best, 1]
-    return MotionField(dx=dx, dy=dy)
+    # argmin keeps the first of equal costs, as the per-block search did.
+    best = costs.argmin(axis=0)
+    return MotionField(dx=offsets[best, 0], dy=offsets[best, 1])
+
+
+def _block_sums(difference: np.ndarray, block_size: int, out: np.ndarray) -> None:
+    """Write the per-block sums of an ``(n, rows*b, cols*b)`` stack into ``out``.
+
+    NumPy's ``sum(axis=(1, 3))`` adds each block row pairwise and then adds
+    the rows in order.  Here each row sum is one reduction over every block
+    row of the stack; an eight-pixel row is added as NumPy's fixed tree
+    ``((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7))``, one tree level per add, since
+    a reduction call per row would be most of the cost.
+    """
+    count, usable_h, usable_w = difference.shape
+    rows, cols = usable_h // block_size, usable_w // block_size
+    if cols == 1:
+        # A block as wide as the usable frame is contiguous: NumPy sums it as one run.
+        out[..., 0] = difference.reshape(count, rows, block_size * block_size).sum(axis=2)
+        return
+    lanes = difference.reshape(count, usable_h, cols, block_size)
+    if block_size == 8:
+        pairs = lanes[..., 0::2] + lanes[..., 1::2]
+        quads = pairs[..., 0::2] + pairs[..., 1::2]
+        row_sums = quads[..., 0] + quads[..., 1]
+    else:
+        row_sums = lanes.sum(axis=3)
+    block_rows = row_sums.reshape(count, rows, block_size, cols)
+    out[...] = block_rows[:, :, 0]
+    for line in range(1, block_size):
+        out += block_rows[:, :, line]
 
 
 def motion_statistics(field: MotionField) -> dict[str, float]:
@@ -112,5 +179,5 @@ def motion_statistics(field: MotionField) -> dict[str, float]:
     return {
         "mean": float(magnitude.mean()),
         "max": float(magnitude.max()),
-        "active_fraction": field.active_fraction,
+        "active_fraction": float((magnitude > 0.5).mean()),
     }
