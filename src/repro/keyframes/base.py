@@ -14,10 +14,6 @@ from typing import List
 from repro.config import KeyframeConfig
 from repro.video.model import Frame, Video
 
-# Frames rendered (and, for MVmed, block-matched) per pass by the extractors
-# that read pixels.  16 frames of 48x48 keep MVmed's buffers near 1.3 MB.
-_CHUNK_FRAMES = 16
-
 
 class KeyframeExtractor(abc.ABC):
     """Strategy interface: select a subset of a video's frames."""

@@ -4,8 +4,9 @@ The content-based strategy of §IV-A targets frames whose appearance differs
 notably from the previously selected key frame.  The implementation renders
 each frame to a low-resolution luminance image and keeps a frame whenever the
 mean absolute pixel difference against the last key frame exceeds a threshold.
-Frames are rendered ``_CHUNK_FRAMES`` at a time through
-:meth:`FrameRenderer.render_luminance`, the render path MVmed uses.
+Frames are rendered through :meth:`FrameRenderer.render_grayscale`, the
+one-frame case of the render path MVmed uses, and only when the minimum gap
+lets them be selected.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import List
 import numpy as np
 
 from repro.config import CONTENT_THRESHOLD, KEYFRAME_MIN_GAP
-from repro.keyframes.base import _CHUNK_FRAMES, KeyframeExtractor
+from repro.keyframes.base import KeyframeExtractor
 from repro.video.model import Frame, Video
 from repro.video.renderer import FrameRenderer
 
@@ -41,17 +42,13 @@ class ContentDiffKeyframeExtractor(KeyframeExtractor):
         keyframes: List[Frame] = [video.frames[0]]
         reference = self._renderer.render_grayscale(video.frames[0])
         last_index = video.frames[0].index
-        rest = video.frames[1:]
-        config = self._renderer.config
-        luminance = np.empty((_CHUNK_FRAMES, config.height, config.width))
-        for start in range(0, len(rest), _CHUNK_FRAMES):
-            chunk = rest[start:start + _CHUNK_FRAMES]
-            for frame, image in zip(chunk, self._renderer.render_luminance(chunk, luminance)):
-                if frame.index - last_index < self._min_gap:
-                    continue
-                difference = float(np.abs(image - reference).mean())
-                if difference >= self._threshold:
-                    keyframes.append(frame)
-                    reference = image.copy()
-                    last_index = frame.index
+        for frame in video.frames[1:]:
+            if frame.index - last_index < self._min_gap:
+                continue
+            luminance = self._renderer.render_grayscale(frame)
+            difference = float(np.abs(luminance - reference).mean())
+            if difference >= self._threshold:
+                keyframes.append(frame)
+                reference = luminance
+                last_index = frame.index
         return keyframes

@@ -24,10 +24,14 @@ from typing import List
 import numpy as np
 
 from repro.config import KEYFRAME_MIN_GAP, MOTION_THRESHOLD
-from repro.keyframes.base import _CHUNK_FRAMES, KeyframeExtractor
+from repro.keyframes.base import KeyframeExtractor
 from repro.video.model import Frame, Video
 from repro.video.motion import estimate_motion_run
 from repro.video.renderer import FrameRenderer
+
+# Frames rendered and block-matched per pass.  16 frames of 48x48 keep the
+# buffers near 1.2 MB.
+_CHUNK_FRAMES = 16
 
 
 class MVMedKeyframeExtractor(KeyframeExtractor):

@@ -15,9 +15,10 @@ luminance stack at once: for each candidate displacement it shifts the whole
 stack of earlier frames, takes one difference against the stack of later
 frames and sums it per block, so a run of ``n`` frames costs one pass over the
 displacements instead of ``n - 1``.  :func:`estimate_motion` is its two-frame
-case.  Each block cost is added in the order NumPy's
-``reshape(rows, b, cols, b).sum(axis=(1, 3))`` adds it, so the costs, and the
-chosen vectors, are the same bits however the frames are grouped.
+case.  The block costs are the per-frame
+``reshape(rows, b, cols, b).sum(axis=(1, 3))`` with a leading frame axis, so
+they, and the chosen vectors, are the same bits however the frames are
+grouped.
 """
 
 from __future__ import annotations
@@ -144,31 +145,10 @@ def estimate_motion_run(
 
 
 def _block_sums(difference: np.ndarray, block_size: int, out: np.ndarray) -> None:
-    """Write the per-block sums of an ``(n, rows*b, cols*b)`` stack into ``out``.
-
-    NumPy's ``sum(axis=(1, 3))`` adds each block row pairwise and then adds
-    the rows in order.  Here each row sum is one reduction over every block
-    row of the stack; an eight-pixel row is added as NumPy's fixed tree
-    ``((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7))``, one tree level per add, since
-    a reduction call per row would be most of the cost.
-    """
+    """Write the per-block sums of an ``(n, rows*b, cols*b)`` stack into ``out``."""
     count, usable_h, usable_w = difference.shape
     rows, cols = usable_h // block_size, usable_w // block_size
-    if cols == 1:
-        # A block as wide as the usable frame is contiguous: NumPy sums it as one run.
-        out[..., 0] = difference.reshape(count, rows, block_size * block_size).sum(axis=2)
-        return
-    lanes = difference.reshape(count, usable_h, cols, block_size)
-    if block_size == 8:
-        pairs = lanes[..., 0::2] + lanes[..., 1::2]
-        quads = pairs[..., 0::2] + pairs[..., 1::2]
-        row_sums = quads[..., 0] + quads[..., 1]
-    else:
-        row_sums = lanes.sum(axis=3)
-    block_rows = row_sums.reshape(count, rows, block_size, cols)
-    out[...] = block_rows[:, :, 0]
-    for line in range(1, block_size):
-        out += block_rows[:, :, line]
+    difference.reshape(count, rows, block_size, cols, block_size).sum(axis=(2, 4), out=out)
 
 
 def motion_statistics(field: MotionField) -> dict[str, float]:
@@ -179,5 +159,5 @@ def motion_statistics(field: MotionField) -> dict[str, float]:
     return {
         "mean": float(magnitude.mean()),
         "max": float(magnitude.max()),
-        "active_fraction": float((magnitude > 0.5).mean()),
+        "active_fraction": field.active_fraction,
     }
