@@ -55,7 +55,9 @@ def sweep_index_size() -> List[Dict[str, float]]:
     for num_entities in (2_000, 8_000, 32_000, 64_000):
         vectors = rng.normal(size=(num_entities, dim))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        collection = VectorCollection("sweep", dim, IndexConfig(num_coarse_clusters=32, nprobe=4))
+        collection = VectorCollection(
+            "sweep", dim, IndexConfig(index_type="ivfpq", num_coarse_clusters=32, nprobe=4)
+        )
         collection.insert([f"e{i}" for i in range(num_entities)], vectors)
         collection.flush()
         query = vectors[0]

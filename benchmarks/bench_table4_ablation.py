@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro import LOVO
-from repro.config import KeyframeConfig, QueryConfig
+from repro.config import KeyframeConfig
 from repro.eval.metrics import evaluate_results
 from repro.eval.reporting import format_table
 from repro.eval.workloads import build_ground_truth, query_by_id
@@ -22,8 +22,8 @@ QUERIES = ["Q1.1", "Q1.2", "Q2.1", "Q2.2"]
 
 VARIANTS = {
     "LOVO": {},
-    "w/o Rerank": {"query": QueryConfig(rerank_enabled=False)},
-    "w/o ANNS": {"query": QueryConfig(ann_enabled=False)},
+    "w/o Rerank": {"query": bench_lovo_config(rerank_enabled=False).query},
+    "w/o ANNS": {"query": bench_lovo_config(ann_enabled=False).query},
     "w/o Key frame": {"keyframes": KeyframeConfig(strategy="all")},
 }
 

@@ -1,7 +1,7 @@
 """Database Storage module (paper §V).
 
 Stores the class embeddings produced by the video summary in a vector
-collection (IVF-PQ by default) and the associated metadata — key-frame ids,
+collection (exact flat search by default) and the associated metadata — key-frame ids,
 patch ids, bounding boxes — in the relational metadata store, linked by the
 shared patch id.  The vector collection keeps only ids and vectors; each
 search hit gets its key frame and video by a join on the patch id against the

@@ -27,10 +27,10 @@ Layout of a snapshot at ``<root>/``::
                             when unsharded)
     storage/vectordb/shards/NNNN/collections/0000/...
                             that shard's ``VectorCollection``: ids in
-                            ``entities.npz``, index state in ``index.npz``,
-                            and the float32 vectors once — in the flat and
-                            HNSW index state (``raw_vectors``), else in
-                            ``entities.npz``
+                            ``entities.npz``, IVF-PQ or HNSW index state in
+                            ``index.npz`` (a flat collection has none), and
+                            the float32 vectors once — in the HNSW index
+                            state (``raw_vectors``), else in ``entities.npz``
 
 The vectors are one :class:`~repro.shard.database.ShardedCollection`.
 Snapshots whose ``storage/vectordb/`` holds the older unsharded layout
@@ -39,7 +39,9 @@ system.
 
 This is schema version 2.  Schema-1 snapshots still load: they hold float64
 vectors, which are rounded to float32 on load exactly as an insert rounds
-them, and an indented ``frames.json``.
+them, and an indented ``frames.json``.  So do flat collections written when
+a flat index kept its own copy of the rows (``index.npz`` holding ``matrix``
+and ``ids``); only ``matrix`` is read back.
 """
 
 from __future__ import annotations

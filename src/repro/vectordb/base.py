@@ -1,4 +1,4 @@
-"""Common interface for ANN indexes (Flat, IVF-PQ, HNSW)."""
+"""Common interface for ANN indexes (Flat, IVF-PQ, HNSW) and exact scoring."""
 
 from __future__ import annotations
 
@@ -97,6 +97,24 @@ def exact_scores(matrix: np.ndarray, queries: np.ndarray) -> np.ndarray:
                 tile = chunk @ query_tile.T
             scores[r_start:r_stop, q_start:q_stop] = tile[:rows, :width]
     return scores
+
+
+def exact_top_k(
+    matrix: np.ndarray, queries: np.ndarray, k: int
+) -> List[List[Tuple[int, float]]]:
+    """Each query's ``k`` best rows of ``matrix`` as ``(row, score)`` pairs,
+    best first, scored by :func:`exact_scores`.
+
+    ``matrix`` must hold at least one row and ``k`` must be positive.
+    """
+    scores = exact_scores(matrix, queries).T
+    k = min(k, matrix.shape[0])
+    ranked: List[List[Tuple[int, float]]] = []
+    for row in scores:
+        top = np.argpartition(-row, k - 1)[:k]
+        top = top[np.argsort(-row[top])]
+        ranked.append(list(zip(top.tolist(), row[top].tolist())))
+    return ranked
 
 
 def lossless_float32(matrix: np.ndarray) -> np.ndarray:

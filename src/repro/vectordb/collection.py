@@ -1,16 +1,18 @@
 """Vector collection: named set of vectors with string primary keys.
 
 A collection is the Milvus-style unit the rest of the system talks to: it
-owns an ANN index (Flat, IVF-PQ, or HNSW per its :class:`~repro.config.
-IndexConfig`) and maps external string ids (patch ids) to internal integer
-ids.  It stores nothing else per entity: what a patch id refers to (its key
-frame, video and box) lives in the relational
+maps external string ids (patch ids) to internal integer ids and answers
+searches exactly (``"flat"``, the default :class:`~repro.config.IndexConfig`)
+or through an approximate index it owns (``"ivfpq"`` or ``"hnsw"``).  It
+stores nothing else per entity: what a patch id refers to (its key frame,
+video and box) lives in the relational
 :class:`~repro.vectordb.metadata.MetadataStore`, which
 :class:`~repro.core.storage.LOVOStorage` joins to search hits by patch id.
 
 The vectors themselves are one contiguous float32 matrix in insertion order:
 every vector is rounded to float32 once, on insert, and all scoring runs in
-float64 on the exact upcast of the stored rows.
+float64 on the exact upcast of the stored rows.  A flat collection searches
+that matrix itself, so it holds no index and no second copy of the rows.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from repro.vectordb.base import (
     VectorIndex,
     as_query_matrix,
     as_single_query,
-    exact_scores,
+    exact_top_k,
 )
-from repro.vectordb.flat import FlatIndex
 from repro.vectordb.hnsw import HNSWIndex
 from repro.vectordb.ivfpq import IVFPQIndex
 from repro.utils.locking import create_rlock
@@ -50,36 +51,20 @@ class SearchHit:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
 
-#: Index families by the ``"kind"`` tag their serialised state carries.
+#: Approximate index families by the ``"kind"`` tag their serialised state
+#: carries.  A flat collection's state is ``{"kind": "flat"}`` alone.
 INDEX_KINDS: Dict[str, Type[VectorIndex]] = {
-    "flat": FlatIndex,
     "hnsw": HNSWIndex,
     "ivfpq": IVFPQIndex,
 }
 
 
-def build_index(dim: int, config: IndexConfig) -> VectorIndex:
-    """Instantiate the ANN index described by ``config``."""
+def build_index(dim: int, config: IndexConfig) -> VectorIndex | None:
+    """Instantiate the ANN index described by ``config``; ``None`` for flat,
+    which searches the collection's own matrix."""
     if config.index_type == "flat":
-        return FlatIndex(dim)
-    if config.index_type == "hnsw":
-        return HNSWIndex(dim, config)
-    return IVFPQIndex(dim, config)
-
-
-def restore_index(
-    dim: int,
-    config: IndexConfig,
-    meta: Mapping[str, object],
-    arrays: Mapping[str, np.ndarray],
-) -> VectorIndex:
-    """Rebuild a serialised index, dispatching on its ``"kind"`` tag."""
-    kind = str(meta.get("kind", ""))
-    try:
-        family = INDEX_KINDS[kind]
-    except KeyError as error:
-        raise SnapshotCorruptionError(f"Unknown index kind {kind!r} in snapshot") from error
-    return family.from_state(dim, config, meta, arrays)
+        return None
+    return INDEX_KINDS[config.index_type](dim, config)
 
 
 class VectorCollection:
@@ -178,7 +163,8 @@ class VectorCollection:
                 self._external_to_internal[external_id] = start + position
                 self._internal_to_external.append(external_id)
             self._vectors = buffer[:stop]
-            self._index.add(list(range(start, stop)), data)
+            if self._index is not None:
+                self._index.add(list(range(start, stop)), data)
             self._built = False
 
     def flush(self) -> None:
@@ -190,7 +176,8 @@ class VectorCollection:
         with self._insert_lock:
             if self.num_entities == 0 or self._built:
                 return
-            self._index.build()
+            if self._index is not None:
+                self._index.build()
             self._built = True
 
     def search(self, query: np.ndarray, k: int) -> List[SearchHit]:
@@ -201,8 +188,11 @@ class VectorCollection:
         """ANN search for ``m`` queries at once; one hit list per query row.
 
         Delegates to the index's multi-query search so the per-batch work
-        (matrix products, coarse-quantizer scoring) is shared across queries.
+        (matrix products, coarse-quantizer scoring) is shared across queries;
+        a flat collection is its own exact index.
         """
+        if self._index is None:
+            return self.search_exhaustive_batch(queries, k)
         batch = self._as_query_matrix(queries)
         if self.num_entities == 0 or k <= 0:
             return [[] for _ in range(batch.shape[0])]
@@ -216,27 +206,22 @@ class VectorCollection:
     def search_exhaustive(self, query: np.ndarray, k: int) -> List[SearchHit]:
         """Exact brute-force search regardless of the configured index.
 
-        Used by the "w/o ANNS" ablation of Table IV.
+        Used by the "w/o ANNS" ablation of Table IV, and as the search of a
+        flat collection.
         """
         return self.search_exhaustive_batch(as_single_query(query), k)[0]
 
     def search_exhaustive_batch(self, queries: np.ndarray, k: int) -> List[List[SearchHit]]:
-        """Exact brute-force multi-query search (batched w/o-ANNS ablation)."""
+        """Exact brute-force multi-query search over the published matrix."""
         batch = self._as_query_matrix(queries)
         matrix = self._vectors
         if matrix.shape[0] == 0 or k <= 0:
             return [[] for _ in range(batch.shape[0])]
-        scores = exact_scores(matrix, batch).T
-        k = min(k, matrix.shape[0])
-        results: List[List[SearchHit]] = []
-        for row in scores:
-            top = np.argpartition(-row, k - 1)[:k]
-            top = top[np.argsort(-row[top])]
-            results.append([
-                SearchHit(id=self._internal_to_external[int(i)], score=float(row[i]))
-                for i in top
-            ])
-        return results
+        external = self._internal_to_external
+        return [
+            [SearchHit(id=external[position], score=score) for position, score in row]
+            for row in exact_top_k(matrix, batch, k)
+        ]
 
     def _to_search_hit(self, hit: IndexHit) -> SearchHit:
         return SearchHit(id=self._internal_to_external[hit.id], score=hit.score)
@@ -276,12 +261,14 @@ class VectorCollection:
         """
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
-        if self.num_entities:
+        if not self.num_entities:
+            index_meta = None
+        elif self._index is None:
+            index_meta = {"kind": "flat"}
+        else:
             self.flush()
             index_meta, index_arrays = self._index.to_state()
             save_arrays(root / "index.npz", index_arrays)
-        else:
-            index_meta = None
         save_json(
             root / "collection.json",
             {
@@ -300,8 +287,8 @@ class VectorCollection:
             ),
         }
         # When the index state already carries the raw vectors in insertion
-        # order (flat, HNSW), storing them again here would double the
-        # snapshot's dominant payload; load() pulls them from the index.
+        # order (HNSW), storing them again here would double the snapshot's
+        # dominant payload; load() pulls them from the index.
         if index_meta is None or "raw_vectors" not in index_meta:
             entities["vectors"] = self._vectors
         save_arrays(root / "entities.npz", entities)
@@ -325,10 +312,19 @@ class VectorCollection:
                 raise SnapshotCorruptionError(
                     f"Collection {document['name']!r} has entities but no index state"
                 )
-            index_arrays = load_arrays(root / "index.npz")
+            if index_meta.get("kind") != config.index_type:
+                raise SnapshotCorruptionError(
+                    f"Collection {document['name']!r} stores a {index_meta.get('kind')!r} "
+                    f"index but is configured for {config.index_type!r}"
+                )
+            # Flat collections written before they stopped keeping an index
+            # stored their rows in it as ``matrix`` (with ``ids``, their
+            # positions); only the rows are read back.
+            if index_meta.get("kind") != "flat" or "raw_vectors" in index_meta:
+                index_arrays = load_arrays(root / "index.npz")
         # Schema-1 snapshots hold float64 rows; they are rounded here as an
-        # insert rounds them, and a flat or HNSW index restores from the
-        # rounded rows too, so the loaded collection is float32 throughout.
+        # insert rounds them, and an HNSW index restores from the rounded
+        # rows too, so the loaded collection is float32 throughout.
         if "vectors" in entities:
             vectors = np.asarray(entities["vectors"], dtype=np.float32)
         else:
@@ -361,8 +357,11 @@ class VectorCollection:
             )
         collection._buffer = collection._vectors = vectors
         if ids:
-            assert index_meta is not None and index_arrays is not None
-            collection._index = restore_index(collection._dim, config, index_meta, index_arrays)
+            if collection._index is not None:
+                assert index_meta is not None and index_arrays is not None
+                collection._index = INDEX_KINDS[config.index_type].from_state(
+                    collection._dim, config, index_meta, index_arrays
+                )
             collection._built = True
         return collection
 

@@ -48,11 +48,14 @@ RETIRED_AT_OLD_DEFAULTS = {
 
 
 def small_config() -> LOVOConfig:
-    """A LOVO configuration sized for fast tests."""
+    """A LOVO configuration sized for fast tests, on the paper's IVF-PQ index
+    (named, since the library default is exact flat search)."""
     return LOVOConfig(
         encoder=EncoderConfig(embedding_dim=64, class_embedding_dim=32, patch_grid=6),
         keyframes=KeyframeConfig(strategy="uniform", uniform_stride=10),
-        index=IndexConfig(num_subspaces=4, num_centroids=16, num_coarse_clusters=8, nprobe=3),
+        index=IndexConfig(
+            index_type="ivfpq", num_subspaces=4, num_centroids=16, num_coarse_clusters=8, nprobe=3
+        ),
         query=QueryConfig(fast_search_k=128, rerank_n=20, max_candidate_frames=30),
     )
 

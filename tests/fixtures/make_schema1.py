@@ -36,7 +36,9 @@ def fixture_config() -> LOVOConfig:
     return LOVOConfig(
         encoder=EncoderConfig(embedding_dim=32, class_embedding_dim=16, patch_grid=4),
         keyframes=KeyframeConfig(strategy="uniform", uniform_stride=10),
-        index=IndexConfig(num_subspaces=4, num_centroids=8, num_coarse_clusters=4, nprobe=2),
+        index=IndexConfig(
+            index_type="ivfpq", num_subspaces=4, num_centroids=8, num_coarse_clusters=4, nprobe=2
+        ),
         query=QueryConfig(fast_search_k=32, rerank_n=8, max_candidate_frames=6),
     )
 

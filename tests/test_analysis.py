@@ -935,7 +935,8 @@ class TestIngestorControlFlowRegression:
 
 class TestCollectionFlushRegression:
     def test_concurrent_first_searches_build_once(self):
-        collection = VectorCollection("c", 4, IndexConfig(index_type="flat"))
+        # HNSW, not flat: a flat collection has no index whose build to count.
+        collection = VectorCollection("c", 4, IndexConfig(index_type="hnsw"))
         rng = np.random.default_rng(7)
         vectors = rng.normal(size=(8, 4))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)

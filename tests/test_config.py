@@ -60,7 +60,7 @@ class TestKeyframeConfig:
 class TestIndexConfig:
     def test_defaults(self):
         config = IndexConfig()
-        assert config.index_type == "ivfpq"
+        assert config.index_type == "flat"
 
     def test_unknown_index_type(self):
         with pytest.raises(ConfigurationError):
@@ -101,7 +101,8 @@ class TestLOVOConfig:
 
     def test_default_composition(self):
         config = LOVOConfig()
-        assert config.index.index_type == "ivfpq"
+        assert config.index.index_type == "flat"
+        assert config.query.max_candidate_frames == 30
         assert config.keyframes.strategy == "mvmed"
 
 

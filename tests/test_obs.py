@@ -63,7 +63,7 @@ def sharded_obs_config(**obs_overrides: object) -> LOVOConfig:
         encoder=EncoderConfig(embedding_dim=64, class_embedding_dim=32, patch_grid=6),
         keyframes=KeyframeConfig(strategy="uniform", uniform_stride=10),
         index=IndexConfig(
-            num_subspaces=4, num_centroids=16, num_coarse_clusters=8, nprobe=3
+            index_type="ivfpq", num_subspaces=4, num_centroids=16, num_coarse_clusters=8, nprobe=3
         ),
         query=QueryConfig(fast_search_k=128, rerank_n=20, max_candidate_frames=30),
         shard=ShardConfig(num_shards=2, num_replicas=2),

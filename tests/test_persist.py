@@ -599,7 +599,12 @@ class TestVectorLayers:
             collection.insert([f"{index_type}{i}" for i in range(30)], vectors)
             collection.save(tmp_path / index_type)
             entities = np.load(tmp_path / index_type / "entities.npz")
-            assert "vectors" not in entities.files  # carried by the index state
+            if index_type == "flat":
+                # A flat collection has no index state: the rows live here.
+                assert "vectors" in entities.files
+                assert not (tmp_path / index_type / "index.npz").exists()
+            else:
+                assert "vectors" not in entities.files  # carried by the index state
             loaded = VectorCollection.load(tmp_path / index_type)
             # Stored rows are the float32 rounding of the inserted vectors.
             assert np.array_equal(
@@ -634,12 +639,12 @@ class TestVectorLayers:
         system.save(tmp_path / "snap")
         vectordb = tmp_path / "snap" / "storage" / "vectordb"
         expected = {"sharded.json", "sharded.npz"}
+        # A flat collection keeps no index state, so no shard has an index.npz.
         for shard in range(num_shards):
             expected |= {
                 f"shards/{shard:04d}/database.json",
                 f"shards/{shard:04d}/collections/0000/collection.json",
                 f"shards/{shard:04d}/collections/0000/entities.npz",
-                f"shards/{shard:04d}/collections/0000/index.npz",
             }
         found = {
             path.relative_to(vectordb).as_posix()
