@@ -1,4 +1,4 @@
-"""The quality layer end to end: EXPLAIN, shadow recall, history, SLOs.
+"""The quality layer end to end: EXPLAIN and shadow recall.
 
 Walks the answer-quality observability surface on a sharded system:
 
@@ -8,11 +8,7 @@ Walks the answer-quality observability surface on a sharded system:
 2. fetch the same report back from ``GET /v1/explain/<trace_id>``;
 3. shadow-sample every served query (``shadow_sample_rate=1.0`` here, 1-5%
    in production) and read the online recall@k / score-margin estimates the
-   background exact re-scorer produces;
-4. look at ``GET /v1/metrics/history`` — the bounded ring of windowed
-   metric snapshots — filtered to the recall series;
-5. evaluate the latency / availability / recall SLOs with multi-window
-   burn rates via ``GET /v1/slo`` and the ``/v1/healthz`` summary.
+   background exact re-scorer produces.
 
 Run with:  python examples/query_explain.py
 """
@@ -63,11 +59,10 @@ def print_explain(report: dict) -> None:
 
 
 def main() -> None:
-    # Sharded, with every served query shadow-sampled (rate 1.0) and a fast
-    # history tick so this short example accumulates a few snapshots.
+    # Sharded, with every served query shadow-sampled (rate 1.0).
     config = LOVOConfig(
         shard=ShardConfig(num_shards=2),
-        obs=ObsConfig(shadow_sample_rate=1.0, history_interval_seconds=0.2),
+        obs=ObsConfig(shadow_sample_rate=1.0),
     )
     system = LOVO(config)
     system.ingest(make_bellevue(num_videos=1, frames_per_video=150))
@@ -114,27 +109,6 @@ def main() -> None:
         for sample in scrape["lovo_recall_shard_at_k"]["samples"]:
             print(f"  shard {sample['labels']['shard']}: "
                   f"recall@k {sample['value']:.3f}")
-
-        # 4. Metrics history: windowed snapshots of every series.
-        engine.history.tick()  # take one snapshot now (ticker runs at 0.2s)
-        history = http_json(
-            base, "GET", "/v1/metrics/history?prefix=lovo_recall_at_k"
-        )
-        last = history["points"][-1]["values"] if history["points"] else {}
-        print(f"\n/v1/metrics/history: {history['num_points']} point(s), "
-              f"latest recall series: {last}")
-
-        # 5. SLO burn rates: fast + slow windows against the error budget.
-        slo = http_json(base, "GET", "/v1/slo")
-        print(f"\nSLO status: {slo['status']}")
-        for entry in slo["slos"]:
-            print(f"  {entry['name']:<12} {entry['status']:<9} "
-                  f"objective {entry['objective']:.3f}  "
-                  f"fast burn {entry['fast']['burn_rate']:.2f}  "
-                  f"slow burn {entry['slow']['burn_rate']:.2f}")
-        healthz = http_json(base, "GET", "/v1/healthz")
-        print(f"/v1/healthz: {healthz['status']}, "
-              f"slo summary {healthz['slo']['status']}")
     finally:
         server.shutdown()
         server.server_close()

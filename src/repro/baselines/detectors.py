@@ -23,14 +23,14 @@ real counterparts run attribute classifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.encoders.concepts import ConceptSpace
 from repro.utils.geometry import BoundingBox
 from repro.utils.rng import rng_from_tokens
-from repro.video.model import Frame, ObjectAnnotation
+from repro.video.model import Frame
 
 #: The subset of MSCOCO classes relevant to the evaluation scenes.  "woman",
 #: "man", "cart" and similar open-vocabulary labels are deliberately absent:
@@ -171,18 +171,3 @@ def burn_model_compute(units: int, repeats: int = 1) -> None:
     """Public wrapper for baselines that model multi-pass inference."""
     for _ in range(max(repeats, 0)):
         _burn_compute(units)
-
-
-def detections_to_annotations(
-    detections: Sequence[SimulatedDetection],
-) -> List[ObjectAnnotation]:
-    """View detections as annotations (used by scene-graph indexing in VOCAL)."""
-    return [
-        ObjectAnnotation(
-            object_id=f"det-{index}",
-            category=detection.category,
-            attributes={},
-            box=detection.box,
-        )
-        for index, detection in enumerate(detections)
-    ]

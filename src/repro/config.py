@@ -50,8 +50,7 @@ class EncoderConfig:
 
 
 MOTION_THRESHOLD = 0.3  # MVmed: relative change of motion magnitude that marks a key frame
-CONTENT_THRESHOLD = 0.06  # content: mean absolute pixel difference that marks a key frame
-KEYFRAME_MIN_GAP = 3  # MVmed and content: fewest frames between two key frames
+KEYFRAME_MIN_GAP = 3  # MVmed: fewest frames between two key frames
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,8 @@ class KeyframeConfig:
     """Configuration of key-frame extraction (paper §IV-A).
 
     Attributes:
-        strategy: One of ``"mvmed"``, ``"uniform"``, ``"content"`` or
-            ``"all"`` (the w/o-key-frame ablation keeps every frame).
+        strategy: One of ``"mvmed"``, ``"uniform"`` or ``"all"`` (the
+            w/o-key-frame ablation keeps every frame).
         uniform_stride: Frame stride for the uniform strategy (and the
             MVmed strategy's fallback stride).
     """
@@ -69,7 +68,7 @@ class KeyframeConfig:
     uniform_stride: int = 10
 
     def __post_init__(self) -> None:
-        allowed = {"mvmed", "uniform", "content", "all"}
+        allowed = {"mvmed", "uniform", "all"}
         if self.strategy not in allowed:
             raise ConfigurationError(f"Unknown keyframe strategy {self.strategy!r}; expected one of {sorted(allowed)}")
         if self.uniform_stride <= 0:
@@ -312,12 +311,6 @@ MAX_SPANS_PER_TRACE = 512  # spans beyond it are counted (``dropped_spans``), no
 SHADOW_RECALL_K = 10  # the k of the shadow sampler's recall@k and rank displacement
 SHADOW_WINDOW = 256  # recent shadow samples the windowed estimates aggregate
 DRIFT_THRESHOLD = 4.0  # reference standard deviations a windowed mean may move before an alert
-HISTORY_CAPACITY = 360  # snapshots the metrics-history ring keeps
-SLO_LATENCY_MS = 250.0  # latency SLO: a request is fast when it completes within this
-SLO_RECALL_TARGET = 0.8  # recall@k a shadow sample must reach to count as good
-SLO_FAST_WINDOW_SECONDS = 60.0  # the short burn-rate window
-SLO_SLOW_WINDOW_SECONDS = 600.0  # the long burn-rate window
-SLO_MAX_EVENTS = 4096  # events kept per SLO (oldest evicted)
 
 
 @dataclass(frozen=True)
@@ -338,21 +331,12 @@ class ObsConfig:
         shadow_queue_size: Bounded hand-off queue between the serving path
             and the shadow worker; a full queue *drops* the sample (counted)
             instead of blocking a served query.
-        history_interval_seconds: Period of the metrics-history ticker that
-            snapshots the registry into the bounded time-series ring.
-        slo_latency_target: Fraction of requests that must complete within
-            :data:`SLO_LATENCY_MS`.
-        slo_availability_target: Fraction of requests that must succeed
-            (not error and not be rejected by admission control).
     """
 
     enabled: bool = True
     slow_query_ms: float = 250.0
     shadow_sample_rate: float = 0.0
     shadow_queue_size: int = 64
-    history_interval_seconds: float = 10.0
-    slo_latency_target: float = 0.99
-    slo_availability_target: float = 0.999
 
     def __post_init__(self) -> None:
         if self.slow_query_ms < 0:
@@ -361,12 +345,6 @@ class ObsConfig:
             raise ConfigurationError("shadow_sample_rate must lie in [0, 1]")
         if self.shadow_queue_size <= 0:
             raise ConfigurationError("shadow_queue_size must be positive")
-        if self.history_interval_seconds <= 0:
-            raise ConfigurationError("history_interval_seconds must be positive")
-        for name in ("slo_latency_target", "slo_availability_target"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ConfigurationError(f"{name} must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)
@@ -443,10 +421,12 @@ SECTIONS: Dict[str, type] = {f.name: f.default_factory for f in fields(LOVOConfi
 #: Fields that earlier versions had and stored in snapshots, by section, with
 #: the fixed value each now has.  A stored payload may still carry them, but
 #: only at that value.  (``max_parallel=0`` meant one thread per shard, now
-#: the only mode.)
+#: the only mode.)  Where the feature that read a field is gone (the content
+#: key-frame strategy, the SLO tracker and the metrics history), the value
+#: here is its old default, which is all an old snapshot may store.
 RETIRED_FIELDS: Dict[str, Dict[str, Any]] = {
     "encoder": {"noise_scale": ENCODER_NOISE_SCALE, "background_weight": BACKGROUND_WEIGHT},
-    "keyframes": {"motion_threshold": MOTION_THRESHOLD, "content_threshold": CONTENT_THRESHOLD,
+    "keyframes": {"motion_threshold": MOTION_THRESHOLD, "content_threshold": 0.06,
                   "min_gap": KEYFRAME_MIN_GAP},
     "index": {"kmeans_iterations": IVFPQ_KMEANS_ITERATIONS},
     "query": {"iou_threshold": IOU_THRESHOLD},
@@ -459,10 +439,10 @@ RETIRED_FIELDS: Dict[str, Dict[str, Any]] = {
         "trace_store_size": TRACE_STORE_SIZE, "slow_log_size": SLOW_LOG_SIZE,
         "max_spans_per_trace": MAX_SPANS_PER_TRACE, "shadow_recall_k": SHADOW_RECALL_K,
         "shadow_window": SHADOW_WINDOW, "drift_threshold": DRIFT_THRESHOLD,
-        "history_capacity": HISTORY_CAPACITY, "slo_latency_ms": SLO_LATENCY_MS,
-        "slo_recall_target": SLO_RECALL_TARGET, "slo_max_events": SLO_MAX_EVENTS,
-        "slo_fast_window_seconds": SLO_FAST_WINDOW_SECONDS,
-        "slo_slow_window_seconds": SLO_SLOW_WINDOW_SECONDS,
+        "history_capacity": 360, "slo_latency_ms": 250.0, "slo_recall_target": 0.8,
+        "slo_max_events": 4096, "slo_fast_window_seconds": 60.0,
+        "slo_slow_window_seconds": 600.0, "history_interval_seconds": 10.0,
+        "slo_latency_target": 0.99, "slo_availability_target": 0.999,
     },
 }
 

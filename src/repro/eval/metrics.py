@@ -111,25 +111,6 @@ def average_precision(relevances: Sequence[bool | None], num_positives: int) -> 
     return precision_sum / num_positives
 
 
-def precision_recall_points(
-    relevances: Sequence[bool | None], num_positives: int
-) -> List[tuple[float, float]]:
-    """The (recall, precision) points of the ranked list (for plotting)."""
-    if num_positives <= 0:
-        raise EvaluationError("num_positives must be positive")
-    points: List[tuple[float, float]] = []
-    hits = 0
-    position = 0
-    for relevant in relevances:
-        if relevant is None:
-            continue
-        position += 1
-        if relevant:
-            hits += 1
-        points.append((hits / num_positives, hits / position))
-    return points
-
-
 def evaluate_results(
     results: Sequence[ObjectQueryResult],
     ground_truth: Sequence[GroundTruthInstance],

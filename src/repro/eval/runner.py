@@ -29,18 +29,6 @@ class VideoQuerySystem(Protocol):
         """Answer one object query."""
 
 
-class BatchVideoQuerySystem(VideoQuerySystem, Protocol):
-    """A query system that additionally supports batched multi-query answering.
-
-    ``run_queries`` detects this capability (via ``hasattr``) and routes whole
-    workloads through one :meth:`query_batch` call, which is how the Table II
-    experiments exercise LOVO's batched engine.
-    """
-
-    def query_batch(self, texts: Sequence[str], top_n: int | None = None) -> object:
-        """Answer several object queries in one pass."""
-
-
 @dataclass
 class ExperimentRecord:
     """Result of running one query against one system."""

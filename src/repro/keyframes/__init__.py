@@ -1,7 +1,6 @@
 """Key-frame extraction strategies (paper §IV-A)."""
 
 from repro.keyframes.base import KeyframeExtractor, make_extractor
-from repro.keyframes.content import ContentDiffKeyframeExtractor
 from repro.keyframes.mvmed import MVMedKeyframeExtractor
 from repro.keyframes.uniform import AllFramesExtractor, UniformKeyframeExtractor
 
@@ -10,6 +9,5 @@ __all__ = [
     "make_extractor",
     "UniformKeyframeExtractor",
     "AllFramesExtractor",
-    "ContentDiffKeyframeExtractor",
     "MVMedKeyframeExtractor",
 ]

@@ -41,14 +41,11 @@ def make_extractor(config: KeyframeConfig) -> KeyframeExtractor:
     The import is local to avoid a circular dependency between the concrete
     strategies and this factory.
     """
-    from repro.keyframes.content import ContentDiffKeyframeExtractor
     from repro.keyframes.mvmed import MVMedKeyframeExtractor
     from repro.keyframes.uniform import AllFramesExtractor, UniformKeyframeExtractor
 
     if config.strategy == "uniform":
         return UniformKeyframeExtractor(stride=config.uniform_stride)
-    if config.strategy == "content":
-        return ContentDiffKeyframeExtractor()
     if config.strategy == "mvmed":
         return MVMedKeyframeExtractor(fallback_stride=config.uniform_stride)
     return AllFramesExtractor()

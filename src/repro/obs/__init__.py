@@ -23,13 +23,12 @@ On top of those, the answer-quality and cost layer:
   exact-scan score distribution);
 * :mod:`repro.obs.explain` — per-query EXPLAIN reports (stage costs, search
   params, per-shard candidates, cache/epoch provenance, score margins) in a
-  bounded :class:`~repro.obs.explain.ExplainStore`;
-* :mod:`repro.obs.timeseries` — :class:`~repro.obs.timeseries.
-  MetricsHistory`, a bounded ring of windowed registry snapshots behind
-  ``GET /v1/metrics/history``;
-* :mod:`repro.obs.slo` — declarative latency/availability/recall SLOs with
-  multi-window burn-rate evaluation surfaced in ``/v1/healthz`` and
-  ``GET /v1/slo``.
+  bounded :class:`~repro.obs.explain.ExplainStore`.
+
+Latency and availability objectives, their burn rates and any history of
+the exported series are the monitoring system's job: it computes them from
+the ``lovo_requests_*_total`` and ``lovo_request_errors_total`` counters and
+the ``lovo_request_latency_seconds`` summary that ``GET /v1/metrics`` exports.
 
 Tracing is on by default and disabled via ``LOVOConfig(obs=ObsConfig(
 enabled=False))``; when off, every instrumentation point is a no-op
@@ -46,8 +45,6 @@ from repro.obs.exposition import (
     service_families,
 )
 from repro.obs.quality import DriftMonitor, ShadowSampler
-from repro.obs.slo import RECALL_OBJECTIVE, SLODefinition, SLOTracker
-from repro.obs.timeseries import MetricsHistory, flatten_families
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -104,9 +101,4 @@ __all__ = [
     "ShadowSampler",
     "ExplainStore",
     "build_explain_report",
-    "MetricsHistory",
-    "flatten_families",
-    "RECALL_OBJECTIVE",
-    "SLODefinition",
-    "SLOTracker",
 ]

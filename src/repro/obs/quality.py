@@ -192,11 +192,9 @@ class ShadowSampler:
         system: "LOVO",
         config: ObsConfig | None = None,
         registry: MetricsRegistry | None = None,
-        on_sample: Optional[Callable[[float, str, Optional[str]], None]] = None,
     ) -> None:
         self._system = system
         self._config = config or system.config.obs
-        self._on_sample = on_sample
         registry = registry or REGISTRY
         self._rate = self._config.shadow_sample_rate
         self._recall_k = SHADOW_RECALL_K
@@ -300,7 +298,6 @@ class ShadowSampler:
         text: str,
         fast_search: Optional[Dict[str, object]],
         epoch: int = 0,
-        trace_id: Optional[str] = None,
     ) -> bool:
         """Offer one served query; returns whether it was admitted.
 
@@ -320,7 +317,7 @@ class ShadowSampler:
             self._accumulator -= 1.0
             self._offered += 1
         try:
-            self._queue.put_nowait((text, list(hits), epoch, trace_id))
+            self._queue.put_nowait((text, list(hits), epoch))
         except queue.Full:
             self._dropped_counter.inc()
             return False
@@ -373,9 +370,9 @@ class ShadowSampler:
             item = self._queue.get()
             if item is _STOP:
                 return
-            text, served_hits, epoch, trace_id = item
+            text, served_hits, epoch = item
             try:
-                self._process(text, served_hits, epoch, trace_id)
+                self._process(text, served_hits, epoch)
             except Exception:  # noqa: BLE001 - shadow failures must stay shadow
                 pass
             finally:
@@ -387,7 +384,6 @@ class ShadowSampler:
         text: str,
         served_hits: List[Tuple[str, float]],
         epoch: int,
-        trace_id: Optional[str],
     ) -> None:
         storage = self._system.storage
         encoder = self._system.text_encoder
@@ -433,8 +429,6 @@ class ShadowSampler:
 
         self._attribute_shards(collection.shard_of, exact_ids, served_top_k)
         self._score_drift.observe(float(exact[0].score))
-        if self._on_sample is not None:
-            self._on_sample(recall, family, trace_id)
 
     def _attribute_shards(
         self, shard_of: Callable[[str], int], exact_ids: List[str], served_top_k: set

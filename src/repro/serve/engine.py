@@ -13,7 +13,12 @@ system into a service that many callers can hit at once:
 * **result caching** — a TTL+LRU cache keyed on normalized query text and
   retrieval depths answers repeated queries without touching the engine;
 * **graceful lifecycle** — :meth:`stop` drains everything already admitted
-  before the workers exit, so no accepted request is dropped.
+  before the workers exit, so no accepted request is dropped;
+* **one count per request** — each request's outcome and latency land once
+  in the engine's registry (``lovo_requests_*_total``,
+  ``lovo_request_errors_total``, ``lovo_request_latency_seconds``), which
+  ``/v1/stats`` and ``/v1/metrics`` both read; SLO burn rates are computed
+  from those series by whatever scrapes them, not here.
 
 Per-query results are bit-identical to calling ``LOVO.query`` serially: the
 batched engine guarantees parity per query, and batch composition cannot
@@ -41,8 +46,6 @@ from repro.obs.explain import ExplainStore, build_explain_report
 from repro.obs.exposition import build_info_family, service_families
 from repro.obs.quality import ShadowSampler
 from repro.obs.registry import REGISTRY, MetricFamily, MetricsRegistry
-from repro.obs.slo import SLOTracker
-from repro.obs.timeseries import MetricsHistory
 from repro.obs.trace import Trace, Tracer, activate
 from repro.serve.batcher import MicroBatcher, PendingQuery
 from repro.serve.cache import ResultCache
@@ -75,7 +78,6 @@ class ServingEngine:
         obs_config = getattr(getattr(system, "config", None), "obs", None)
         if not isinstance(obs_config, ObsConfig):
             obs_config = ObsConfig()
-        self._obs_config = obs_config
         tracer = getattr(system, "tracer", None)
         self._tracer = tracer if isinstance(tracer, Tracer) else Tracer(obs_config)
         # The system's own registry (its phase totals) joins every scrape; a
@@ -118,24 +120,12 @@ class ServingEngine:
             buckets=range(1, self._config.max_batch_size + 1),
         )
         self._started_at: Optional[float] = None
-        # The answer-quality & cost layer: EXPLAIN retention, SLO burn rates,
-        # metrics history, and (when configured) shadow-recall sampling.
+        # The answer-quality & cost layer: EXPLAIN retention and (when
+        # configured) shadow-recall sampling.
         self._explain_store = ExplainStore()
-        self._slo = SLOTracker(obs_config, registry=registry)
-        self._history = MetricsHistory(
-            self.metric_families,
-            interval_seconds=obs_config.history_interval_seconds,
-        )
-        # Burn-rate gauges refresh on the history's cadence.
-        self._history.add_listener(self._slo.on_tick)
         self._sampler: Optional[ShadowSampler] = None
         if obs_config.shadow_sample_rate > 0.0:
-            self._sampler = ShadowSampler(
-                system,
-                obs_config,
-                registry=registry,
-                on_sample=self._slo.record_recall,
-            )
+            self._sampler = ShadowSampler(system, obs_config, registry=registry)
         self._workers: List[threading.Thread] = []
         self._lifecycle_lock = create_lock("ServingEngine._lifecycle_lock")
         self._running = False
@@ -174,16 +164,6 @@ class ServingEngine:
         return self._registry
 
     @property
-    def slo(self) -> SLOTracker:
-        """The SLO tracker (latency/availability/recall burn rates)."""
-        return self._slo
-
-    @property
-    def history(self) -> MetricsHistory:
-        """The bounded metrics-history ring behind ``/v1/metrics/history``."""
-        return self._history
-
-    @property
     def explain_store(self) -> ExplainStore:
         """Retained EXPLAIN reports behind ``/v1/explain/<trace_id>``."""
         return self._explain_store
@@ -204,7 +184,7 @@ class ServingEngine:
         """Everything ``GET /v1/metrics`` exposes in one snapshot.
 
         Merges this engine's registry (request counters, latency, micro-batch
-        sizes, cache, backend health, recall/SLO instruments), the system's
+        sizes, cache, backend health, recall instruments), the system's
         registry (its phase totals), and the module-level registry the shard
         router records its per-replica call metrics into, plus the constant
         ``lovo_build_info`` gauge.
@@ -269,8 +249,6 @@ class ServingEngine:
                 )
                 worker.start()
                 self._workers.append(worker)
-            if self._obs_config.enabled:
-                self._history.start()
             if self._sampler is not None:
                 self._sampler.start()
             self._started_at = time.monotonic()
@@ -288,11 +266,10 @@ class ServingEngine:
         """
         if self._streaming is not None:
             self._streaming.stop(drain=drain, timeout=timeout)
-        # The shadow worker drains its queue on stop; the history ticker just
-        # exits.  Both are idempotent and safe to stop before ever starting.
+        # The shadow worker drains its queue on stop; idempotent and safe to
+        # stop before ever starting.
         if self._sampler is not None:
             self._sampler.stop(timeout=timeout)
-        self._history.stop(timeout=timeout)
         with self._lifecycle_lock:
             if not self._running:
                 self._stopped = True
@@ -511,8 +488,6 @@ class ServingEngine:
         snapshot["data_epoch"] = self._data_epoch()
         if self._streaming is not None:
             snapshot["streaming"] = self._streaming.stats()
-        snapshot["slo"] = self._slo.summary()
-        snapshot["history"] = self._history.stats()
         snapshot["explain"] = self._explain_store.stats()
         if self._sampler is not None:
             snapshot["quality"] = self._sampler.stats()
@@ -525,28 +500,24 @@ class ServingEngine:
         outcome: str = "completed",
         **attributes: object,
     ) -> Optional[str]:
-        """Record one request's outcome once: counter, latency, SLO and trace.
+        """Record one request's outcome once: counter, latency and trace.
 
         Completions (cache hits included) feed the latency summary; failures
         stamp their ``outcome`` into the trace.  Returns the trace id.
         """
-        ok = outcome == "completed"
         self._outcomes[outcome].inc()
-        if ok:
+        if outcome == "completed":
             self._latency.observe(latency)
         else:
             attributes["outcome"] = outcome
-        trace_id = self._tracer.finish(trace, **attributes)
-        self._slo.record_request(latency, ok, trace_id=trace_id, outcome=outcome)
-        return trace_id
+        return self._tracer.finish(trace, **attributes)
 
     def _cancel(self, pending: PendingQuery) -> None:
         """Settle an admitted request that no worker will run, as cancelled.
 
         Called once per request, when it leaves the batcher unrun: from
         :meth:`stop` without drain, or from a worker that finds the caller
-        already cancelled it (``query_many`` after a rejection).  A caller's
-        cancellation is not a service failure, so the SLOs do not see it.
+        already cancelled it (``query_many`` after a rejection).
         """
         pending.future.cancel()
         self._outcomes["cancelled"].inc()
@@ -643,7 +614,6 @@ class ServingEngine:
                     pending.text,
                     response.metadata.get("fast_search"),
                     epoch=epoch,
-                    trace_id=trace_id,
                 )
             if options.explain:
                 # Built after tracer.finish so the trace's duration is set,

@@ -25,11 +25,6 @@ Endpoints (all under ``/v1``):
   phase totals).
 * ``HEAD /v1/metrics`` — headers (content type/length) without the body,
   for scrapers probing the endpoint.
-* ``GET /v1/metrics/history?limit=&prefix=`` — the bounded ring of windowed
-  registry snapshots (``repro.obs.timeseries``).
-* ``GET /v1/slo`` — the full multi-window SLO burn-rate evaluation
-  (latency, availability, shadow recall); ``/v1/healthz`` carries the
-  compact per-SLO status summary.
 * ``GET /v1/explain/<trace_id>`` — the retained EXPLAIN report of a query
   served with ``options.explain=true`` (stage costs, search params,
   per-shard candidates, cache/epoch provenance, score margins).
@@ -145,11 +140,6 @@ class LOVORequestHandler(BaseHTTPRequestHandler):
             self._send_json(200, self.server.engine.stats())
         elif path == f"{API_PREFIX}/metrics":
             self._guarded(self._handle_metrics)
-        elif path == f"{API_PREFIX}/metrics/history":
-            query = parse_qs(parts.query)
-            self._guarded(lambda: self._handle_metrics_history(query))
-        elif path == f"{API_PREFIX}/slo":
-            self._guarded(self._handle_slo)
         elif path.startswith(f"{API_PREFIX}/explain/"):
             trace_id = path[len(f"{API_PREFIX}/explain/"):]
             self._guarded(lambda: self._handle_explain(trace_id))
@@ -236,7 +226,6 @@ class LOVORequestHandler(BaseHTTPRequestHandler):
                 "datasets": system.ingested_datasets,
                 "index_type": system.storage.index_type,
                 "backend": backend,
-                "slo": self.server.engine.slo.summary(),
             },
         )
 
@@ -282,31 +271,6 @@ class LOVORequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         if not head:
             self.wfile.write(encoded)
-
-    def _handle_metrics_history(self, query: Dict[str, list]) -> None:
-        limit = None
-        if "limit" in query:
-            try:
-                limit = int(query["limit"][0])
-            except (ValueError, IndexError):
-                raise _BadRequest('"limit" must be an integer') from None
-        prefix = None
-        if "prefix" in query:
-            prefix = str(query["prefix"][0])
-        history = self.server.engine.history
-        points = history.points(limit=limit, prefix=prefix)
-        self._send_json(
-            200,
-            {
-                "interval_seconds": history.interval_seconds,
-                "capacity": history.capacity,
-                "num_points": len(points),
-                "points": points,
-            },
-        )
-
-    def _handle_slo(self) -> None:
-        self._send_json(200, self.server.engine.slo.evaluate())
 
     def _handle_explain(self, trace_id: str) -> None:
         report = (

@@ -40,7 +40,6 @@ Snapshot layout (see :meth:`ShardedCollection.save`)::
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Mapping, Sequence
@@ -488,7 +487,7 @@ class ShardedCollection:
 
     @classmethod
     def load(cls, path: str | Path, name: str) -> "ShardedCollection":
-        """Restore the collection ``name``, loading all shards in parallel.
+        """Restore the collection ``name``, loading its shards in order.
 
         A directory without ``sharded.json`` holds the layout written before
         every system was sharded: one shard's ``database.json`` +
@@ -521,11 +520,10 @@ class ShardedCollection:
             raise SnapshotCorruptionError(
                 f"Sharded snapshot is missing shard directories: {missing}"
             )
-        if shard_config.num_shards > 1:
-            with ThreadPoolExecutor(max_workers=shard_config.num_shards) as pool:
-                shards = list(pool.map(lambda directory: _load_shard(directory, name), shard_dirs))
-        else:
-            shards = [_load_shard(shard_dirs[0], name)]
+        # One shard after another: ``np.load`` parses each header with
+        # ``ast.literal_eval``, and parallel parses have raised ``SystemError``
+        # on CPython 3.11.
+        shards = [_load_shard(directory, name) for directory in shard_dirs]
 
         entry = entries[0]
         collection = cls(name, int(entry["dim"]), shards[0].config, shard_config, shards)

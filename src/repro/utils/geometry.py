@@ -10,7 +10,7 @@ cross-modality rerank, and the evaluation metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -257,15 +257,3 @@ def box_inside(inner: BoundingBox, outer: BoundingBox, min_overlap: float = 0.7)
 def clip_unit(value: float) -> float:
     """Clamp a scalar to ``[0, 1]``."""
     return min(max(value, 0.0), 1.0)
-
-
-def merge_boxes(boxes: Iterable[BoundingBox]) -> BoundingBox:
-    """Smallest box enclosing all ``boxes``; raises on an empty iterable."""
-    materialised = list(boxes)
-    if not materialised:
-        raise ValueError("Cannot merge an empty collection of boxes")
-    x1 = min(box.x for box in materialised)
-    y1 = min(box.y for box in materialised)
-    x2 = max(box.x2 for box in materialised)
-    y2 = max(box.y2 for box in materialised)
-    return BoundingBox(x1, y1, x2 - x1, y2 - y1)

@@ -201,13 +201,6 @@ class HNSWIndex(VectorIndex):
             index._rng.random(level_draws)
         return index
 
-    def degree_statistics(self) -> Dict[str, float]:
-        """Mean/max out-degree on layer 0 (diagnostics and tests)."""
-        if not self._layers or not self._layers[0]:
-            return {"mean": 0.0, "max": 0.0}
-        degrees = [len(neighbours) for neighbours in self._layers[0].values()]
-        return {"mean": float(np.mean(degrees)), "max": float(np.max(degrees))}
-
     def _insert(self, external_id: int, vector: np.ndarray) -> None:  # lovo: ignore[LOVO005] graph nodes ARE the stored corpus
         node = len(self._vectors)
         self._vectors.append(vector)

@@ -337,20 +337,6 @@ class IVFPQIndex(VectorIndex):
         index._built = True
         return index
 
-    def list_sizes(self) -> Dict[int, int]:
-        """Number of vectors stored per inverted list (diagnostics)."""
-        return {cluster: len(entry.ids) for cluster, entry in self._lists.items()}
-
-    def memory_bytes(self) -> int:
-        """Approximate index memory footprint (codes + centroids)."""
-        code_bytes = sum(len(entry.ids) * self._config.num_subspaces for entry in self._lists.values())
-        centroid_bytes = 0
-        if self._coarse_centroids is not None:
-            centroid_bytes += self._coarse_centroids.size * 8
-        if self._quantizer.is_trained:
-            centroid_bytes += sum(book.size * 8 for book in self._quantizer.codebooks)
-        return code_bytes + centroid_bytes
-
     def _fill_lists(self, ids: List[int], vectors: np.ndarray, assignments: np.ndarray) -> None:
         assert self._coarse_centroids is not None
         residuals = vectors - self._coarse_centroids[assignments]

@@ -190,21 +190,6 @@ class ProductQuantizer:
             tables[:, subspace, :] = batch[:, columns] @ codebook.T
         return tables
 
-    def approximate_scores(self, query: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Approximate inner-product scores of ``query`` against PQ codes."""
-        tables = self.inner_product_tables(query)
-        codes = np.asarray(codes)
-        scores = np.zeros(codes.shape[0], dtype=np.float64)
-        for subspace in range(self.num_subspaces):
-            scores += tables[subspace, codes[:, subspace]]
-        return scores
-
-    def quantization_error(self, vectors: np.ndarray) -> float:
-        """Mean squared reconstruction error over ``vectors``."""
-        data = self._check_input(vectors)
-        reconstructed = self.decode(self.encode(data))
-        return float(((data - reconstructed) ** 2).sum(axis=1).mean())
-
     def _check_input(self, vectors: np.ndarray) -> np.ndarray:
         data = np.asarray(vectors, dtype=np.float64)
         if data.ndim == 1:

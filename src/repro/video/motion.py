@@ -57,14 +57,6 @@ class MotionField:
             return 0.0
         return float(magnitude.mean())
 
-    @property
-    def active_fraction(self) -> float:
-        """Fraction of blocks with non-trivial motion (> 0.5 pixel)."""
-        magnitude = self.magnitude
-        if magnitude.size == 0:
-            return 0.0
-        return float((magnitude > 0.5).mean())
-
     def pair_mean_magnitudes(self) -> np.ndarray:
         """Mean magnitude of each pair of a run field (0.0 for no blocks)."""
         magnitude = self.magnitude
@@ -149,15 +141,3 @@ def _block_sums(difference: np.ndarray, block_size: int, out: np.ndarray) -> Non
     count, usable_h, usable_w = difference.shape
     rows, cols = usable_h // block_size, usable_w // block_size
     difference.reshape(count, rows, block_size, cols, block_size).sum(axis=(2, 4), out=out)
-
-
-def motion_statistics(field: MotionField) -> dict[str, float]:
-    """Summary statistics used by the MVmed-style key-frame selector."""
-    magnitude = field.magnitude
-    if magnitude.size == 0:
-        return {"mean": 0.0, "max": 0.0, "active_fraction": 0.0}
-    return {
-        "mean": float(magnitude.mean()),
-        "max": float(magnitude.max()),
-        "active_fraction": field.active_fraction,
-    }

@@ -2,12 +2,11 @@
 
 The real pipeline decodes H.264 frames; the reproduction renders each
 annotated frame onto a small RGB grid (default ``48x48``).  The rendered
-pixels are consumed by the content-based key-frame extractor, the block-
-matching motion estimator (MVmed substitute), and the ZELDA-style global
-frame encoder, so those components operate on genuine image data rather than
-ground-truth shortcuts.
+pixels feed the block-matching motion estimator (MVmed substitute), so key
+frames are chosen from genuine image data rather than ground-truth
+shortcuts.
 
-The key-frame extractors render a run of frames at a time with
+The MVmed extractor renders a run of frames at a time with
 :meth:`FrameRenderer.render_luminance`, which writes the luminance into a
 caller-owned ``(n, H, W)`` buffer and reuses one colour image and one noise
 image for the whole run; :meth:`FrameRenderer.render` and

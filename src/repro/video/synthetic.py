@@ -66,10 +66,6 @@ class ObjectSpec:
     max_age: Optional[int] = None
     companion: Optional["ObjectSpec"] = None
 
-    def with_weight(self, weight: float) -> "ObjectSpec":
-        """A copy of the spec with a different spawn weight."""
-        return replace(self, spawn_weight=weight)
-
 
 @dataclass(frozen=True)
 class SceneSpec:

@@ -16,7 +16,9 @@ from repro.video.datasets import make_bellevue, make_cityscapes, make_qvhighligh
 
 
 #: The fields earlier versions had, with the default each had then.  Each is
-#: now a module constant in ``repro.config`` with that same value.
+#: now a module constant in ``repro.config`` with that same value, unless the
+#: feature that read it is gone (the content key-frame strategy, the SLO
+#: tracker and the metrics history).
 RETIRED_AT_OLD_DEFAULTS = {
     "encoder": {"noise_scale": 0.08, "background_weight": 0.35},
     "keyframes": {"motion_threshold": 0.3, "content_threshold": 0.06, "min_gap": 3},
@@ -43,6 +45,9 @@ RETIRED_AT_OLD_DEFAULTS = {
         "slo_fast_window_seconds": 60.0,
         "slo_slow_window_seconds": 600.0,
         "slo_max_events": 4096,
+        "history_interval_seconds": 10.0,
+        "slo_latency_target": 0.99,
+        "slo_availability_target": 0.999,
     },
 }
 

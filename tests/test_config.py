@@ -45,12 +45,14 @@ class TestEncoderConfig:
 
 class TestKeyframeConfig:
     def test_valid_strategies(self):
-        for strategy in ("mvmed", "uniform", "content", "all"):
+        for strategy in ("mvmed", "uniform", "all"):
             assert KeyframeConfig(strategy=strategy).strategy == strategy
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            KeyframeConfig(strategy="magic")
+        # "content" was a strategy until it was deleted.
+        for strategy in ("magic", "content"):
+            with pytest.raises(ConfigurationError):
+                KeyframeConfig(strategy=strategy)
 
     def test_bad_stride_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -111,16 +113,16 @@ class TestLOVOConfig:
 # ---------------------------------------------------------------------------
 
 class TestRetiredFields:
-    def test_sections_hold_42_fields_and_no_retired_one(self):
+    def test_sections_hold_39_fields_and_no_retired_one(self):
         assert set(SECTIONS) == set(RETIRED_AT_OLD_DEFAULTS)
-        assert sum(len(fields(cls)) for cls in SECTIONS.values()) == 42
+        assert sum(len(fields(cls)) for cls in SECTIONS.values()) == 39
         for name, cls in SECTIONS.items():
             names = {f.name for f in fields(cls)}
             assert names.isdisjoint(RETIRED_AT_OLD_DEFAULTS[name]), name
 
     def test_fixed_values_equal_the_old_defaults(self):
         assert RETIRED_FIELDS == RETIRED_AT_OLD_DEFAULTS
-        assert sum(len(keys) for keys in RETIRED_FIELDS.values()) == 28
+        assert sum(len(keys) for keys in RETIRED_FIELDS.values()) == 31
 
     def test_retired_key_at_fixed_value_is_dropped(self):
         payload = LOVOConfig().to_dict()
@@ -134,7 +136,8 @@ class TestRetiredFields:
     @pytest.mark.parametrize(
         "section, key, value",
         [("index", "kmeans_iterations", 20), ("obs", "slo_max_events", 1),
-         ("shard", "max_parallel", 2), ("query", "iou_threshold", 0.7)],
+         ("shard", "max_parallel", 2), ("query", "iou_threshold", 0.7),
+         ("obs", "slo_latency_target", 0.95)],
     )
     def test_retired_key_at_other_value_is_rejected(self, section, key, value):
         fixed = RETIRED_AT_OLD_DEFAULTS[section][key]

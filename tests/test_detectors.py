@@ -9,7 +9,6 @@ from repro.baselines.detectors import (
     MSCOCO_CLASSES,
     DetectionModel,
     burn_model_compute,
-    detections_to_annotations,
     model_zoo,
 )
 from repro.encoders.concepts import ConceptSpace
@@ -99,9 +98,3 @@ class TestZooAndHelpers:
     def test_burn_model_compute_accepts_zero(self):
         burn_model_compute(0)
         burn_model_compute(16, repeats=2)
-
-    def test_detections_to_annotations(self, space):
-        model = DetectionModel(name="test", miss_rate=0.0)
-        detections = model.detect(frame_with([annotation("car")]), space)
-        annotations = detections_to_annotations(detections)
-        assert annotations[0].category == "car"

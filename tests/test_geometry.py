@@ -19,7 +19,6 @@ from repro.utils.geometry import (
     iou,
     iou_array,
     iou_matrix,
-    merge_boxes,
     next_to_matrix,
     pairwise_center_distance,
     side_by_side_matrix,
@@ -179,16 +178,6 @@ class TestHelpers:
         assert clip_unit(-0.5) == 0.0
         assert clip_unit(0.25) == 0.25
         assert clip_unit(1.5) == 1.0
-
-    def test_merge_boxes(self):
-        merged = merge_boxes([BoundingBox(0, 0, 0.2, 0.2), BoundingBox(0.5, 0.5, 0.2, 0.2)])
-        assert merged.x == 0.0 and merged.y == 0.0
-        assert merged.x2 == pytest.approx(0.7)
-        assert merged.y2 == pytest.approx(0.7)
-
-    def test_merge_empty_raises(self):
-        with pytest.raises(ValueError):
-            merge_boxes([])
 
     def test_pairwise_center_distance(self):
         distances = pairwise_center_distance(

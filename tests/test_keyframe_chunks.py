@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from repro.config import KEYFRAME_MIN_GAP, MOTION_THRESHOLD, KeyframeConfig
-from repro.keyframes import ContentDiffKeyframeExtractor, MVMedKeyframeExtractor, make_extractor
+from repro.keyframes import MVMedKeyframeExtractor, make_extractor
 from repro.keyframes import mvmed
 from repro.keyframes.mvmed import _CHUNK_FRAMES
 from repro.utils.geometry import BoundingBox
@@ -31,11 +31,9 @@ from repro.utils.rng import rng_from_tokens
 from repro.video import make_bellevue, make_cityscapes
 from repro.video.model import Frame, ObjectAnnotation, Video
 from repro.video.motion import (
-    MotionField,
     _block_sums,
     estimate_motion,
     estimate_motion_run,
-    motion_statistics,
 )
 from repro.video.renderer import FrameRenderer, RenderConfig
 from repro.video.synthetic import color_to_rgb
@@ -334,25 +332,6 @@ class TestMotionField:
         assert field.dx.shape == (2, 0, 2)
         assert_array_equal(field.pair_mean_magnitudes(), [0.0, 0.0])
 
-    def test_statistics_compute_the_magnitude_once(self, monkeypatch):
-        field = MotionField(
-            dx=np.array([[1.0, 0.0], [2.0, 0.0]]), dy=np.array([[0.0, 0.4], [1.0, 0.0]])
-        )
-        magnitude = np.sqrt(field.dx ** 2 + field.dy ** 2)
-        expected = {
-            "mean": float(magnitude.mean()),
-            "max": float(magnitude.max()),
-            "active_fraction": float((magnitude > 0.5).mean()),
-        }
-        assert motion_statistics(field) == expected
-        reads = []
-        original = MotionField.magnitude
-        counted = property(lambda self: reads.append(1) or original.fget(self))
-        monkeypatch.setattr(MotionField, "magnitude", counted)
-        assert field.mean_magnitude == expected["mean"]
-        assert field.active_fraction == expected["active_fraction"]
-        assert len(reads) == 2
-
 
 # --------------------------------------------------------------------------
 # Whole videos.
@@ -377,26 +356,6 @@ class TestChunkBoundaries:
         keyframes = MVMedKeyframeExtractor(fallback_stride=10).extract(video)
         assert seen == oracle_magnitudes(video)
         assert [frame.frame_id for frame in keyframes] == oracle_mvmed(video)
-
-    @pytest.mark.parametrize("length", LENGTHS)
-    def test_content_strategy_equals_per_frame(self, length):
-        video = moving_video(length)
-        config = RenderConfig()
-        expected = []
-        if video.frames:
-            expected = [video.frames[0].frame_id]
-            reference = oracle_render_grayscale(config, video.frames[0])
-            last_index = 0
-            for frame in video.frames[1:]:
-                if frame.index - last_index < KEYFRAME_MIN_GAP:
-                    continue
-                luminance = oracle_render_grayscale(config, frame)
-                if float(np.abs(luminance - reference).mean()) >= 0.01:
-                    expected.append(frame.frame_id)
-                    reference, last_index = luminance, frame.index
-        keyframes = ContentDiffKeyframeExtractor(threshold=0.01).extract(video)
-        assert [frame.frame_id for frame in keyframes] == expected
-        assert len(expected) > 2 or length <= 2  # the threshold does select frames
 
 
 # --------------------------------------------------------------------------
@@ -430,21 +389,6 @@ class TestGoldenKeyframes:
         assert keyframe_digest(extractor, videos) == (
             206, "6825db5df321404597065526a8511f5d1f6e41490c7d3b5510e713d44b9cab3d",
         )
-
-    def test_content_on_the_base_corpus(self, videos):
-        # The default threshold keeps only each video's first frame here, so a
-        # lower one checks the difference test as well.
-        extractor = make_extractor(KeyframeConfig(strategy="content"))
-        assert keyframe_digest(extractor, videos[:4]) == (
-            4, "31481727f8e850020f1f6993e80d9465214d770f39f8dd690c45f06cbe3ac7c3",
-        )
-        assert keyframe_digest(ContentDiffKeyframeExtractor(threshold=0.02), videos[:4]) == (
-            GOLDEN_CONTENT_COUNT, GOLDEN_CONTENT_DIGEST,
-        )
-
-
-GOLDEN_CONTENT_COUNT = 178
-GOLDEN_CONTENT_DIGEST = "04e610b801452b4203e3905a6f50cbf4d94ed97381c3bb23d134327bb517a670"
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from repro.config import KeyframeConfig
 from repro.keyframes import (
     AllFramesExtractor,
-    ContentDiffKeyframeExtractor,
     MVMedKeyframeExtractor,
     UniformKeyframeExtractor,
     make_extractor,
@@ -31,28 +30,6 @@ class TestUniform:
 
     def test_all_frames(self, video):
         assert len(AllFramesExtractor().extract(video)) == video.num_frames
-
-
-class TestContentDiff:
-    def test_returns_subset_including_first(self, video):
-        frames = ContentDiffKeyframeExtractor(threshold=0.02).extract(video)
-        assert frames
-        assert frames[0].index == 0
-        assert len(frames) <= video.num_frames
-
-    def test_higher_threshold_fewer_keyframes(self, video):
-        low = ContentDiffKeyframeExtractor(threshold=0.01).extract(video)
-        high = ContentDiffKeyframeExtractor(threshold=0.2).extract(video)
-        assert len(high) <= len(low)
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            ContentDiffKeyframeExtractor(threshold=0.0)
-
-    def test_empty_video(self):
-        from repro.video.model import Video
-        empty = Video(video_id="v", frames=[])
-        assert ContentDiffKeyframeExtractor().extract(empty) == []
 
 
 class TestMVMed:
@@ -84,7 +61,6 @@ class TestMVMed:
 class TestFactory:
     def test_factory_dispatch(self):
         assert isinstance(make_extractor(KeyframeConfig(strategy="uniform")), UniformKeyframeExtractor)
-        assert isinstance(make_extractor(KeyframeConfig(strategy="content")), ContentDiffKeyframeExtractor)
         assert isinstance(make_extractor(KeyframeConfig(strategy="mvmed")), MVMedKeyframeExtractor)
         assert isinstance(make_extractor(KeyframeConfig(strategy="all")), AllFramesExtractor)
 

@@ -13,7 +13,6 @@ from repro.eval.metrics import (
     average_precision,
     evaluate_results,
     match_results,
-    precision_recall_points,
     recall_at_k,
 )
 from repro.utils.geometry import BoundingBox
@@ -129,11 +128,6 @@ class TestEvaluate:
         results = [result("f1", BOX, 0.9), result("f3", BOX, 0.8)]
         assert recall_at_k(results, ground_truth, k=2) == pytest.approx(0.5)
         assert recall_at_k(results, ground_truth, k=0) == 0.0
-
-    def test_precision_recall_points(self):
-        points = precision_recall_points([True, False, True], num_positives=2)
-        assert points[0] == (pytest.approx(0.5), pytest.approx(1.0))
-        assert points[-1] == (pytest.approx(1.0), pytest.approx(2.0 / 3.0))
 
 
 class TestGroundTruthInstance:

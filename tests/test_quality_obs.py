@@ -1,11 +1,9 @@
 """Tests for the answer-quality & cost observability layer.
 
-Covers the four new :mod:`repro.obs` pieces — shadow-recall sampling
-(:mod:`repro.obs.quality`), per-query EXPLAIN (:mod:`repro.obs.explain`),
-the metrics-history ring (:mod:`repro.obs.timeseries`), and SLO burn-rate
-tracking (:mod:`repro.obs.slo`) — plus their wiring through the serving
-engine and the HTTP frontend, and the exposition satellites
-(``lovo_build_info``, deterministic ``render``, ``HEAD /v1/metrics``).
+Covers shadow-recall sampling (:mod:`repro.obs.quality`) and per-query
+EXPLAIN (:mod:`repro.obs.explain`), their wiring through the serving engine
+and the HTTP frontend, and the exposition satellites (``lovo_build_info``,
+deterministic ``render``, ``HEAD /v1/metrics``).
 
 The headline check mirrors the acceptance criterion: the shadow-sampled
 online recall@10 estimate must land within ±0.05 of a ground-truth recall
@@ -16,9 +14,7 @@ families, sharded and unsharded.
 from __future__ import annotations
 
 import json
-import logging
 import threading
-import time
 import urllib.error
 import urllib.request
 
@@ -42,8 +38,6 @@ from repro.obs.explain import ExplainStore, build_explain_report
 from repro.obs.exposition import build_info_family, parse_exposition, render
 from repro.obs.quality import DriftMonitor, ShadowSampler
 from repro.obs.registry import MetricFamily, MetricsRegistry, Sample
-from repro.obs.slo import RECALL_OBJECTIVE, SLOTracker
-from repro.obs.timeseries import MetricsHistory, flatten_families
 from repro.serve import ServingEngine
 from repro.serve.http import make_server
 from repro.video.datasets import make_bellevue
@@ -169,12 +163,12 @@ class TestObsConfigValidation:
 
     def test_round_trips_through_config_dict(self):
         config = quality_config(
-            shadow_sample_rate=0.25, slo_latency_target=0.95, history_interval_seconds=12.0
+            shadow_sample_rate=0.25, shadow_queue_size=12, slow_query_ms=80.0
         )
         restored = LOVOConfig.from_dict(config.to_dict())
         assert restored.obs.shadow_sample_rate == 0.25
-        assert restored.obs.slo_latency_target == 0.95
-        assert restored.obs.history_interval_seconds == 12.0
+        assert restored.obs.shadow_queue_size == 12
+        assert restored.obs.slow_query_ms == 80.0
 
 
 # ---------------------------------------------------------------------------
@@ -538,250 +532,6 @@ class TestExplainEngine:
 
 
 # ---------------------------------------------------------------------------
-# Metrics history
-# ---------------------------------------------------------------------------
-
-
-class TestMetricsHistory:
-    @staticmethod
-    def _families(value: float):
-        return [
-            MetricFamily(
-                "demo_total",
-                "counter",
-                "",
-                [
-                    Sample("demo_total", {"side": "a"}, value),
-                    Sample("demo_total", {}, value * 2),
-                ],
-            ),
-            MetricFamily("other", "gauge", "", [Sample("other", {}, 7.0)]),
-        ]
-
-    def test_flatten_families_keys(self):
-        values = flatten_families(self._families(3.0))
-        assert values == {
-            'demo_total{side="a"}': 3.0,
-            "demo_total": 6.0,
-            "other": 7.0,
-        }
-
-    def test_tick_points_and_capacity(self):
-        counter = {"value": 0.0}
-
-        def collect():
-            counter["value"] += 1.0
-            return self._families(counter["value"])
-
-        history = MetricsHistory(collect, interval_seconds=60.0, capacity=3)
-        for tick in range(5):
-            history.tick(now=float(tick))
-        points = history.points()
-        assert len(points) == 3  # bounded ring: oldest two evicted
-        assert [point["t"] for point in points] == [2.0, 3.0, 4.0]
-        assert points[-1]["values"]["other"] == 7.0
-
-    def test_limit_and_prefix_filters(self):
-        history = MetricsHistory(lambda: self._families(1.0), capacity=10)
-        for tick in range(4):
-            history.tick(now=float(tick))
-        limited = history.points(limit=2)
-        assert [point["t"] for point in limited] == [2.0, 3.0]
-        filtered = history.points(prefix="other")
-        assert all(set(point["values"]) == {"other"} for point in filtered)
-
-    def test_series_extraction(self):
-        history = MetricsHistory(lambda: self._families(1.0), capacity=10)
-        history.tick(now=1.0)
-        history.tick(now=2.0)
-        series = history.series("other")
-        assert series == [{"t": 1.0, "value": 7.0}, {"t": 2.0, "value": 7.0}]
-        assert history.series("missing") == []
-
-    def test_listener_runs_on_tick_and_errors_are_swallowed(self):
-        seen = []
-        history = MetricsHistory(lambda: self._families(1.0), capacity=4)
-        history.add_listener(seen.append)
-        history.add_listener(lambda point: 1 / 0)
-        history.tick(now=5.0)
-        assert len(seen) == 1 and seen[0]["t"] == 5.0
-
-    def test_background_ticker_runs(self):
-        history = MetricsHistory(
-            lambda: self._families(1.0), interval_seconds=0.02, capacity=64
-        )
-        history.start()
-        deadline = time.monotonic() + 5.0
-        while not history.points() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        history.stop()
-        assert history.points()
-        history.stop()  # idempotent
-        with pytest.raises(RuntimeError):
-            history.start()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MetricsHistory(list, interval_seconds=0.0)
-        with pytest.raises(ValueError):
-            MetricsHistory(list, capacity=0)
-
-
-# ---------------------------------------------------------------------------
-# SLO burn rates
-# ---------------------------------------------------------------------------
-
-
-class TestSLOTracker:
-    @staticmethod
-    def _tracker(**overrides):
-        defaults = {"slo_latency_target": 0.9, "slo_availability_target": 0.9}
-        defaults.update(overrides)
-        registry = MetricsRegistry()
-        return SLOTracker(ObsConfig(**defaults), registry=registry), registry
-
-    def test_quiet_tracker_is_ok(self):
-        tracker, _ = self._tracker()
-        evaluation = tracker.evaluate(now=1000.0)
-        assert evaluation["status"] == "ok"
-        assert {entry["name"] for entry in evaluation["slos"]} == {
-            "latency", "availability", "recall",
-        }
-
-    def test_all_good_requests_stay_ok(self):
-        tracker, _ = self._tracker()
-        now = 1000.0
-        for _ in range(50):
-            tracker.record_request(0.01, True, now=now - 5.0)
-        evaluation = tracker.evaluate(now=now)
-        assert evaluation["status"] == "ok"
-        by_name = {entry["name"]: entry for entry in evaluation["slos"]}
-        assert by_name["latency"]["fast"]["events"] == 50
-        assert by_name["latency"]["fast"]["bad_events"] == 0
-
-    def test_sustained_failures_breach_both_windows(self):
-        tracker, _ = self._tracker()
-        now = 1000.0
-        # Bad events across both windows: errors burn availability.
-        for age in (500.0, 400.0, 300.0, 30.0, 10.0, 5.0):
-            tracker.record_request(0.01, False, now=now - age, outcome="error")
-        evaluation = tracker.evaluate(now=now)
-        by_name = {entry["name"]: entry for entry in evaluation["slos"]}
-        assert by_name["availability"]["status"] == "breaching"
-        assert by_name["availability"]["fast"]["burn_rate"] >= 1.0
-        assert by_name["availability"]["slow"]["burn_rate"] >= 1.0
-        assert evaluation["status"] == "breaching"
-
-    def test_recent_blip_is_warning_only(self):
-        tracker, _ = self._tracker()
-        now = 1000.0
-        # Long good history inside the slow window but outside the fast one…
-        for _ in range(95):
-            tracker.record_request(0.01, True, now=now - 300.0)
-        # …then a short burst of recent failures.
-        for _ in range(5):
-            tracker.record_request(0.01, False, now=now - 5.0, outcome="error")
-        evaluation = tracker.evaluate(now=now)
-        by_name = {entry["name"]: entry for entry in evaluation["slos"]}
-        availability = by_name["availability"]
-        assert availability["fast"]["burn_rate"] >= 1.0
-        assert availability["slow"]["burn_rate"] < 1.0
-        assert availability["status"] == "warning"
-        assert evaluation["status"] == "warning"
-
-    def test_slow_requests_burn_latency_budget_only(self):
-        tracker, _ = self._tracker()
-        now = 1000.0
-        for _ in range(10):
-            tracker.record_request(0.5, True, now=now - 5.0)  # 500 ms > 250 ms
-        evaluation = tracker.evaluate(now=now)
-        by_name = {entry["name"]: entry for entry in evaluation["slos"]}
-        assert by_name["latency"]["status"] == "breaching"
-        assert by_name["availability"]["status"] == "ok"
-
-    def test_recall_slo_from_shadow_samples(self):
-        tracker, _ = self._tracker()
-        now = 1000.0
-        for _ in range(10):
-            tracker.record_recall(0.5, "ivfpq", now=now - 5.0)  # below 0.8
-        evaluation = tracker.evaluate(now=now)
-        by_name = {entry["name"]: entry for entry in evaluation["slos"]}
-        assert by_name["recall"]["status"] == "breaching"
-        assert by_name["recall"]["objective"] == RECALL_OBJECTIVE
-
-    def test_burn_gauges_refresh_on_evaluate(self):
-        tracker, registry = self._tracker()
-        now = 1000.0
-        tracker.record_request(0.01, False, now=now - 5.0, outcome="error")
-        tracker.evaluate(now=now)
-        families = {family.name: family for family in registry.collect()}
-        samples = families["lovo_slo_burn_rate"].samples
-        windows = {(s.labels["slo"], s.labels["window"]) for s in samples}
-        assert ("availability", "fast") in windows
-        assert ("availability", "slow") in windows
-
-    def test_event_counters(self):
-        tracker, registry = self._tracker()
-        tracker.record_request(0.01, True, now=1000.0)
-        tracker.record_request(0.01, False, now=1000.0, outcome="error")
-        families = {family.name: family for family in registry.collect()}
-        good = {
-            s.labels["slo"]: s.value
-            for s in families["lovo_slo_good_events_total"].samples
-        }
-        bad = {
-            s.labels["slo"]: s.value
-            for s in families["lovo_slo_bad_events_total"].samples
-        }
-        assert good["availability"] == 1.0
-        assert bad["availability"] == 1.0
-        assert good["latency"] == 1.0  # only the successful request counted
-
-    def test_structured_logs_carry_correlation_ids(self, caplog):
-        tracker, _ = self._tracker()
-        with caplog.at_level(logging.INFO, logger="repro.slo"):
-            tracker.record_request(
-                0.5, True, trace_id="trace-1", request_id="req-1", now=1000.0
-            )
-            tracker.record_request(
-                0.01, False, trace_id="trace-2", outcome="rejected", now=1000.0
-            )
-            tracker.record_recall(0.1, "hnsw", trace_id="trace-3", now=1000.0)
-        events = [json.loads(record.message) for record in caplog.records]
-        by_event = {event["event"]: event for event in events}
-        assert by_event["slow_request"]["trace_id"] == "trace-1"
-        assert by_event["slow_request"]["request_id"] == "req-1"
-        assert by_event["request_failure"]["trace_id"] == "trace-2"
-        assert by_event["request_failure"]["outcome"] == "rejected"
-        assert by_event["low_recall"]["trace_id"] == "trace-3"
-        assert by_event["low_recall"]["family"] == "hnsw"
-
-    def test_status_transition_logged_once(self, caplog):
-        tracker, _ = self._tracker()
-        now = 1000.0
-        for age in (500.0, 5.0):
-            tracker.record_request(0.01, False, now=now - age, outcome="error")
-        with caplog.at_level(logging.WARNING, logger="repro.slo"):
-            tracker.evaluate(now=now)
-            tracker.evaluate(now=now)  # unchanged status: no second line
-        burn_events = [
-            json.loads(record.message)
-            for record in caplog.records
-            if json.loads(record.message).get("event") == "slo_burn"
-        ]
-        assert len(burn_events) == 1
-        assert burn_events[0]["slo"] == "availability"
-
-    def test_summary_is_compact(self):
-        tracker, _ = self._tracker()
-        summary = tracker.summary(now=1000.0)
-        assert summary["status"] == "ok"
-        assert set(summary["slos"]) == {"latency", "availability", "recall"}
-        for entry in summary["slos"].values():
-            assert set(entry) == {"status", "fast_burn_rate"}
-
-
-# ---------------------------------------------------------------------------
 # Exposition satellites: build info, deterministic render
 # ---------------------------------------------------------------------------
 
@@ -892,37 +642,16 @@ class TestQualityHTTP:
         body = json.load(excinfo.value)
         assert body["error"]["code"] == "explain_not_found"
 
-    def test_metrics_history_endpoint(self, http_service):
-        base, engine = http_service
-        self._post(base, "/v1/query", {"query": QUERY_TEXTS[1]})
-        engine.history.tick()
-        engine.history.tick()
-        payload = self._get(base, "/v1/metrics/history?limit=1&prefix=lovo_requests")
-        assert payload["num_points"] == 1
-        assert payload["capacity"] == engine.history.capacity
-        (point,) = payload["points"]
-        assert all(key.startswith("lovo_requests") for key in point["values"])
-        assert point["values"]["lovo_requests_total"] >= 1.0
-
-    def test_metrics_history_rejects_bad_limit(self, http_service):
+    def test_removed_slo_and_history_paths_are_404(self, http_service):
         base, _ = http_service
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._get(base, "/v1/metrics/history?limit=abc")
-        assert excinfo.value.code == 400
-
-    def test_slo_endpoint_and_healthz_summary(self, http_service):
-        base, _ = http_service
-        self._post(base, "/v1/query", {"query": QUERY_TEXTS[2]})
-        evaluation = self._get(base, "/v1/slo")
-        assert evaluation["status"] in {"ok", "warning", "breaching"}
-        names = {entry["name"] for entry in evaluation["slos"]}
-        assert names == {"latency", "availability", "recall"}
-        for entry in evaluation["slos"]:
-            assert "burn_rate" in entry["fast"]
-            assert "burn_rate" in entry["slow"]
-        health = self._get(base, "/v1/healthz")
-        assert set(health["slo"]) == {"status", "slos"}
-        assert set(health["slo"]["slos"]) == {"latency", "availability", "recall"}
+        for path in ("/v1/slo", "/v1/metrics/history"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                self._get(base, path)
+            assert excinfo.value.code == 404
+            body = json.load(excinfo.value)
+            assert body["error"]["code"] == "not_found"
+            assert path in body["error"]["message"]
+        assert "slo" not in self._get(base, "/v1/healthz")
 
     def test_head_metrics_matches_get(self, http_service):
         base, _ = http_service
@@ -955,13 +684,12 @@ class TestQualityHTTP:
         parsed = parse_exposition(text)
         assert parsed["lovo_build_info"]["samples"][0]["value"] == 1.0
         assert "lovo_recall_at_k" in parsed
-        assert "lovo_slo_burn_rate" in parsed or "lovo_slo_good_events_total" in parsed
 
-    def test_stats_carry_quality_and_slo_sections(self, http_service):
+    def test_stats_carry_quality_and_explain_sections(self, http_service):
         base, _ = http_service
         stats = self._get(base, "/v1/stats")
-        assert "slo" in stats
-        assert "history" in stats
+        assert "slo" not in stats
+        assert "history" not in stats
         assert "explain" in stats
         assert "quality" in stats
         assert stats["quality"]["sample_rate"] == 1.0

@@ -7,7 +7,7 @@ import pytest
 
 from repro.utils.geometry import BoundingBox
 from repro.video.model import Frame, ObjectAnnotation
-from repro.video.motion import MotionField, estimate_motion, motion_statistics
+from repro.video.motion import MotionField, estimate_motion
 from repro.video.renderer import FrameRenderer, RenderConfig
 
 
@@ -94,17 +94,10 @@ class TestMotionEstimation:
         with pytest.raises(ValueError):
             estimate_motion(np.zeros((10, 10)), np.zeros((12, 12)))
 
-    def test_motion_statistics_keys(self):
-        field = MotionField(dx=np.ones((2, 2)), dy=np.zeros((2, 2)))
-        stats = motion_statistics(field)
-        assert set(stats) == {"mean", "max", "active_fraction"}
-        assert stats["mean"] == pytest.approx(1.0)
-        assert stats["active_fraction"] == pytest.approx(1.0)
-
     def test_empty_field_statistics(self):
         field = MotionField(dx=np.zeros((0, 0)), dy=np.zeros((0, 0)))
-        assert motion_statistics(field)["mean"] == 0.0
-        assert field.active_fraction == 0.0
+        assert field.mean_magnitude == 0.0
+        assert field.pair_mean_magnitudes().shape == (0,)
 
     def test_rendered_motion_detects_moving_object(self):
         renderer = FrameRenderer(config=RenderConfig(noise_scale=0.0))
