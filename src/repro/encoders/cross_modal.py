@@ -9,17 +9,22 @@ fast search, each in array form (:class:`FrameCandidate`).  For one query it:
 2. builds *text tokens* from the parsed query (object, companion, and
    relation concepts), one copy per frame;
 3. runs a stack of feature-enhancer and decoder layers with image↔text
-   cross-attention (see :mod:`repro.encoders.attention`) over each block:
-   the float32 FFNs and the layer norms run once over the block's rows, and
-   each attention runs as one batched product over the block's frames,
-   padded to the widest frame, so a frame's tokens attend only to its own
-   text copy and vice versa.  A layer pads each side once and both
+   cross-attention (see :mod:`repro.encoders.attention`) over each block,
+   in float32 end to end: the image and text tokens are rounded to float32
+   once, before the first layer, and only the last layer's states are
+   upcast to float64.  The FFNs and the layer norms run once over the
+   block's rows, and each attention runs as one batched product over the
+   block's frames, padded to the widest frame, so a frame's tokens attend
+   only to its own text copy and vice versa.  A block's padding layouts
+   are built once and serve all of its layers, and within a layer both
    attention directions share the padded arrays;
 4. scores every image token as its alignment with the query
    (``ls = max_j (X_I X_T^T)_{j,-1}`` in Algorithm 2), augmented with a
    geometric evaluation of the relational tokens over the predicted boxes
    (the "box position embeddings" path of Fig. 3) — ``(P, P)`` box-array
-   masks per frame;
+   masks per frame.  The raw similarities, the relations and the
+   companion mask read the float64 tokens, so every relation verdict is
+   the float64 one;
 5. decodes each frame's best non-overlapping boxes by greedy non-maximum
    suppression as the output localizations, in one pass over all of the
    query's frames: each greedy round picks every frame's best row at once.
@@ -30,9 +35,12 @@ ranking — reproducing the accuracy gap between LOVO and its w/o-rerank
 ablation.
 
 Blocks never mix queries.  The FFNs run on fixed-shape tiles and give a row
-the same bits in any block, but the attention and alignment products do not
-(BLAS picks its kernel by matrix size and layout), so a frame's scores
-depend on the frame's block, and the block on the query's candidate list.
+the same bits in any block, and image rows are padded to whole blocks of
+:data:`~repro.encoders.attention.ROW_BLOCK` rows, so identical rows of a
+frame tie exactly; but the text-side attention and the alignment
+products still take their shapes from the block (BLAS picks its kernel by
+matrix size and layout), so a frame's scores depend on the frame's block,
+and the block on the query's candidate list.
 A query therefore gets the same bits whether it runs alone or in a batch,
 because :class:`~repro.core.query.QueryStrategy` reranks one query per call.
 """
@@ -45,7 +53,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.encoders.attention import CrossModalLayer
+from repro.encoders.attention import ROW_BLOCK, CrossModalLayer, Segments
 from repro.encoders.concepts import ConceptSpace
 from repro.encoders.text import ParsedQuery, is_context_token, query_token_weights
 from repro.encoders.vision import FrameArrays, patch_id, row_norms
@@ -239,15 +247,19 @@ class CrossModalityReranker:
         blocks = _blocks(bounds, features.text_tokens.shape[0])
 
         with obs_span("enhance", blocks=len(blocks)):
+            # The layers run in float32: round their inputs once, here.
+            image32 = image_tokens.astype(np.float32)
+            text32 = features.text_tokens.astype(np.float32)
             states = [
                 self._run_layers(
                     self._enhancer_layers,
-                    image_tokens[block.rows],
-                    np.tile(features.text_tokens, (len(block.image_bounds) - 1, 1)),
+                    image32[block.rows],
+                    np.tile(text32, (len(block.image_bounds) - 1, 1)),
                     block,
                 )
                 for block in blocks
             ]
+            del image32
         with obs_span("decode"):
             appearance = np.concatenate([
                 self._appearance(
@@ -295,9 +307,9 @@ class CrossModalityReranker:
     def _run_layers(
         layers: Sequence[CrossModalLayer], image: np.ndarray, text: np.ndarray, block: "_Block"
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Run a layer stack over one block's stacked image and text rows."""
+        """Run a layer stack over one block's stacked float32 image and text rows."""
         for layer in layers:
-            image, text = layer.apply_segments(image, block.image_bounds, text, block.text_bounds)
+            image, text = layer.apply_segments(image, block.image_segments, text, block.text_segments)
         return image, text
 
     def _appearance(
@@ -310,6 +322,9 @@ class CrossModalityReranker:
     ) -> np.ndarray:
         """Appearance alignment of each image row of one block with the query.
 
+        ``image_tokens`` are the block's float64 rows; the float32 enhanced
+        states are upcast here, once, and everything after runs in float64.
+
         It has two parts, both computed per image token:
 
         * a *mixture* similarity against the whole query phrase (the same
@@ -321,7 +336,7 @@ class CrossModalityReranker:
           "red car" just because both are cars.
         """
         unit_image = self._normalised(image_tokens)
-        unit_enhanced_image = self._normalised(enhanced_image)
+        unit_enhanced_image = self._normalised(enhanced_image.astype(np.float64))
         raw_mixture_similarity = unit_image @ features.mixture
         enhanced_mixture_similarity = unit_enhanced_image @ features.mixture
         mixture_similarity = 0.7 * raw_mixture_similarity + 0.3 * enhanced_mixture_similarity
@@ -334,7 +349,9 @@ class CrossModalityReranker:
         first_column = np.repeat(np.arange(sizes.shape[0]) * num_text, sizes)
         columns = first_column[:, None] + np.arange(num_text)
         enhanced_similarity = np.take_along_axis(
-            unit_enhanced_image @ self._normalised(enhanced_text).T, columns, axis=1
+            unit_enhanced_image @ self._normalised(enhanced_text.astype(np.float64)).T,
+            columns,
+            axis=1,
         )
         token_similarity = 0.7 * raw_similarity + 0.3 * enhanced_similarity
         conjunctive = token_similarity[:, features.conjunctive_columns].min(axis=1)
@@ -510,6 +527,8 @@ class _Block(NamedTuple):
     rows: slice  # the block's rows of the query's stacked image tokens
     image_bounds: List[int]  # block-local row boundaries of each frame
     text_bounds: List[int]  # the same for the per-frame copies of the text tokens
+    image_segments: Segments  # the padding layout of image_bounds, shared by every layer
+    text_segments: Segments  # the same for text_bounds
 
 
 def _blocks(bounds: Sequence[int], num_text: int) -> List[_Block]:
@@ -526,9 +545,13 @@ def _blocks(bounds: Sequence[int], num_text: int) -> List[_Block]:
     blocks = []
     for first, stop in zip(starts[:-1], starts[1:]):
         offset = bounds[first]
+        image_bounds = [bound - offset for bound in bounds[first:stop + 1]]
+        text_bounds = [num_text * index for index in range(stop - first + 1)]
         blocks.append(_Block(
             rows=slice(offset, bounds[stop]),
-            image_bounds=[bound - offset for bound in bounds[first:stop + 1]],
-            text_bounds=[num_text * index for index in range(stop - first + 1)],
+            image_bounds=image_bounds,
+            text_bounds=text_bounds,
+            image_segments=Segments.of(image_bounds, multiple=ROW_BLOCK),
+            text_segments=Segments.of(text_bounds),
         ))
     return blocks

@@ -49,14 +49,6 @@ class MotionField:
         """Per-block motion magnitude."""
         return np.sqrt(self.dx ** 2 + self.dy ** 2)
 
-    @property
-    def mean_magnitude(self) -> float:
-        """Average motion magnitude over all blocks."""
-        magnitude = self.magnitude
-        if magnitude.size == 0:
-            return 0.0
-        return float(magnitude.mean())
-
     def pair_mean_magnitudes(self) -> np.ndarray:
         """Mean magnitude of each pair of a run field (0.0 for no blocks)."""
         magnitude = self.magnitude

@@ -9,8 +9,8 @@ shortcuts.
 The MVmed extractor renders a run of frames at a time with
 :meth:`FrameRenderer.render_luminance`, which writes the luminance into a
 caller-owned ``(n, H, W)`` buffer and reuses one colour image and one noise
-image for the whole run; :meth:`FrameRenderer.render` and
-:meth:`FrameRenderer.render_grayscale` are its one-frame case.
+image for the whole run; :meth:`FrameRenderer.render` paints one frame's
+RGB image with the same code.
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ class FrameRenderer:
         image = np.empty((height, width, 3))
         self._paint(frame, image, np.empty_like(image))
         return image
-
-    def render_grayscale(self, frame: Frame) -> np.ndarray:
-        """Render one frame to a fresh ``(H, W)`` luminance image."""
-        out = np.empty((1, self._config.height, self._config.width))
-        return self.render_luminance((frame,), out)[0]
 
     def render_luminance(self, frames: Sequence[Frame], out: np.ndarray) -> np.ndarray:
         """Render a run of frames into the caller's ``(n, H, W)`` buffer.

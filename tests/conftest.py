@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import LOVO, LOVOConfig
+from repro import LOVO, LOVOConfig, QueryOptions, QueryRequest
 from repro.config import EncoderConfig, IndexConfig, KeyframeConfig, QueryConfig
 from repro.encoders.concepts import ConceptSpace
 from repro.video.datasets import make_bellevue, make_cityscapes, make_qvhighlights
@@ -50,6 +50,39 @@ RETIRED_AT_OLD_DEFAULTS = {
         "slo_availability_target": 0.999,
     },
 }
+
+
+#: The most a rerank score may move with the rounding of the float32 layer
+#: stack: between a frame scored in a block and scored alone, against the
+#: per-frame oracle, and against answers recorded when the layers ran in
+#: float64.  Frames, patches, boxes, order and relation verdicts are always
+#: compared exactly.
+RERANK_SCORE_TOLERANCE = 1e-6
+
+
+def fixture_answer(system: LOVO, expected: dict) -> list:
+    """The answer to a fixture's recorded query, in the layout of its ``expected.json``."""
+    response = system.query(QueryRequest(expected["query"], QueryOptions(top_n=expected["top_n"])))
+    return [
+        {
+            "frame_id": result.frame_id,
+            "patch_id": result.patch_id,
+            "box": [result.box.x, result.box.y, result.box.w, result.box.h],
+            "score": result.score,
+        }
+        for result in response.results
+    ]
+
+
+def assert_recorded_answer(got: list, recorded: list) -> None:
+    """``got`` has ``recorded``'s frames, patches and boxes in the same order,
+    and each score within :data:`RERANK_SCORE_TOLERANCE` of the recorded one."""
+    def discrete(answer):
+        return [{key: value for key, value in row.items() if key != "score"} for row in answer]
+
+    assert discrete(got) == discrete(recorded)
+    for left, right in zip(got, recorded):
+        assert abs(left["score"] - right["score"]) <= RERANK_SCORE_TOLERANCE, (left, right)
 
 
 def small_config() -> LOVOConfig:

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.encoders.attention import (
-    _FFN_TILE_ROWS,
+    ROW_BLOCK,
     CrossAttention,
     CrossModalLayer,
     FeedForward,
+    Segments,
     layer_norm,
     softmax,
 )
@@ -91,10 +92,10 @@ class TestLayers:
         out = ffn.apply(x)
         assert out.shape == (4, 16)
         np.testing.assert_allclose(out, FeedForward(16, 32, "f").apply(x))
-        assert out.dtype == np.float64
+        assert out.dtype == np.float32
 
     @given(
-        num_rows=st.integers(1, 4 * _FFN_TILE_ROWS + 37),
+        num_rows=st.integers(1, 16 * ROW_BLOCK + 37),
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
@@ -128,21 +129,21 @@ def old_layer_norm(x, eps=1e-6):
 
 
 def old_feed_forward(ffn, x):
-    """``FeedForward.apply`` with the activation as one expression."""
+    """``FeedForward.apply`` with the activation as one expression (float32 out)."""
     num_rows, dim = x.shape
-    num_tiles = -(-num_rows // _FFN_TILE_ROWS)
-    tiles = np.zeros((num_tiles * _FFN_TILE_ROWS, dim), dtype=np.float32)
+    num_tiles = -(-num_rows // ROW_BLOCK)
+    tiles = np.zeros((num_tiles * ROW_BLOCK, dim), dtype=np.float32)
     tiles[:num_rows] = x
-    hidden = tiles.reshape(num_tiles, _FFN_TILE_ROWS, dim) @ ffn._w_in
+    hidden = tiles.reshape(num_tiles, ROW_BLOCK, dim) @ ffn._w_in
     activated = hidden * (1.0 / (1.0 + np.exp(-1.702 * hidden)))
-    return (activated @ ffn._w_out).reshape(-1, dim)[:num_rows].astype(np.float64)
+    return (activated @ ffn._w_out).reshape(-1, dim)[:num_rows]
 
 
 def old_pad(rows, bounds):
     sizes = np.diff(bounds)
     segment = np.repeat(np.arange(sizes.shape[0]), sizes)
     slot = np.arange(rows.shape[0]) - np.asarray(bounds[:-1])[segment]
-    padded = np.zeros((sizes.shape[0], sizes.max(initial=0), rows.shape[1]))
+    padded = np.zeros((sizes.shape[0], sizes.max(initial=0), rows.shape[1]), dtype=rows.dtype)
     padded[segment, slot] = rows
     return padded, (segment, slot)
 
@@ -184,13 +185,17 @@ class TestInPlaceArithmeticIsBitExact:
         dim=st.integers(1, 130),
         scale=st.sampled_from([1e-3, 1.0, 1e3]),
         seed=st.integers(0, 2**16),
+        dtype=st.sampled_from([np.float32, np.float64]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_layer_norm(self, rows, dim, scale, seed):
+    def test_layer_norm(self, rows, dim, scale, seed, dtype):
         x = np.random.default_rng(seed).normal(loc=scale, scale=scale, size=(rows, dim))
-        np.testing.assert_array_equal(layer_norm(x), old_layer_norm(x))
+        x = x.astype(dtype)
+        normalised = layer_norm(x)
+        assert normalised.dtype == dtype
+        np.testing.assert_array_equal(normalised, old_layer_norm(x))
 
-    @given(rows=st.integers(1, 2 * _FFN_TILE_ROWS + 5), seed=st.integers(0, 2**16))
+    @given(rows=st.integers(1, 8 * ROW_BLOCK + 5), seed=st.integers(0, 2**16))
     @settings(max_examples=15, deadline=None)
     def test_feed_forward_activation(self, rows, seed):
         ffn = FeedForward(dim=128, hidden_dim=256, name="decoder1/txt_ffn")
@@ -208,12 +213,80 @@ class TestInPlaceArithmeticIsBitExact:
         direction padding its own inputs, as ``attend_segments`` did."""
         layer = CrossModalLayer(dim=32, hidden_dim=64, name="enhancer0")
         rng = np.random.default_rng(seed)
-        image = rng.normal(size=(sum(image_sizes), 32))
-        text = rng.normal(size=(text_rows * len(image_sizes), 32))
+        image = rng.normal(size=(sum(image_sizes), 32)).astype(np.float32)
+        text = rng.normal(size=(text_rows * len(image_sizes), 32)).astype(np.float32)
         image_bounds = bounds_of(image_sizes)
         text_bounds = bounds_of([text_rows] * len(image_sizes))
         for got, want in zip(
-            layer.apply_segments(image, image_bounds, text, text_bounds),
+            layer.apply_segments(
+                image, Segments.of(image_bounds), text, Segments.of(text_bounds)
+            ),
             old_apply_segments(layer, image, image_bounds, text, text_bounds),
         ):
+            assert got.dtype == want.dtype == np.float32
             np.testing.assert_array_equal(got, want)
+
+
+class TestSegments:
+    def test_layout(self):
+        segments = Segments.of([0, 2, 5, 6])
+        assert segments.shape == (3, 3)
+        np.testing.assert_array_equal(segments.index[0], [0, 0, 1, 1, 1, 2])
+        np.testing.assert_array_equal(segments.index[1], [0, 1, 0, 1, 2, 0])
+        np.testing.assert_array_equal(
+            segments.padding, [[False, False, True], [False, False, False], [False, True, True]]
+        )
+        rows = np.arange(12, dtype=np.float32).reshape(6, 2)
+        padded = segments.pad(rows)
+        assert padded.dtype == np.float32
+        np.testing.assert_array_equal(padded[0, 2], [0.0, 0.0])
+        np.testing.assert_array_equal(segments.unpad(padded), rows)
+
+    def test_equal_segments_have_no_padding_mask(self):
+        assert Segments.of([0, 4, 8]).padding is None
+        assert Segments.of([0]).shape == (0, 0)
+
+    def test_multiple_rounds_the_widest_up(self):
+        segments = Segments.of([0, 3, 20], multiple=ROW_BLOCK)
+        assert segments.shape == (2, 2 * ROW_BLOCK)
+        assert segments.padding[1, 17:].all() and not segments.padding[1, :17].any()
+        assert Segments.of([0, ROW_BLOCK], multiple=ROW_BLOCK).padding is None
+
+
+class TestFloat32Layers:
+    def test_layer_keeps_float32(self):
+        layer = CrossModalLayer(dim=16, hidden_dim=32, name="layer0")
+        rng = np.random.default_rng(4)
+        image = rng.normal(size=(6, 16)).astype(np.float32)
+        text = rng.normal(size=(3, 16)).astype(np.float32)
+        assert [out.dtype for out in layer.apply(image, text)] == [np.float32, np.float32]
+        assert softmax(image).dtype == np.float32
+
+    @given(
+        image_sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+        text_rows=st.integers(1, 6),
+        duplicate=st.integers(0, 5),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_identical_image_rows_get_identical_bits(
+        self, image_sizes, text_rows, duplicate, seed
+    ):
+        """Image segments padded to whole ``ROW_BLOCK`` blocks give
+        a frame's identical image rows the same output at any slot."""
+        frame = duplicate % len(image_sizes)
+        image_bounds = bounds_of(image_sizes)
+        rng = np.random.default_rng(seed)
+        image = rng.normal(size=(image_bounds[-1], 64)).astype(np.float32)
+        text = rng.normal(size=(text_rows * len(image_sizes), 64)).astype(np.float32)
+        start, stop = image_bounds[frame], image_bounds[frame + 1]
+        image[start:stop] = image[start]
+        layer = CrossModalLayer(dim=64, hidden_dim=128, name="decoder0")
+        out_image, _ = layer.apply_segments(
+            image,
+            Segments.of(image_bounds, multiple=ROW_BLOCK),
+            text,
+            Segments.of(bounds_of([text_rows] * len(image_sizes))),
+        )
+        for row in range(start + 1, stop):
+            np.testing.assert_array_equal(out_image[row], out_image[start])

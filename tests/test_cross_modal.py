@@ -23,6 +23,7 @@ from repro.encoders.text import QueryParser
 from repro.encoders.vision import FrameArrays
 from repro.encoders.vocabulary import default_vocabulary
 from repro.utils.geometry import BoundingBox, box_array
+from tests.conftest import RERANK_SCORE_TOLERANCE
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +262,7 @@ class TestBlocks:
             assert [d.box for d in joint.detections] == [d.box for d in alone.detections]
             for left, right in zip(joint.detections, alone.detections):
                 assert left.relation_score == right.relation_score
-                assert left.score == pytest.approx(right.score, abs=1e-12)
+                assert abs(left.score - right.score) <= RERANK_SCORE_TOLERANCE
 
 
 class TestCompanionRounding:

@@ -18,12 +18,13 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
-from repro import LOVO, LOVOConfig, QueryOptions, QueryRequest
+from repro import LOVO, LOVOConfig, QueryRequest
 from repro.config import EncoderConfig, IndexConfig, KeyframeConfig, QueryConfig, ShardConfig
 from repro.persist import DeltaSnapshotStore
 from repro.shard.database import ShardedCollection
 from repro.vectordb.collection import VectorCollection
 from repro.video.datasets import make_bellevue, make_cityscapes
+from tests.conftest import assert_recorded_answer, fixture_answer
 
 DIM = 16
 
@@ -160,20 +161,6 @@ def answers(system: LOVO) -> list:
     ]
 
 
-def fixture_answer(system: LOVO, expected: dict) -> list:
-    """The fixture query's answer, in the layout of ``expected.json``."""
-    response = system.query(QueryRequest(expected["query"], QueryOptions(top_n=expected["top_n"])))
-    return [
-        {
-            "frame_id": result.frame_id,
-            "patch_id": result.patch_id,
-            "box": [result.box.x, result.box.y, result.box.w, result.box.h],
-            "score": result.score,
-        }
-        for result in response.results
-    ]
-
-
 class TestFlatSystemParity:
     @pytest.fixture(scope="class")
     def live(self):
@@ -207,7 +194,8 @@ class TestFlatSystemParity:
 
 class TestSchemaTwoFlatFixtures:
     """Flat snapshots that stored their rows as the index's ``matrix`` load,
-    and answer exactly as the release that wrote them did."""
+    and answer as the release that wrote them did: the same frames, patches,
+    boxes and order, and scores within the float32 rerank bound."""
 
     @pytest.fixture(scope="class")
     def expected(self) -> dict:
@@ -229,13 +217,15 @@ class TestSchemaTwoFlatFixtures:
             assert meta == {"kind": "flat", "raw_vectors": "matrix"}
 
     def test_snapshot_answers_as_recorded(self, fixtures, expected):
-        assert fixture_answer(LOVO.load(fixtures / "snapshot"), expected) == expected["snapshot"]
+        loaded = LOVO.load(fixtures / "snapshot")
+        assert_recorded_answer(fixture_answer(loaded, expected), expected["snapshot"])
 
     def test_delta_store_replays_as_recorded(self, fixtures, expected):
         system = DeltaSnapshotStore(fixtures / "deltastore").load_system()
-        assert fixture_answer(system, expected) == expected["deltastore"]
+        assert_recorded_answer(fixture_answer(system, expected), expected["deltastore"])
 
     def test_resave_drops_the_index_state(self, fixtures, expected, tmp_path):
         LOVO.load(fixtures / "snapshot").save(tmp_path / "resaved")
         assert not list((tmp_path / "resaved").glob("**/index.npz"))
-        assert fixture_answer(LOVO.load(tmp_path / "resaved"), expected) == expected["snapshot"]
+        resaved = LOVO.load(tmp_path / "resaved")
+        assert_recorded_answer(fixture_answer(resaved, expected), expected["snapshot"])

@@ -1,8 +1,8 @@
 """Chunked key-frame extraction is bit-identical to the per-frame code it replaced.
 
 MVmed renders and block-matches ``_CHUNK_FRAMES`` frames per pass.  The
-per-frame ``render``, ``render_grayscale`` and ``estimate_motion`` bodies it
-replaced are kept below as oracles: every luminance bit, block cost, motion
+per-frame ``render``, luminance and ``estimate_motion`` bodies it replaced
+are kept below as oracles: every luminance bit, block cost, motion
 magnitude and key-frame id of the chunked path must equal theirs.  A golden
 digest of the key frames over the benchmark-shaped corpus pins the whole
 strategy, and a ``tracemalloc`` bound pins that the working memory follows the
@@ -227,9 +227,10 @@ class TestLuminanceStack:
         expected = np.stack([oracle_render_grayscale(config, frame) for frame in frames])
         assert_array_equal(stack, expected)
         assert np.isnan(out[len(frames):]).all()  # rows past the run are untouched
+        alone = np.empty((1, config.height, config.width))
         for frame, row in zip(frames, expected):
             assert_array_equal(renderer.render(frame), oracle_render(config, frame))
-            assert_array_equal(renderer.render_grayscale(frame), row)
+            assert_array_equal(renderer.render_luminance((frame,), alone)[0], row)
 
     def test_out_must_fit_the_run(self):
         renderer = FrameRenderer()
@@ -272,7 +273,7 @@ def make_stack(kind: str, count: int, shape: str, block_size: int, seed: int) ->
     noise = 0.01 if kind == "rendered with noise" else 0.0
     renderer = FrameRenderer(config=RenderConfig(height=height, width=width, noise_scale=noise))
     video = moving_video(count + seed % 20)
-    return np.stack([renderer.render_grayscale(frame) for frame in video.frames[-count:]])
+    return renderer.render_luminance(video.frames[-count:], np.empty((count, height, width)))
 
 
 stack_specs = st.tuples(
@@ -317,7 +318,8 @@ class TestBlockMatching:
             two_frame = estimate_motion(stack[pair], stack[pair + 1], block_size, search_radius)
             assert_array_equal(two_frame.dx, dx)
             assert_array_equal(two_frame.dy, dy)
-            assert two_frame.mean_magnitude == oracle_mean_magnitude(dx, dy)
+            one_pair = estimate_motion_run(stack[pair:pair + 2], block_size, search_radius)
+            assert one_pair.pair_mean_magnitudes()[0] == oracle_mean_magnitude(dx, dy)
 
 
 class TestMotionField:

@@ -52,7 +52,7 @@ from repro.shard.database import ShardedCollection
 from repro.vectordb.collection import VectorCollection
 from repro.vectordb.metadata import FrameRecord, MetadataStore, PatchRecord
 from repro.video.datasets import make_bellevue, make_cityscapes
-from tests.conftest import RETIRED_AT_OLD_DEFAULTS
+from tests.conftest import RETIRED_AT_OLD_DEFAULTS, assert_recorded_answer, fixture_answer
 
 QUERIES = [
     "A red car driving in the center of the road",
@@ -776,23 +776,11 @@ class TestVersionSingleSourcing:
 SCHEMA1_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "schema1"
 
 
-def fixture_answer(system: LOVO, expected: dict) -> list:
-    """The fixture query's answer, in the layout of ``expected.json``."""
-    response = system.query(QueryRequest(expected["query"], QueryOptions(top_n=expected["top_n"])))
-    return [
-        {
-            "frame_id": result.frame_id,
-            "patch_id": result.patch_id,
-            "box": [result.box.x, result.box.y, result.box.w, result.box.h],
-            "score": result.score,
-        }
-        for result in response.results
-    ]
-
-
 class TestSchemaOneFixtures:
     """Schema-1 snapshots and deltas (float64 vectors, indented ``frames.json``)
-    still load, and answer exactly as the release that wrote them did."""
+    still load, and answer as the release that wrote them did: the same
+    frames, patches, boxes and order, and scores within the float32 rerank
+    bound (the rerank layers ran in float64 then)."""
 
     @pytest.fixture(scope="class")
     def expected(self) -> dict:
@@ -813,12 +801,12 @@ class TestSchemaOneFixtures:
         assert delta["schema_version"] == 1
 
     def test_snapshot_answers_as_recorded(self, fixtures, expected):
-        # IVF-PQ: ids, boxes, order and scores all bit-exact.
-        assert fixture_answer(LOVO.load(fixtures / "snapshot"), expected) == expected["snapshot"]
+        loaded = LOVO.load(fixtures / "snapshot")
+        assert_recorded_answer(fixture_answer(loaded, expected), expected["snapshot"])
 
     def test_delta_store_replays_as_recorded(self, fixtures, expected):
         system = DeltaSnapshotStore(fixtures / "deltastore").load_system()
-        assert fixture_answer(system, expected) == expected["deltastore"]
+        assert_recorded_answer(fixture_answer(system, expected), expected["deltastore"])
 
     def test_resave_writes_schema_two_with_the_same_answers(self, fixtures, expected, tmp_path):
         loaded = LOVO.load(fixtures / "snapshot")
@@ -831,7 +819,7 @@ class TestSchemaOneFixtures:
         assert "frames.json" not in manifest.artifacts
         assert "frames.json.gz" in manifest.artifacts
         reloaded = LOVO.load(fixtures / "snapshot")
-        assert fixture_answer(reloaded, expected) == expected["snapshot"]
+        assert_recorded_answer(fixture_answer(reloaded, expected), expected["snapshot"])
         again = reloaded.storage.collection
         for external_id, row in zip(stored.ids(), rows):
             assert np.array_equal(again.get_vector(external_id), row)
@@ -841,8 +829,8 @@ class TestSchemaOneFixtures:
         compacted = store.compact()
         assert read_manifest(store.base_path).schema_version == 2
         assert store.deltas() == []
-        assert fixture_answer(compacted, expected) == expected["deltastore"]
-        assert fixture_answer(store.load_system(), expected) == expected["deltastore"]
+        assert_recorded_answer(fixture_answer(compacted, expected), expected["deltastore"])
+        assert_recorded_answer(fixture_answer(store.load_system(), expected), expected["deltastore"])
 
     @pytest.mark.parametrize("version", [0, 3, -1])
     def test_other_schema_versions_are_rejected(self, fixtures, version):

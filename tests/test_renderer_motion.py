@@ -7,7 +7,7 @@ import pytest
 
 from repro.utils.geometry import BoundingBox
 from repro.video.model import Frame, ObjectAnnotation
-from repro.video.motion import MotionField, estimate_motion
+from repro.video.motion import MotionField, estimate_motion, estimate_motion_run
 from repro.video.renderer import FrameRenderer, RenderConfig
 
 
@@ -65,8 +65,9 @@ class TestRenderer:
 
     def test_grayscale_shape(self):
         renderer = FrameRenderer()
-        luminance = renderer.render_grayscale(frame_with_car())
-        assert luminance.shape == (renderer.config.height, renderer.config.width)
+        shape = (renderer.config.height, renderer.config.width)
+        luminance = renderer.render_luminance((frame_with_car(),), np.empty((1, *shape)))
+        assert luminance.shape == (1, *shape)
 
     def test_noise_is_deterministic_per_frame(self):
         renderer = FrameRenderer()
@@ -78,8 +79,8 @@ class TestRenderer:
 class TestMotionEstimation:
     def test_static_frames_give_zero_motion(self):
         image = np.random.default_rng(0).random((32, 32))
-        field = estimate_motion(image, image, block_size=8, search_radius=2)
-        assert field.mean_magnitude == pytest.approx(0.0)
+        field = estimate_motion_run(np.stack((image, image)), block_size=8, search_radius=2)
+        assert field.pair_mean_magnitudes() == pytest.approx([0.0])
 
     def test_translation_recovered(self):
         rng = np.random.default_rng(1)
@@ -96,12 +97,13 @@ class TestMotionEstimation:
 
     def test_empty_field_statistics(self):
         field = MotionField(dx=np.zeros((0, 0)), dy=np.zeros((0, 0)))
-        assert field.mean_magnitude == 0.0
         assert field.pair_mean_magnitudes().shape == (0,)
+        blockless = estimate_motion_run(np.zeros((2, 4, 4)), block_size=8)
+        np.testing.assert_array_equal(blockless.pair_mean_magnitudes(), [0.0])
 
     def test_rendered_motion_detects_moving_object(self):
         renderer = FrameRenderer(config=RenderConfig(noise_scale=0.0))
-        previous = renderer.render_grayscale(frame_with_car(index=0, x=0.30))
-        current = renderer.render_grayscale(frame_with_car(index=1, x=0.36))
-        field = estimate_motion(previous, current, block_size=8, search_radius=3)
-        assert field.mean_magnitude > 0.0
+        frames = (frame_with_car(index=0, x=0.30), frame_with_car(index=1, x=0.36))
+        luminance = renderer.render_luminance(frames, np.empty((2, 48, 48)))
+        field = estimate_motion_run(luminance, block_size=8, search_radius=3)
+        assert field.pair_mean_magnitudes()[0] > 0.0

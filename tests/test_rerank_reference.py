@@ -10,9 +10,11 @@ its own seeded matrices, so it also checks that folding them is an identity.
 It reads the reranker's FFN weights and query features but none of its
 scoring code.
 
-Stacking a query's frames into one matrix product rounds differently from
-one product per frame, so scores are held to ``1e-12``; everything discrete —
-which frames, in which order, which patches, which boxes, and every relation
+The reranker's layers run in float32 and stack a query's frames into one
+matrix product; the reference runs its layers in float64 (its FFNs round
+their inputs to float32, as the reranker's do), one frame at a time.  So
+scores are held to ``RERANK_SCORE_TOLERANCE``; everything discrete — which
+frames, in which order, which patches, which boxes, and every relation
 verdict — must be equal.
 """
 
@@ -31,10 +33,9 @@ from repro.encoders.cross_modal import RERANK_BLOCK_ROWS, RerankDetection, Reran
 from repro.encoders.vision import PatchEncoding
 from repro.eval.workloads import all_queries, query_by_id
 from repro.utils.geometry import box_in_center_region, box_next_to, boxes_side_by_side
-from tests.conftest import small_config
+from tests.conftest import RERANK_SCORE_TOLERANCE, small_config
 
 TABLE_II = [spec for spec in all_queries() if spec.query_id.startswith("Q")]
-SCORE_TOLERANCE = 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -264,8 +265,11 @@ class TestAgainstPerFrameScorer:
                 for left, right in zip(got.detections, want.detections):
                     assert (left.patch_id, left.box) == (right.patch_id, right.box), text
                     assert left.relation_score == right.relation_score, text
-                    assert abs(left.score - right.score) <= SCORE_TOLERANCE, text
-                    assert abs(left.appearance_score - right.appearance_score) <= SCORE_TOLERANCE
+                    assert abs(left.score - right.score) <= RERANK_SCORE_TOLERANCE, text
+                    assert (
+                        abs(left.appearance_score - right.appearance_score)
+                        <= RERANK_SCORE_TOLERANCE
+                    ), text
                 assert (got.patch_id, got.box, got.score) == (
                     got.detections[0].patch_id, got.detections[0].box, got.detections[0].score
                 )
