@@ -2,12 +2,15 @@
 
 Stores the class embeddings produced by the video summary in a vector
 collection (exact flat search by default) and the associated metadata — key-frame ids,
-patch ids, bounding boxes — in the relational metadata store, linked by the
-shared patch id.  The vector collection keeps only ids and vectors; each
-search hit gets its key frame and video by a join on the patch id against the
-metadata store, the one place they are stored.  Provides the lookups the
-query strategy needs: ANN search over the embeddings, exhaustive search for
-the w/o-ANNS ablation, and the patch records behind a hit.
+patch ids, bounding boxes — in the relational metadata store (the paper's
+relational database, here an in-memory columnar table), linked by the shared
+patch id.  The vector collection keeps only ids and vectors; each search hit
+gets its key frame and video by a join on the patch id against the metadata
+store, the one place they are stored.  Ingest hands the store its patch
+columns straight from the encodings, before the vectors are inserted.
+Provides the lookups the query strategy needs: ANN search over the
+embeddings, exhaustive search for the w/o-ANNS ablation, and the patch
+records behind a hit.
 
 The vector side is one :class:`~repro.shard.database.ShardedCollection`
 (one shard unless configured otherwise), each shard a plain
@@ -109,18 +112,18 @@ class LOVOStorage:
             )
             for frame in keyframes
         )
-        self._metadata.add_patches(
-            PatchRecord(
-                patch_id=encoding.patch_id,
-                frame_id=encoding.frame_id,
-                video_id=encoding.video_id,
-                patch_index=encoding.patch_index,
-                box=encoding.box,
-                objectness=encoding.objectness,
-            )
-            for encoding in encodings
-        )
         ids = [encoding.patch_id for encoding in encodings]
+        self._metadata.add_patches(
+            ids,
+            [encoding.frame_id for encoding in encodings],
+            [encoding.video_id for encoding in encodings],
+            [encoding.patch_index for encoding in encodings],
+            [
+                (encoding.box.x, encoding.box.y, encoding.box.w, encoding.box.h)
+                for encoding in encodings
+            ],
+            [encoding.objectness for encoding in encodings],
+        )
         # Stacked straight into float32, the precision the collection
         # stores, so no float64 copy of the batch is made.
         vectors = np.stack(

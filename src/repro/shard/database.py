@@ -538,7 +538,7 @@ class ShardedCollection:
             },
         )
         stored_order = arrays.get("c0000_order")
-        order = [] if stored_order is None else [str(i) for i in stored_order.tolist()]
+        order = [] if stored_order is None else stored_order.tolist()
         collection._restore(order, bool(entry.get("ivfpq_ready", bool(order))))
         return collection
 

@@ -301,7 +301,7 @@ class VectorCollection:
         config = parse_section("index", document["index_config"])
         collection = cls(str(document["name"]), int(document["dim"]), config)
         entities = load_arrays(root / "entities.npz")
-        ids = [str(external_id) for external_id in entities["ids"]]
+        ids = entities["ids"].tolist()
         # Snapshots written while collections kept per-entity metadata also
         # carry an "entity_metadata" list; it duplicates the metadata store
         # and is ignored.

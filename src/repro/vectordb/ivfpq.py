@@ -21,7 +21,6 @@ candidates are then re-scored exactly with the reconstructed vectors (lines
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -35,43 +34,28 @@ from repro.vectordb.quantization import ProductQuantizer
 from repro.utils.locking import create_lock
 
 
-@dataclass
 class _InvertedList:
-    """One coarse cluster: the ids, PQ codes, and residual reconstructions."""
+    """One coarse cluster: its member ids and PQ codes, as one published tuple.
 
-    ids: List[int] = field(default_factory=list)
-    codes: List[np.ndarray] = field(default_factory=list)
-    _cached: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    Every write builds a new ``(ids, codes)`` pair and publishes it with a
+    single reference assignment, and nothing rebuilds it on the read side,
+    so a search racing an append reads both arrays from one point in time:
+    entirely before or entirely after the append.
+    """
 
-    def extend(self, ids: Sequence[int], codes: Sequence[np.ndarray]) -> None:
-        """Append members and refresh the cached arrays in one step.
+    __slots__ = ("_arrays",)
 
-        The cache is rebuilt here, by the (lock-holding) writer, rather than
-        lazily inside :meth:`as_arrays`: a concurrent search that raced the
-        lazy rebuild could pair a fresh id array with a stale code matrix.
-        Building the new tuple first and publishing it with a single
-        reference assignment keeps readers on a consistent point-in-time
-        view — either entirely before or entirely after this append.
-        """
-        self.ids.extend(ids)
-        self.codes.extend(codes)
-        self._cached = (np.asarray(self.ids, dtype=np.int64), np.vstack(self.codes))
+    def __init__(self, ids: np.ndarray, codes: np.ndarray) -> None:
+        self._arrays = (ids, codes)
+
+    def extend(self, ids: np.ndarray, codes: np.ndarray) -> None:
+        """Append members (the writer holds the index's insert lock)."""
+        old_ids, old_codes = self._arrays
+        self._arrays = (np.concatenate([old_ids, ids]), np.concatenate([old_codes, codes]))
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Id and code arrays; the cache is maintained by :meth:`extend`.
-
-        Searches hit every probed list once per query, so materialising the
-        arrays on every call (the original behaviour) made scan cost scale
-        with query count.  Readers take one reference read — never a rebuild
-        that could race a concurrent append.
-        """
-        cached = self._cached
-        if cached is None:
-            if not self.ids:
-                return (np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int32))
-            cached = (np.asarray(self.ids, dtype=np.int64), np.vstack(self.codes))
-            self._cached = cached
-        return cached
+        """The published ``(ids, codes)`` pair: ``(n,)`` int64 and ``(n, P)``."""
+        return self._arrays
 
 
 class IVFPQIndex(VectorIndex):
@@ -222,9 +206,11 @@ class IVFPQIndex(VectorIndex):
         candidate_clusters: List[np.ndarray] = []
         for cluster in probed:
             inverted = self._lists.get(int(cluster))
-            if inverted is None or not inverted.ids:
+            if inverted is None:
                 continue
             ids_array, codes = inverted.as_arrays()
+            if not ids_array.shape[0]:
+                continue
             residual_scores = tables[subspaces[None, :], codes].sum(axis=1)
             candidate_ids.append(ids_array)
             candidate_scores.append(centroid_scores[cluster] + residual_scores)
@@ -266,26 +252,20 @@ class IVFPQIndex(VectorIndex):
         assert self._coarse_centroids is not None
         clusters = np.asarray(sorted(self._lists), dtype=np.int64)
         offsets = np.zeros(clusters.shape[0] + 1, dtype=np.int64)
-        all_ids: List[int] = []
-        code_blocks: List[np.ndarray] = []
+        id_blocks = [np.zeros(0, dtype=np.int64)]
+        code_blocks = [np.zeros((0, self._config.num_subspaces), dtype=np.int32)]
         for slot, cluster in enumerate(clusters):
-            entry = self._lists[int(cluster)]
-            all_ids.extend(entry.ids)
-            if entry.codes:
-                code_blocks.append(np.vstack(entry.codes))
-            offsets[slot + 1] = offsets[slot] + len(entry.ids)
-        codes = (
-            np.vstack(code_blocks)
-            if code_blocks
-            else np.zeros((0, self._config.num_subspaces), dtype=np.int32)
-        )
+            ids, codes = self._lists[int(cluster)].as_arrays()
+            id_blocks.append(ids)
+            code_blocks.append(codes)
+            offsets[slot + 1] = offsets[slot] + ids.shape[0]
         meta: Dict[str, object] = {"kind": "ivfpq", "count": self._count}
         arrays: Dict[str, np.ndarray] = {
             "coarse_centroids": self._coarse_centroids,
             "list_clusters": clusters,
             "list_offsets": offsets,
-            "list_ids": np.asarray(all_ids, dtype=np.int64),
-            "list_codes": codes.astype(np.int32, copy=False),
+            "list_ids": np.concatenate(id_blocks),
+            "list_codes": np.concatenate(code_blocks).astype(np.int32, copy=False),
         }
         arrays.update(self._quantizer.to_state())
         return meta, arrays
@@ -324,15 +304,12 @@ class IVFPQIndex(VectorIndex):
             raise SnapshotCorruptionError(
                 f"IVF-PQ has {all_ids.shape[0]} member ids but {codes.shape[0]} codes"
             )
-        lists: Dict[int, _InvertedList] = {}
-        for slot, cluster in enumerate(clusters):
-            start, stop = int(offsets[slot]), int(offsets[slot + 1])
-            entry = _InvertedList(
-                ids=[int(identifier) for identifier in all_ids[start:stop]],
-                codes=[code for code in codes[start:stop]],
+        index._lists = {
+            cluster: _InvertedList(all_ids[start:stop], codes[start:stop])
+            for cluster, start, stop in zip(
+                clusters.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()
             )
-            lists[int(cluster)] = entry
-        index._lists = lists
+        }
         index._count = int(meta.get("count", all_ids.shape[0]))
         index._built = True
         return index
@@ -341,14 +318,16 @@ class IVFPQIndex(VectorIndex):
         assert self._coarse_centroids is not None
         residuals = vectors - self._coarse_centroids[assignments]
         codes = self._quantizer.encode(residuals)
-        grouped: Dict[int, tuple[List[int], List[np.ndarray]]] = {}
-        for identifier, cluster, code in zip(ids, assignments, codes):
-            member_ids, member_codes = grouped.setdefault(int(cluster), ([], []))
-            member_ids.append(int(identifier))
-            member_codes.append(code)
-        for cluster, (member_ids, member_codes) in grouped.items():
-            entry = self._lists.setdefault(cluster, _InvertedList())
-            entry.extend(member_ids, member_codes)
+        member_ids = np.asarray(ids, dtype=np.int64)
+        # Members grouped by list, each group in insertion order.
+        order = np.argsort(assignments, kind="stable")
+        clusters, starts = np.unique(assignments[order], return_index=True)
+        for cluster, members in zip(clusters.tolist(), np.split(order, starts[1:])):
+            entry = self._lists.get(cluster)
+            if entry is None:
+                self._lists[cluster] = _InvertedList(member_ids[members], codes[members])
+            else:
+                entry.extend(member_ids[members], codes[members])
         self._count += len(ids)
 
     def _insert_built(self, ids: List[int], vectors: np.ndarray) -> None:

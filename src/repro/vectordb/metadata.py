@@ -3,18 +3,20 @@
 The paper keeps "supplementary metadata such as key frame identifiers and
 bounding box coordinates ... in a relational database" linked to the vector
 database "through the shared patch ID" (§V-B).  This module implements that
-relational side with SQLite (standard library), storing key frames and patch
-records and answering the lookups the query strategy needs: patch → frame and
-video (joined onto every search hit, one statement per chunk of ids) and
-patch → bounding box.
+relational side as an in-memory columnar table, with no SQLite: a dict from
+patch id to row, one column per other patch field (frame and video ids as
+lists, numbers as NumPy arrays), and a small dict of key frames by frame
+id.  It answers the lookups the query strategy needs: patch → frame and
+video (joined onto every search hit, one dict lookup per id) and patch →
+bounding box.  A re-added id replaces its row, as ``INSERT OR REPLACE``
+would.
 """
 
 from __future__ import annotations
 
-import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,219 +48,179 @@ class FrameRecord:
     timestamp: float
 
 
-#: Patch ids bound per ``IN (...)`` lookup statement in
-#: :meth:`MetadataStore.patch_frames`; some SQLite builds allow at most 999
-#: bound variables in one statement.
-LOOKUP_CHUNK = 900
+class _Numbers(NamedTuple):
+    """The numeric columns of the patch table, one row per patch."""
+
+    patch_indexes: np.ndarray  # (n,) int64
+    boxes: np.ndarray  # (n, 4) float64 [x, y, w, h]
+    objectness: np.ndarray  # (n,) float64
 
 
-def _string_array(values: Sequence[str]) -> np.ndarray:
+_NO_NUMBERS = _Numbers(
+    np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.float64), np.zeros(0, dtype=np.float64)
+)
+
+
+def _strings(values: List[str]) -> np.ndarray:
     """Unicode NumPy array from ``values`` (empty input stays a string dtype)."""
-    if not values:
-        return np.zeros(0, dtype="<U1")
-    return np.asarray(list(values), dtype=np.str_)
+    return np.asarray(values, dtype=np.str_) if values else np.zeros(0, dtype="<U1")
+
+
+def _str_list(values: Sequence[str] | np.ndarray) -> List[str]:
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
 
 class MetadataStore:
-    """SQLite-backed store for key-frame and patch metadata."""
+    """In-memory columnar store for key-frame and patch metadata.
 
-    def __init__(self, path: str | Path | None = None) -> None:
-        self._path = str(path) if path is not None else ":memory:"
-        # Streaming ingest writes from a background worker thread while query
-        # threads read, so the connection must be shareable across threads;
-        # the lock serialises every statement on it (sqlite3 connections are
-        # not safe for genuinely concurrent use even with the check off).
-        self._connection = sqlite3.connect(self._path, check_same_thread=False)
+    Patch row ``r`` is the ``r``-th key of the id → row dict (its order is
+    row order), ``r`` of the frame- and video-id lists, and ``r`` of each
+    numeric column.  Equal frame and video ids share one string object,
+    since every patch of a frame repeats them.  Every write and read holds
+    one lock, so a reader never sees a half-written batch.
+    """
+
+    def __init__(self) -> None:
         self._lock = create_rlock("MetadataStore._lock")
-        self._connection.execute("PRAGMA journal_mode = MEMORY")
-        self._create_tables()
-
-    def close(self) -> None:
-        """Close the underlying SQLite connection."""
-        with self._lock:
-            self._connection.close()
-
-    def __enter__(self) -> "MetadataStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _create_tables(self) -> None:
-        with self._lock, self._connection:
-            self._connection.execute(
-                """
-                CREATE TABLE IF NOT EXISTS frames (
-                    frame_id TEXT PRIMARY KEY,
-                    video_id TEXT NOT NULL,
-                    frame_index INTEGER NOT NULL,
-                    timestamp REAL NOT NULL
-                )
-                """
-            )
-            self._connection.execute(
-                """
-                CREATE TABLE IF NOT EXISTS patches (
-                    patch_id TEXT PRIMARY KEY,
-                    frame_id TEXT NOT NULL,
-                    video_id TEXT NOT NULL,
-                    patch_index INTEGER NOT NULL,
-                    x REAL NOT NULL,
-                    y REAL NOT NULL,
-                    w REAL NOT NULL,
-                    h REAL NOT NULL,
-                    objectness REAL NOT NULL,
-                    FOREIGN KEY (frame_id) REFERENCES frames (frame_id)
-                )
-                """
-            )
+        self._frames: Dict[str, FrameRecord] = {}
+        self._rows: Dict[str, int] = {}
+        self._frame_ids: List[str] = []
+        self._video_ids: List[str] = []
+        self._numbers = _NO_NUMBERS
+        self._names: Dict[str, str] = {}
 
     def add_frames(self, frames: Iterable[FrameRecord]) -> None:
         """Insert (or replace) key-frame records."""
-        rows = [
-            (record.frame_id, record.video_id, record.frame_index, record.timestamp)
-            for record in frames
-        ]
-        with self._lock, self._connection:
-            self._connection.executemany(
-                "INSERT OR REPLACE INTO frames VALUES (?, ?, ?, ?)", rows
-            )
-
-    def add_patches(self, patches: Iterable[PatchRecord]) -> None:
-        """Insert (or replace) patch records."""
-        rows = [
-            (
-                record.patch_id,
-                record.frame_id,
-                record.video_id,
-                record.patch_index,
-                record.box.x,
-                record.box.y,
-                record.box.w,
-                record.box.h,
-                record.objectness,
-            )
-            for record in patches
-        ]
-        with self._lock, self._connection:
-            self._connection.executemany(
-                "INSERT OR REPLACE INTO patches VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)", rows
-            )
-
-    def _fetchone(self, sql: str, params: tuple = ()) -> tuple | None:
+        added = {record.frame_id: record for record in frames}
         with self._lock:
-            return self._connection.execute(sql, params).fetchone()
+            self._frames.update(added)
 
-    def _fetchall(self, sql: str, params: tuple = ()) -> List[tuple]:
+    def add_patches(  # lovo: ignore[LOVO005] the patch rows ARE the stored corpus
+        self,
+        ids: Sequence[str] | np.ndarray,
+        frame_ids: Sequence[str] | np.ndarray,
+        video_ids: Sequence[str] | np.ndarray,
+        patch_indexes: Sequence[int] | np.ndarray,
+        boxes: Sequence[Sequence[float]] | np.ndarray,
+        objectness: Sequence[float] | np.ndarray,
+    ) -> None:
+        """Insert (or replace) patch rows given column by column; ``boxes`` is
+        ``(n, 4)`` ``[x, y, w, h]``."""
+        ids, frame_ids, video_ids = _str_list(ids), _str_list(frame_ids), _str_list(video_ids)
+        numbers = _Numbers(
+            np.asarray(patch_indexes, dtype=np.int64).reshape(-1),
+            np.asarray(boxes, dtype=np.float64).reshape(-1, 4),
+            np.asarray(objectness, dtype=np.float64).reshape(-1),
+        )
+        if len({len(ids), len(frame_ids), len(video_ids), *(c.shape[0] for c in numbers)}) != 1:
+            raise MetadataError("Patch columns disagree on record count")
         with self._lock:
-            return self._connection.execute(sql, params).fetchall()
+            names = self._names
+            start = len(self._frame_ids)
+            self._frame_ids.extend([names.setdefault(name, name) for name in frame_ids])
+            self._video_ids.extend([names.setdefault(name, name) for name in video_ids])
+            self._numbers = _Numbers(*map(np.concatenate, zip(self._numbers, numbers)))
+            self._rows.update(zip(ids, range(start, start + len(ids))))
+            if len(self._rows) < len(self._frame_ids):
+                self._drop_replaced_rows()
+
+    def _drop_replaced_rows(self) -> None:
+        """Keep only each id's last row, as ``INSERT OR REPLACE`` would."""
+        live = sorted(self._rows.items(), key=lambda item: item[1])
+        rows = [row for _, row in live]
+        self._rows = {patch_id: position for position, (patch_id, _) in enumerate(live)}
+        self._frame_ids = [self._frame_ids[row] for row in rows]
+        self._video_ids = [self._video_ids[row] for row in rows]
+        self._numbers = _Numbers(*(column[rows] for column in self._numbers))
 
     def get_patch(self, patch_id: str) -> PatchRecord:
         """Fetch one patch record; raises :class:`MetadataError` if missing."""
-        row = self._fetchone(
-            "SELECT patch_id, frame_id, video_id, patch_index, x, y, w, h, objectness "
-            "FROM patches WHERE patch_id = ?",
-            (patch_id,),
-        )
-        if row is None:
-            raise MetadataError(f"Patch {patch_id!r} not found in metadata store")
-        return self._row_to_patch(row)
+        with self._lock:
+            row = self._rows.get(patch_id)
+            if row is None:
+                raise MetadataError(f"Patch {patch_id!r} not found in metadata store")
+            return PatchRecord(
+                patch_id=patch_id,
+                frame_id=self._frame_ids[row],
+                video_id=self._video_ids[row],
+                patch_index=int(self._numbers.patch_indexes[row]),
+                box=BoundingBox(*self._numbers.boxes[row].tolist()),
+                objectness=float(self._numbers.objectness[row]),
+            )
 
     def patch_frames(self, patch_ids: Sequence[str]) -> Dict[str, Tuple[str, str]]:
         """``patch_id -> (frame_id, video_id)`` for every requested id.
 
-        One ``SELECT ... WHERE patch_id IN (...)`` per :data:`LOOKUP_CHUNK`
-        ids, all under one lock hold.  Raises :class:`MetadataError` naming
-        the first id without a row: a stored vector always has one.
+        One dict lookup per id, under one lock hold.  Raises
+        :class:`MetadataError` naming the first id without a row: a stored
+        vector always has one.
         """
         ids = list(patch_ids)
-        found: Dict[str, Tuple[str, str]] = {}
         with self._lock:
-            for start in range(0, len(ids), LOOKUP_CHUNK):
-                chunk = ids[start:start + LOOKUP_CHUNK]
-                rows = self._connection.execute(
-                    "SELECT patch_id, frame_id, video_id FROM patches "
-                    f"WHERE patch_id IN ({', '.join('?' * len(chunk))})",
-                    chunk,
-                ).fetchall()
-                for patch_id, frame_id, video_id in rows:
-                    found[patch_id] = (frame_id, video_id)
-        if len(found) < len(set(ids)):
-            missing = next(patch_id for patch_id in ids if patch_id not in found)
-            raise MetadataError(f"Patch {missing!r} not found in metadata store")
-        return found
+            index, frame_ids, video_ids = self._rows, self._frame_ids, self._video_ids
+            try:
+                rows = [index[patch_id] for patch_id in ids]
+            except KeyError as error:
+                raise MetadataError(
+                    f"Patch {error.args[0]!r} not found in metadata store"
+                ) from None
+            return {
+                patch_id: (frame_ids[row], video_ids[row]) for patch_id, row in zip(ids, rows)
+            }
 
     def get_frame(self, frame_id: str) -> Optional[FrameRecord]:
         """Fetch a frame record, or ``None`` if it was never stored."""
-        row = self._fetchone(
-            "SELECT frame_id, video_id, frame_index, timestamp FROM frames WHERE frame_id = ?",
-            (frame_id,),
-        )
-        if row is None:
-            return None
-        return FrameRecord(
-            frame_id=row[0], video_id=row[1], frame_index=int(row[2]), timestamp=float(row[3])
-        )
+        with self._lock:
+            return self._frames.get(frame_id)
 
     def list_frames(self) -> List[FrameRecord]:
-        """All stored key frames ordered by video and frame index."""
-        return [
-            FrameRecord(frame_id=row[0], video_id=row[1], frame_index=int(row[2]), timestamp=float(row[3]))
-            for row in self._fetchall(
-                "SELECT frame_id, video_id, frame_index, timestamp FROM frames "
-                "ORDER BY video_id, frame_index"
-            )
-        ]
+        """All stored key frames ordered by video and frame index (then id)."""
+        with self._lock:
+            frames = list(self._frames.values())
+        return sorted(frames, key=lambda r: (r.video_id, r.frame_index, r.frame_id))
 
     def count_patches(self) -> int:
         """Number of patch records stored."""
-        row = self._fetchone("SELECT COUNT(*) FROM patches")
-        assert row is not None
-        return int(row[0])
+        return len(self._rows)
 
     def count_frames(self) -> int:
         """Number of key-frame records stored."""
-        row = self._fetchone("SELECT COUNT(*) FROM frames")
-        assert row is not None
-        return int(row[0])
+        return len(self._frames)
 
     def to_arrays(self) -> Dict[str, np.ndarray]:
         """Columnar array form of every frame and patch record.
 
-        One ordered ``SELECT`` per table, split straight into columns: frames
-        by video and frame index, patches by frame, patch index and id.  The
-        snapshot persistence subsystem stores these in one ``.npz`` archive;
-        :meth:`from_arrays` rebuilds an equivalent store (SQLite ``REAL``
-        columns are IEEE doubles, so floats round-trip exactly).
+        Frames are ordered by video and frame index (then id), patches by
+        frame, patch index and id.  The snapshot persistence subsystem stores
+        these in one ``.npz`` archive; :meth:`from_arrays` rebuilds an
+        equivalent store.
         """
         with self._lock:
-            frames = self._connection.execute(
-                "SELECT frame_id, video_id, frame_index, timestamp FROM frames "
-                "ORDER BY video_id, frame_index"
-            ).fetchall()
-            patches = self._connection.execute(
-                "SELECT patch_id, frame_id, video_id, patch_index, x, y, w, h, objectness "
-                "FROM patches ORDER BY frame_id, patch_index, patch_id"
-            ).fetchall()
-        frame_columns = list(zip(*frames)) or [()] * 4
-        patch_columns = list(zip(*patches)) or [()] * 9
+            frames = self.list_frames()
+            ids = _strings(list(self._rows))
+            frame_ids = _strings(self._frame_ids)
+            video_ids = _strings(self._video_ids)
+            numbers = self._numbers
+        order = np.lexsort((ids, numbers.patch_indexes, frame_ids))
         return {
-            "frame_ids": _string_array(frame_columns[0]),
-            "frame_video_ids": _string_array(frame_columns[1]),
-            "frame_indexes": np.asarray(frame_columns[2], dtype=np.int64),
-            "frame_timestamps": np.asarray(frame_columns[3], dtype=np.float64),
-            "patch_ids": _string_array(patch_columns[0]),
-            "patch_frame_ids": _string_array(patch_columns[1]),
-            "patch_video_ids": _string_array(patch_columns[2]),
-            "patch_indexes": np.asarray(patch_columns[3], dtype=np.int64),
-            "patch_boxes": np.column_stack(patch_columns[4:8]).astype(np.float64, copy=False),
-            "patch_objectness": np.asarray(patch_columns[8], dtype=np.float64),
+            "frame_ids": _strings([record.frame_id for record in frames]),
+            "frame_video_ids": _strings([record.video_id for record in frames]),
+            "frame_indexes": np.asarray(
+                [record.frame_index for record in frames], dtype=np.int64
+            ),
+            "frame_timestamps": np.asarray(
+                [record.timestamp for record in frames], dtype=np.float64
+            ),
+            "patch_ids": ids[order],
+            "patch_frame_ids": frame_ids[order],
+            "patch_video_ids": video_ids[order],
+            "patch_indexes": numbers.patch_indexes[order],
+            "patch_boxes": numbers.boxes[order],
+            "patch_objectness": numbers.objectness[order],
         }
 
     @classmethod
-    def from_arrays(
-        cls, arrays: Dict[str, np.ndarray], path: str | Path | None = None
-    ) -> "MetadataStore":
+    def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "MetadataStore":
         """Rebuild a store from :meth:`to_arrays` output."""
         required = {
             "frame_ids", "frame_video_ids", "frame_indexes", "frame_timestamps",
@@ -277,39 +239,24 @@ class MetadataStore:
                         "patch_indexes", "patch_boxes", "patch_objectness")}
         if len(num_frames) != 1 or len(num_patches) != 1:
             raise SnapshotCorruptionError("Metadata columns disagree on record count")
-        store = cls(path)
-        # Feed SQLite row tuples straight from the columnar arrays instead of
-        # materialising record dataclasses: warm-start load time is dominated
-        # by this method for large snapshots.
-        frame_rows = list(
-            zip(
-                (str(value) for value in arrays["frame_ids"].tolist()),
-                (str(value) for value in arrays["frame_video_ids"].tolist()),
-                arrays["frame_indexes"].tolist(),
-                arrays["frame_timestamps"].tolist(),
+        store = cls()
+        store.add_frames(
+            FrameRecord(*row)
+            for row in zip(
+                _str_list(arrays["frame_ids"]),
+                _str_list(arrays["frame_video_ids"]),
+                np.asarray(arrays["frame_indexes"], dtype=np.int64).tolist(),
+                np.asarray(arrays["frame_timestamps"], dtype=np.float64).tolist(),
             )
         )
-        boxes = np.asarray(arrays["patch_boxes"], dtype=np.float64).reshape(-1, 4)
-        patch_rows = [
-            (str(patch_id), str(frame_id), str(video_id), patch_index,
-             box[0], box[1], box[2], box[3], objectness)
-            for patch_id, frame_id, video_id, patch_index, box, objectness in zip(
-                arrays["patch_ids"].tolist(),
-                arrays["patch_frame_ids"].tolist(),
-                arrays["patch_video_ids"].tolist(),
-                arrays["patch_indexes"].tolist(),
-                boxes.tolist(),
-                arrays["patch_objectness"].tolist(),
-            )
-        ]
-        with store._lock, store._connection:
-            store._connection.executemany(
-                "INSERT OR REPLACE INTO frames VALUES (?, ?, ?, ?)", frame_rows
-            )
-            store._connection.executemany(
-                "INSERT OR REPLACE INTO patches VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                patch_rows,
-            )
+        store.add_patches(
+            arrays["patch_ids"],
+            arrays["patch_frame_ids"],
+            arrays["patch_video_ids"],
+            arrays["patch_indexes"],
+            arrays["patch_boxes"],
+            arrays["patch_objectness"],
+        )
         return store
 
     def save(self, path: str | Path) -> None:
@@ -320,14 +267,3 @@ class MetadataStore:
     def load(cls, path: str | Path) -> "MetadataStore":
         """Rebuild an in-memory store from a :meth:`save` archive."""
         return cls.from_arrays(load_arrays(path))
-
-    @staticmethod
-    def _row_to_patch(row: tuple) -> PatchRecord:
-        return PatchRecord(
-            patch_id=row[0],
-            frame_id=row[1],
-            video_id=row[2],
-            patch_index=int(row[3]),
-            box=BoundingBox(float(row[4]), float(row[5]), float(row[6]), float(row[7])),
-            objectness=float(row[8]),
-        )

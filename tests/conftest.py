@@ -7,11 +7,14 @@ the full suite fast while still exercising the real end-to-end pipeline.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import pytest
 
 from repro import LOVO, LOVOConfig, QueryOptions, QueryRequest
 from repro.config import EncoderConfig, IndexConfig, KeyframeConfig, QueryConfig
 from repro.encoders.concepts import ConceptSpace
+from repro.vectordb.metadata import MetadataStore, PatchRecord
 from repro.video.datasets import make_bellevue, make_cityscapes, make_qvhighlights
 
 
@@ -83,6 +86,19 @@ def assert_recorded_answer(got: list, recorded: list) -> None:
     assert discrete(got) == discrete(recorded)
     for left, right in zip(got, recorded):
         assert abs(left["score"] - right["score"]) <= RERANK_SCORE_TOLERANCE, (left, right)
+
+
+def add_patch_records(store: MetadataStore, records: Iterable[PatchRecord]) -> None:
+    """Write ``records`` through the store's one, columnar, write path."""
+    records = list(records)
+    store.add_patches(
+        [record.patch_id for record in records],
+        [record.frame_id for record in records],
+        [record.video_id for record in records],
+        [record.patch_index for record in records],
+        [(record.box.x, record.box.y, record.box.w, record.box.h) for record in records],
+        [record.objectness for record in records],
+    )
 
 
 def small_config() -> LOVOConfig:

@@ -10,8 +10,8 @@ from repro.errors import MetadataError, VectorDatabaseError
 from repro.shard.database import ShardedCollection
 from repro.utils.geometry import BoundingBox
 from repro.vectordb.collection import VectorCollection
-from repro.vectordb import metadata as metadata_module
 from repro.vectordb.metadata import FrameRecord, MetadataStore, PatchRecord
+from tests.conftest import add_patch_records
 
 
 def unit_vectors(n, dim, seed=0):
@@ -149,7 +149,7 @@ class TestMetadataStore:
 
     def test_round_trip_patch(self):
         store = MetadataStore()
-        store.add_patches([self.patch()])
+        add_patch_records(store, [self.patch()])
         record = store.get_patch("f0/p0")
         assert record.frame_id == "f0"
         assert record.box.w == pytest.approx(0.3)
@@ -168,29 +168,21 @@ class TestMetadataStore:
 
     def test_counts(self):
         store = MetadataStore()
-        store.add_patches([self.patch(), self.patch("f0/p1")])
+        add_patch_records(store, [self.patch(), self.patch("f0/p1")])
         assert store.count_patches() == 2
 
-    def test_patch_frames_one_statement_per_chunk(self, monkeypatch):
-        monkeypatch.setattr(metadata_module, "LOOKUP_CHUNK", 2)
+    def test_patch_frames_one_lookup_returns_every_row(self):
         store = MetadataStore()
-        store.add_patches(
-            [self.patch(f"p{i}", frame_id=f"f{i % 2}") for i in range(5)]
-        )
-        statements = []
-        store._connection.set_trace_callback(statements.append)
-        found = store.patch_frames(["p4", "p0", "p3", "p1", "p2"])
-        assert found == {f"p{i}": (f"f{i % 2}", "v0") for i in range(5)}
-        assert len(statements) == 3  # ceil(5 / 2)
+        add_patch_records(store, [self.patch(f"p{i}", frame_id=f"f{i % 2}") for i in range(2000)])
+        requested = [f"p{i}" for i in reversed(range(2000))] + ["p7"]
+        found = store.patch_frames(requested)
+        assert found == {f"p{i}": (f"f{i % 2}", "v0") for i in range(2000)}
+        assert all(type(frame) is str and type(video) is str for frame, video in found.values())
         assert store.patch_frames([]) == {}
 
     def test_patch_frames_missing_row_raises(self):
         store = MetadataStore()
-        store.add_patches([self.patch("a")])
+        add_patch_records(store, [self.patch("a")])
         with pytest.raises(MetadataError, match="'b'"):
             store.patch_frames(["a", "b", "a"])
 
-    def test_context_manager_closes(self, tmp_path):
-        with MetadataStore(tmp_path / "meta.db") as store:
-            store.add_patches([self.patch()])
-            assert store.count_patches() == 1

@@ -52,7 +52,12 @@ from repro.shard.database import ShardedCollection
 from repro.vectordb.collection import VectorCollection
 from repro.vectordb.metadata import FrameRecord, MetadataStore, PatchRecord
 from repro.video.datasets import make_bellevue, make_cityscapes
-from tests.conftest import RETIRED_AT_OLD_DEFAULTS, assert_recorded_answer, fixture_answer
+from tests.conftest import (
+    RETIRED_AT_OLD_DEFAULTS,
+    add_patch_records,
+    assert_recorded_answer,
+    fixture_answer,
+)
 
 QUERIES = [
     "A red car driving in the center of the road",
@@ -721,7 +726,7 @@ class TestMetadataRoundTrip:
     def test_records_survive_columnar_round_trip(self, frames, patches):
         store = MetadataStore()
         store.add_frames(frames)
-        store.add_patches(patches)
+        add_patch_records(store, patches)
         loaded = MetadataStore.from_arrays(store.to_arrays())
         assert sorted(loaded.list_frames(), key=lambda r: r.frame_id) == sorted(
             store.list_frames(), key=lambda r: r.frame_id
@@ -746,8 +751,8 @@ class TestMetadataRoundTrip:
     def test_save_load_file(self, tmp_path):
         store = MetadataStore()
         store.add_frames([FrameRecord("f0", "v0", 0, 0.5)])
-        store.add_patches(
-            [PatchRecord("p0", "f0", "v0", 3, BoundingBox(0.1, 0.2, 0.3, 0.4), 0.9)]
+        add_patch_records(
+            store, [PatchRecord("p0", "f0", "v0", 3, BoundingBox(0.1, 0.2, 0.3, 0.4), 0.9)]
         )
         store.save(tmp_path / "meta.npz")
         loaded = MetadataStore.load(tmp_path / "meta.npz")

@@ -19,13 +19,11 @@ from repro.config import IndexConfig, ShardConfig
 from repro.core.storage import LOVOStorage
 from repro.errors import DimensionMismatchError
 from repro.shard.database import ShardedCollection
-from repro.utils.geometry import BoundingBox
 from repro.vectordb.base import VectorIndex
 from repro.vectordb.collection import VectorCollection
 from repro.vectordb.flat import FlatIndex
 from repro.vectordb.hnsw import HNSWIndex
 from repro.vectordb.ivfpq import IVFPQIndex
-from repro.vectordb.metadata import PatchRecord
 
 DIM = 32
 
@@ -146,8 +144,12 @@ def make_store(kind: str, populated: bool):
         if kind == "storage":
             # Rows first, as LOVOStorage.ingest writes them: hits join to them.
             store.metadata.add_patches(
-                PatchRecord(patch_id, f"f{i // 6}", "v0", i % 6, BoundingBox(0, 0, 1, 1), 0.5)
-                for i, patch_id in enumerate(ids)
+                ids,
+                [f"f{i // 6}" for i in range(60)],
+                ["v0"] * 60,
+                [i % 6 for i in range(60)],
+                np.tile([0.0, 0.0, 1.0, 1.0], (60, 1)),
+                np.full(60, 0.5),
             )
             store.collection.insert(ids, unit_vectors(60))
         else:

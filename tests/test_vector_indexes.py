@@ -10,6 +10,7 @@ from repro.errors import DimensionMismatchError, IndexNotBuiltError, VectorDatab
 from repro.vectordb.base import exact_scores
 from repro.vectordb.flat import FlatIndex
 from repro.vectordb.hnsw import HNSWIndex
+from repro.vectordb import ivfpq
 from repro.vectordb.ivfpq import IVFPQIndex
 
 
@@ -172,9 +173,50 @@ class TestIVFPQIndex:
             listed = {
                 member: cluster
                 for cluster, entry in index._lists.items()
-                for member in entry.ids
+                for member in entry.as_arrays()[0].tolist()
             }
             assert [listed[member] for member in ids] == reference.argmax(axis=0).tolist()
+
+    def test_append_during_a_search_of_restored_lists(self, monkeypatch):
+        # A writer scheduled in the middle of a search: the append runs the
+        # moment the search first stacks a code matrix.  The search must
+        # answer from one point in time, never pairing the ids of one with
+        # the codes of another, and restored lists must hold their arrays
+        # from the start rather than rebuild them on a read.
+        vectors = unit_vectors()
+        index = IVFPQIndex(32, self.config())
+        index.add(list(range(300)), vectors[:300])
+        index.build()
+        meta, arrays = index.to_state()
+        expected = IVFPQIndex.from_state(32, self.config(), meta, arrays).search(vectors[0], 5)
+        restored = IVFPQIndex.from_state(32, self.config(), meta, arrays)
+
+        class AppendOnFirstVstack:
+            """``numpy`` as the ivfpq module sees it, with the append hooked in."""
+
+            append = staticmethod(lambda: restored.add([1000], vectors[:1]))
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def vstack(self, *args, **kwargs):
+                append, self.append = self.append, None
+                if append is not None:
+                    append()
+                return np.vstack(*args, **kwargs)
+
+        hook = AppendOnFirstVstack()
+        monkeypatch.setattr(ivfpq, "np", hook)
+        assert restored.search(vectors[0], 5) == expected
+        assert hook.append is None
+        monkeypatch.undo()
+        assert 1000 in [hit.id for hit in restored.search(vectors[0], 5)]
+
+        fresh = IVFPQIndex.from_state(32, self.config(), meta, arrays)
+        sizes = [(entry._arrays[0].shape[0], entry._arrays[1].shape[0])
+                 for entry in fresh._lists.values()]
+        assert sum(size for size, _ in sizes) == 300
+        assert all(ids == codes for ids, codes in sizes)
 
     def test_search_builds_lazily(self):
         vectors = unit_vectors(100)
