@@ -16,8 +16,10 @@ The vector side is one :class:`~repro.shard.database.ShardedCollection`
 (one shard unless configured otherwise), each shard a plain
 :class:`~repro.vectordb.collection.VectorCollection`; there is no registry of
 named collections.  :meth:`LOVOStorage.save` writes ``storage.json``,
-``metadata.npz`` and the collection's ``vectordb/`` tree in the sharded
-layout; :meth:`LOVOStorage.load` also reads the older unsharded layout.
+``metadata.npz`` (patch rows in the collection's global order, without the
+ids, which only the collection stores) and the collection's ``vectordb/``
+tree in the sharded layout; :meth:`LOVOStorage.load` also reads the older
+unsharded layout and the older metadata archives that carry their own ids.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ import numpy as np
 
 from repro.config import IndexConfig, ShardConfig, parse_section
 from repro.encoders.vision import PatchEncoding
-from repro.errors import SnapshotCorruptionError, VectorDatabaseError
+from repro.errors import (
+    MetadataError,
+    PersistenceError,
+    SnapshotCorruptionError,
+    VectorDatabaseError,
+)
 from repro.shard.database import ShardedCollection
 from repro.utils.serialization import load_json, save_json
 from repro.vectordb.base import as_single_query
@@ -168,15 +175,27 @@ class LOVOStorage:
         return self._metadata.get_patch(patch_id)
 
     def save(self, path: str | Path) -> None:
-        """Persist the vector collection and metadata store to a directory."""
+        """Persist the vector collection and metadata store to a directory.
+
+        The patch ids are stored once, by the collection: ``metadata.npz``
+        holds its patch rows in the collection's global order.  Raises
+        :class:`~repro.errors.PersistenceError` if the two hold different
+        patch ids.
+        """
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
         save_json(
             root / "storage.json",
             {"dim": self._dim, "index_config": asdict(self._index_config)},
         )
+        try:
+            self._metadata.save(root / "metadata.npz", self._collection.ids())
+        except MetadataError as error:
+            raise PersistenceError(
+                f"The metadata store and the {self.COLLECTION_NAME!r} collection hold "
+                f"different patch ids: {error}"
+            ) from error
         self._collection.save(root / "vectordb")
-        self._metadata.save(root / "metadata.npz")
 
     @classmethod
     def load(cls, path: str | Path) -> "LOVOStorage":
@@ -192,7 +211,8 @@ class LOVOStorage:
                 f"({collection.dim}-d, {collection.index_type}) does not match the "
                 f"storage config ({dim}-d, {index_config.index_type})"
             )
-        metadata = MetadataStore.load(root / "metadata.npz")
+        # The store's id dict shares the collection's id strings.
+        metadata = MetadataStore.load(root / "metadata.npz", collection.ids())
         return cls(dim, index_config, metadata, collection=collection)
 
     def storage_report(self) -> dict:

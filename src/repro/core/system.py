@@ -304,19 +304,22 @@ class LOVO:
             )
         # A storage-bearing system with zero datasets (e.g. a streaming
         # deployment snapshotted before its first segment arrived) still
-        # round-trips with zero counters.
-        return save_system(
-            path,
-            config=self._config,
-            storage=self._storage,
-            keyframes=list(self._frame_registry.values()),
-            frame_scene=self._frame_scene,
-            datasets=self._datasets,
-            frames_processed=self._frames_processed,
-            total_frames=self._total_frames,
-            reranker_config=asdict(self._reranker.config),
-            info={"backend": self._storage.backend_status()},
-        )
+        # round-trips with zero counters.  The ingest lock makes the
+        # snapshot one consistent cut: an ingest adds its metadata rows
+        # before its vectors, and the two must hold the same patch ids.
+        with self._ingest_lock:
+            return save_system(
+                path,
+                config=self._config,
+                storage=self._storage,
+                keyframes=list(self._frame_registry.values()),
+                frame_scene=self._frame_scene,
+                datasets=self._datasets,
+                frames_processed=self._frames_processed,
+                total_frames=self._total_frames,
+                reranker_config=asdict(self._reranker.config),
+                info={"backend": self._storage.backend_status()},
+            )
 
     @classmethod
     def load(

@@ -15,7 +15,7 @@ ViT over the pixels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,13 +65,16 @@ class PatchEncoding:
     This is exactly the per-patch record the paper stores in its vector
     collection (§IV-D): the class embedding that goes into the vector index,
     the predicted bounding box, and the identifiers linking back to the frame.
+    ``embedding`` (the patch's concept-space vector) is ``None`` on an
+    encoding replayed from a delta snapshot, which stores only what the
+    index needs.
     """
 
     patch_id: str
     frame_id: str
     video_id: str
     patch_index: int
-    embedding: np.ndarray
+    embedding: Optional[np.ndarray]
     class_embedding: np.ndarray
     box: BoundingBox
     objectness: float

@@ -9,8 +9,9 @@ time.  A :class:`DeltaSnapshotStore` instead keeps
   validated by the same manifest/checksum machinery), and
 * ``deltas/delta-NNNNNN/`` — one directory per streamed segment, holding the
   segment's key frames and frame→scene map (``frames.json.gz``) and its
-  encoded patches (``encodings.npz``, vectors as float32), each checksummed
-  in the delta's own ``delta.json``, plus
+  encoded patches (``encodings.npz``: ids, boxes, objectness and the float32
+  class embeddings, byte-planed by :func:`~repro.utils.serialization.
+  save_arrays`), each checksummed in the delta's own ``delta.json``, plus
 * ``deltalog.json`` — the ordered list of committed deltas (written last per
   append, so a crash mid-append leaves an orphan directory that is simply
   ignored).
@@ -21,8 +22,12 @@ entry point the live pipeline used — so the recovered system is bit-identical
 to the one that crashed.  :meth:`compact` folds the replayed state into a new
 base and truncates the log, bounding recovery time.
 
-Deltas are schema version 2.  Version-1 deltas (float64 encodings, indented
-``frames.json``) still replay: the collection rounds class embeddings to
+Deltas are schema version 3.  A delta stores no patch embeddings: replay
+inserts only the class embeddings, so a replayed
+:class:`~repro.encoders.vision.PatchEncoding` carries ``embedding=None``.
+Version-2 deltas (which stored the patch embeddings too) and version-1 deltas
+(float64 encodings, indented ``frames.json``) still replay, their patch
+embeddings read back as before: the collection rounds class embeddings to
 float32 on insert either way, so storing them as float32 loses nothing.
 """
 
@@ -50,23 +55,20 @@ from repro.utils.geometry import BoundingBox
 from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
 
 DELTA_LOG_FILENAME = "deltalog.json"
-DELTA_SCHEMA_VERSION = 2
+DELTA_SCHEMA_VERSION = 3
 #: Every delta schema this build replays.
-SUPPORTED_DELTA_SCHEMA_VERSIONS = (1, 2)
+SUPPORTED_DELTA_SCHEMA_VERSIONS = (1, 2, 3)
 
 
 def _encodings_to_arrays(encodings: List[PatchEncoding]) -> Dict[str, np.ndarray]:
-    # Both vector members are float32.  Replay rounds class embeddings to
-    # float32 on insert anyway, and nothing reads a replayed encoding's
-    # patch ``embedding``.
+    # Replay inserts only the class embeddings (rounded to float32 on insert
+    # anyway, so storing them as float32 loses nothing); no patch
+    # ``embedding`` is stored, since nothing reads one back.
     return {
         "patch_ids": np.asarray([e.patch_id for e in encodings], dtype=np.str_),
         "frame_ids": np.asarray([e.frame_id for e in encodings], dtype=np.str_),
         "video_ids": np.asarray([e.video_id for e in encodings], dtype=np.str_),
         "patch_index": np.asarray([e.patch_index for e in encodings], dtype=np.int64),
-        "embeddings": np.stack([e.embedding for e in encodings], dtype=np.float32)
-        if encodings
-        else np.zeros((0, 0), dtype=np.float32),
         "class_embeddings": np.stack([e.class_embedding for e in encodings], dtype=np.float32)
         if encodings
         else np.zeros((0, 0), dtype=np.float32),
@@ -81,20 +83,40 @@ def _encodings_from_arrays(arrays: Mapping[str, np.ndarray]) -> List[PatchEncodi
     try:
         count = int(arrays["patch_ids"].shape[0])
         # One exact upcast per matrix; each encoding holds a row view of it.
-        embeddings = np.asarray(arrays["embeddings"], dtype=np.float64)
         class_embeddings = np.asarray(arrays["class_embeddings"], dtype=np.float64)
+        # Schema-1 and 2 deltas also stored the patch embeddings.
+        embeddings = (
+            np.asarray(arrays["embeddings"], dtype=np.float64)
+            if "embeddings" in arrays
+            else [None] * count
+        )
+        columns = (
+            arrays["patch_ids"].tolist(),
+            arrays["frame_ids"].tolist(),
+            arrays["video_ids"].tolist(),
+            arrays["patch_index"].tolist(),
+            embeddings,
+            class_embeddings,
+            np.asarray(arrays["boxes"], dtype=np.float64).tolist(),
+            np.asarray(arrays["objectness"], dtype=np.float64).tolist(),
+        )
+        if any(len(column) != count for column in columns):
+            raise ValueError("columns disagree on the number of encodings")
         return [
             PatchEncoding(
-                patch_id=str(arrays["patch_ids"][i]),
-                frame_id=str(arrays["frame_ids"][i]),
-                video_id=str(arrays["video_ids"][i]),
-                patch_index=int(arrays["patch_index"][i]),
-                embedding=embeddings[i],
-                class_embedding=class_embeddings[i],
-                box=BoundingBox(*(float(v) for v in arrays["boxes"][i])),
-                objectness=float(arrays["objectness"][i]),
+                patch_id=str(patch_id),
+                frame_id=str(frame_id),
+                video_id=str(video_id),
+                patch_index=int(patch_index),
+                embedding=embedding,
+                class_embedding=class_embedding,
+                box=BoundingBox(*box),
+                objectness=objectness,
             )
-            for i in range(count)
+            for (
+                patch_id, frame_id, video_id, patch_index, embedding, class_embedding, box,
+                objectness,
+            ) in zip(*columns)
         ]
     except (KeyError, IndexError, ValueError, TypeError) as error:
         raise SnapshotCorruptionError(

@@ -29,11 +29,16 @@ from repro.utils.serialization import load_json, save_json
 #: Version of the on-disk snapshot layout written by this build.  Bump on any
 #: incompatible change to the artifact set or their schemas.  Version 2
 #: stores vectors as float32 and the frame registry as ``frames.json.gz``.
-SNAPSHOT_SCHEMA_VERSION = 2
+#: Version 3 byte-planes float arrays in every ``.npz`` and stores the patch
+#: ids once: in the shards' ``entities.npz``, with ``sharded.npz`` holding the
+#: shard of each global position and ``metadata.npz`` its patch rows in that
+#: global order.
+SNAPSHOT_SCHEMA_VERSION = 3
 
 #: Every layout this build loads: version 1 (float64 vectors, indented
-#: ``frames.json``) is still read.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2)
+#: ``frames.json``) and version 2 (the ids also in ``sharded.npz`` as
+#: ``c0000_order`` and in ``metadata.npz`` as ``patch_ids``) are still read.
+SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3)
 
 MANIFEST_FILENAME = "manifest.json"
 

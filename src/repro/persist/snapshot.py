@@ -17,31 +17,40 @@ Layout of a snapshot at ``<root>/``::
     frames.json.gz          ordered key frames incl. object annotations
                             (gzip-compressed compact JSON)
     storage/storage.json    vector-store dimensionality and index config
-    storage/metadata.npz    relational frame/patch records
+    storage/metadata.npz    relational frame/patch records, patch rows in
+                            the collection's global order (no patch ids)
     storage/vectordb/sharded.json
                             shard config and the collection's routing state
     storage/vectordb/sharded.npz
-                            global insertion order and partitioner arrays
+                            the shard of each global position (with the
+                            shards' ids, the global insertion order) and
+                            partitioner arrays
     storage/vectordb/shards/NNNN/database.json
                             names the shard's one collection (``0000`` only
                             when unsharded)
     storage/vectordb/shards/NNNN/collections/0000/...
-                            that shard's ``VectorCollection``: ids in
+                            that shard's ``VectorCollection``: its ids (the
+                            one stored copy of each patch id) in
                             ``entities.npz``, IVF-PQ or HNSW index state in
                             ``index.npz`` (a flat collection has none), and
                             the float32 vectors once — in the HNSW index
                             state (``raw_vectors``), else in ``entities.npz``
 
-The vectors are one :class:`~repro.shard.database.ShardedCollection`.
-Snapshots whose ``storage/vectordb/`` holds the older unsharded layout
+Every ``.npz`` is written by :func:`~repro.utils.serialization.save_arrays`,
+which stores a float array as byte planes when that makes it smaller.  The
+vectors are one :class:`~repro.shard.database.ShardedCollection`.  Snapshots
+whose ``storage/vectordb/`` holds the older unsharded layout
 (``database.json`` + ``collections/``, no ``sharded.json``) load as a 1-shard
 system.
 
-This is schema version 2.  Schema-1 snapshots still load: they hold float64
-vectors, which are rounded to float32 on load exactly as an insert rounds
-them, and an indented ``frames.json``.  So do flat collections written when
-a flat index kept its own copy of the rows (``index.npz`` holding ``matrix``
-and ``ids``); only ``matrix`` is read back.
+This is schema version 3.  Schema-2 snapshots still load: their ``.npz``
+files are plain ``np.savez_compressed`` archives, ``sharded.npz`` holds the
+ordered ids (``c0000_order``) and ``metadata.npz`` its own ``patch_ids``.
+So do schema-1 snapshots: they hold float64 vectors, which are rounded to
+float32 on load exactly as an insert rounds them, and an indented
+``frames.json``.  So do flat collections written when a flat index kept its
+own copy of the rows (``index.npz`` holding ``matrix`` and ``ids``); only
+``matrix`` is read back.
 """
 
 from __future__ import annotations

@@ -31,7 +31,9 @@ inserts is the design invariant, at every shard count:
 Snapshot layout (see :meth:`ShardedCollection.save`)::
 
     sharded.json            shard config and the collection's routing state
-    sharded.npz             global insertion order and partitioner arrays
+    sharded.npz             the shard of each global position (the global
+                            insertion order, with the shards' ids) and the
+                            partitioner arrays
     shards/NNNN/database.json
                             names the shard's one collection directory
     shards/NNNN/collections/0000/...
@@ -61,6 +63,10 @@ from repro.utils.locking import create_rlock
 #: (split per shard); everything else (centroids, codebooks) is shared.
 _IVFPQ_LIST_KEYS = {"list_clusters", "list_offsets", "list_ids", "list_codes"}
 
+#: ``sharded.npz`` members that hold the global order, not partitioner state:
+#: the shard of each global position, or (schema 1 and 2) the ordered ids.
+_GLOBAL_ORDER_KEYS = {"c0000_shards", "c0000_order"}
+
 #: Where each shard directory keeps its one collection, relative to the shard.
 _SHARD_COLLECTION_PATH = "collections/0000"
 
@@ -85,6 +91,25 @@ def _ivfpq_shard_index(
         else np.zeros((0, config.num_subspaces), dtype=np.int32)
     )
     return IVFPQIndex.from_state(dim, config, {"kind": "ivfpq", "count": len(ids)}, arrays)
+
+
+def _merge_shard_ids(shard_of_position: np.ndarray, shard_ids: Sequence[List[str]]) -> List[str]:
+    """The global insertion order, from the shard of each global position and
+    each shard's ids in its own insertion order (which keeps the global
+    relative order: an insert hands each shard its ids in batch order)."""
+    column = np.asarray(shard_of_position)
+    counts = [len(ids) for ids in shard_ids]
+    if (
+        column.ndim != 1
+        or column.dtype.kind not in "iu"
+        or (column.size and not 0 <= int(column.min()) <= int(column.max()) < len(counts))
+        or np.bincount(column.astype(np.int64), minlength=len(counts)).tolist() != counts
+    ):
+        raise SnapshotCorruptionError(
+            "Sharded snapshot's shard-of-position column does not match the shards' sizes"
+        )
+    readers = [iter(ids) for ids in shard_ids]
+    return [next(readers[shard]) for shard in column.tolist()]
 
 
 def _save_shard(collection: VectorCollection, directory: Path) -> None:
@@ -445,8 +470,9 @@ class ShardedCollection:
         """Persist the collection and every shard to a directory tree.
 
         Layout: ``sharded.json`` (shard config + the collection's routing
-        state), ``sharded.npz`` (global insertion order and partitioner
-        arrays), and ``shards/{i:04d}/`` — per shard, a ``database.json``
+        state), ``sharded.npz`` (the shard of each global position, from
+        which :meth:`load` merges the shards' ids back into the global
+        insertion order, and the partitioner arrays), and ``shards/{i:04d}/`` — per shard, a ``database.json``
         naming its one :class:`VectorCollection` snapshot under
         ``collections/0000/``.  :meth:`load` tells this layout from the older
         unsharded one by the ``sharded.json`` marker.
@@ -457,11 +483,12 @@ class ShardedCollection:
         # from the global trainer, never trained per shard.
         self.flush()
         partition_meta, partition_arrays = self._partitioner.to_state()
+        # The ids are stored once, by the shards; the global order is kept
+        # as the shard of each global position.
+        assignment = self._assignment
         payload_arrays: Dict[str, np.ndarray] = {
-            "c0000_order": (
-                np.asarray(self._order, dtype=np.str_)
-                if self._order
-                else np.zeros(0, dtype="<U1")
+            "c0000_shards": np.asarray(
+                [assignment[external_id] for external_id in self._order], dtype=np.int64
             )
         }
         for key, value in partition_arrays.items():
@@ -534,11 +561,15 @@ class ShardedCollection:
             {
                 key[len("c0000_") :]: value
                 for key, value in arrays.items()
-                if key.startswith("c0000_") and key != "c0000_order"
+                if key.startswith("c0000_") and key not in _GLOBAL_ORDER_KEYS
             },
         )
-        stored_order = arrays.get("c0000_order")
-        order = [] if stored_order is None else stored_order.tolist()
+        if "c0000_shards" in arrays:
+            order = _merge_shard_ids(arrays["c0000_shards"], [shard.ids() for shard in shards])
+        else:
+            # Schema 1 and 2 stored the ordered ids themselves.
+            stored_order = arrays.get("c0000_order")
+            order = [] if stored_order is None else stored_order.tolist()
         collection._restore(order, bool(entry.get("ivfpq_ready", bool(order))))
         return collection
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -187,21 +187,36 @@ class MetadataStore:
         """Number of key-frame records stored."""
         return len(self._frames)
 
-    def to_arrays(self) -> Dict[str, np.ndarray]:
+    def to_arrays(self, patch_ids: Sequence[str]) -> Dict[str, np.ndarray]:
         """Columnar array form of every frame and patch record.
 
-        Frames are ordered by video and frame index (then id), patches by
-        frame, patch index and id.  The snapshot persistence subsystem stores
-        these in one ``.npz`` archive; :meth:`from_arrays` rebuilds an
-        equivalent store.
+        Frames are ordered by video and frame index (then id); patch rows
+        follow ``patch_ids``, which must name every stored patch once (a
+        snapshot passes the vector collection's global order, so the ids
+        themselves are stored only by the collection).  Raises
+        :class:`MetadataError` otherwise.  The snapshot persistence
+        subsystem stores these in one ``.npz`` archive; :meth:`from_arrays`
+        rebuilds an equivalent store from them and the same ``patch_ids``.
         """
+        ids = list(patch_ids)
         with self._lock:
             frames = self.list_frames()
-            ids = _strings(list(self._rows))
-            frame_ids = _strings(self._frame_ids)
-            video_ids = _strings(self._video_ids)
+            index = self._rows
+            try:
+                rows = [index[patch_id] for patch_id in ids]
+            except KeyError as error:
+                raise MetadataError(
+                    f"Patch {error.args[0]!r} not found in metadata store"
+                ) from None
+            if len(rows) != len(index) or len(set(rows)) != len(rows):
+                raise MetadataError(
+                    f"The patch order names {len(set(rows))} of the store's "
+                    f"{len(index)} patches ({len(rows)} ids given)"
+                )
+            frame_ids = [self._frame_ids[row] for row in rows]
+            video_ids = [self._video_ids[row] for row in rows]
             numbers = self._numbers
-        order = np.lexsort((ids, numbers.patch_indexes, frame_ids))
+        order = np.asarray(rows, dtype=np.int64)
         return {
             "frame_ids": _strings([record.frame_id for record in frames]),
             "frame_video_ids": _strings([record.video_id for record in frames]),
@@ -211,20 +226,25 @@ class MetadataStore:
             "frame_timestamps": np.asarray(
                 [record.timestamp for record in frames], dtype=np.float64
             ),
-            "patch_ids": ids[order],
-            "patch_frame_ids": frame_ids[order],
-            "patch_video_ids": video_ids[order],
+            "patch_frame_ids": _strings(frame_ids),
+            "patch_video_ids": _strings(video_ids),
             "patch_indexes": numbers.patch_indexes[order],
             "patch_boxes": numbers.boxes[order],
             "patch_objectness": numbers.objectness[order],
         }
 
     @classmethod
-    def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "MetadataStore":
-        """Rebuild a store from :meth:`to_arrays` output."""
+    def from_arrays(
+        cls, arrays: Mapping[str, np.ndarray], patch_ids: Sequence[str] | None = None
+    ) -> "MetadataStore":
+        """Rebuild a store from :meth:`to_arrays` output and its ``patch_ids``.
+
+        Archives written before snapshot schema 3 carry their own
+        ``patch_ids`` column, which is used instead.
+        """
         required = {
             "frame_ids", "frame_video_ids", "frame_indexes", "frame_timestamps",
-            "patch_ids", "patch_frame_ids", "patch_video_ids", "patch_indexes",
+            "patch_frame_ids", "patch_video_ids", "patch_indexes",
             "patch_boxes", "patch_objectness",
         }
         missing = required - set(arrays)
@@ -232,11 +252,15 @@ class MetadataStore:
             raise SnapshotCorruptionError(
                 f"Metadata arrays are missing columns: {sorted(missing)}"
             )
+        if "patch_ids" in arrays:
+            patch_ids = arrays["patch_ids"]
+        elif patch_ids is None:
+            raise SnapshotCorruptionError("Metadata arrays carry no patch ids and none were given")
         num_frames = {int(arrays[name].shape[0]) for name in
                       ("frame_ids", "frame_video_ids", "frame_indexes", "frame_timestamps")}
-        num_patches = {int(arrays[name].shape[0]) for name in
-                       ("patch_ids", "patch_frame_ids", "patch_video_ids",
-                        "patch_indexes", "patch_boxes", "patch_objectness")}
+        num_patches = {len(patch_ids), *(int(arrays[name].shape[0]) for name in
+                       ("patch_frame_ids", "patch_video_ids",
+                        "patch_indexes", "patch_boxes", "patch_objectness"))}
         if len(num_frames) != 1 or len(num_patches) != 1:
             raise SnapshotCorruptionError("Metadata columns disagree on record count")
         store = cls()
@@ -250,7 +274,7 @@ class MetadataStore:
             )
         )
         store.add_patches(
-            arrays["patch_ids"],
+            patch_ids,
             arrays["patch_frame_ids"],
             arrays["patch_video_ids"],
             arrays["patch_indexes"],
@@ -259,11 +283,13 @@ class MetadataStore:
         )
         return store
 
-    def save(self, path: str | Path) -> None:
-        """Persist every record to one ``.npz`` archive at ``path``."""
-        save_arrays(path, self.to_arrays())
+    def save(self, path: str | Path, patch_ids: Sequence[str]) -> None:
+        """Persist every record to one ``.npz`` archive at ``path``, patch
+        rows in the order of ``patch_ids`` (see :meth:`to_arrays`)."""
+        save_arrays(path, self.to_arrays(patch_ids))
 
     @classmethod
-    def load(cls, path: str | Path) -> "MetadataStore":
-        """Rebuild an in-memory store from a :meth:`save` archive."""
-        return cls.from_arrays(load_arrays(path))
+    def load(cls, path: str | Path, patch_ids: Sequence[str] | None = None) -> "MetadataStore":
+        """Rebuild an in-memory store from a :meth:`save` archive and the
+        ``patch_ids`` it was saved with."""
+        return cls.from_arrays(load_arrays(path), patch_ids)

@@ -22,6 +22,7 @@ from repro import LOVO, LOVOConfig, QueryRequest
 from repro.config import EncoderConfig, IndexConfig, KeyframeConfig, QueryConfig, ShardConfig
 from repro.persist import DeltaSnapshotStore
 from repro.shard.database import ShardedCollection
+from repro.utils.serialization import load_arrays
 from repro.vectordb.collection import VectorCollection
 from repro.video.datasets import make_bellevue, make_cityscapes
 from tests.conftest import assert_recorded_answer, fixture_answer
@@ -209,10 +210,10 @@ class TestSchemaTwoFlatFixtures:
 
     def test_fixtures_hold_the_old_layout(self, fixtures):
         for collection in fixtures.glob("**/collections/0000"):
-            index = np.load(collection / "index.npz")
-            assert sorted(index.files) == ["ids", "matrix"]
+            index = load_arrays(collection / "index.npz")
+            assert sorted(index) == ["ids", "matrix"]
             assert index["matrix"].dtype == np.float32
-            assert "vectors" not in np.load(collection / "entities.npz").files
+            assert "vectors" not in load_arrays(collection / "entities.npz")
             meta = json.loads((collection / "collection.json").read_text())["index_meta"]
             assert meta == {"kind": "flat", "raw_vectors": "matrix"}
 

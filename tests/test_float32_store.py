@@ -26,6 +26,7 @@ from repro import LOVO, LOVOConfig
 from repro.config import EncoderConfig, IndexConfig, KeyframeConfig, QueryConfig, ShardConfig
 from repro.persist import DeltaSnapshotStore
 from repro.shard.database import ShardedCollection
+from repro.utils.serialization import load_arrays
 from repro.vectordb.base import exact_scores
 from repro.vectordb.collection import VectorCollection
 from repro.video.datasets import make_bellevue, make_cityscapes
@@ -33,10 +34,11 @@ from repro.video.datasets import make_bellevue, make_cityscapes
 DIM = 16
 FAMILIES = ("flat", "ivfpq", "hnsw")
 
-#: npz members that carry stored vectors (entities, flat and HNSW raw
-#: vectors, delta encodings).  IVF-PQ centroids and codebooks are trained
-#: parameters, not stored vectors, and stay float64.
-VECTOR_MEMBERS = {"vectors", "matrix", "embeddings", "class_embeddings"}
+#: npz arrays that carry stored vectors (entities, flat and HNSW raw
+#: vectors, delta class embeddings; schema-3 deltas store no patch
+#: ``embeddings``).  IVF-PQ centroids and codebooks are trained parameters,
+#: not stored vectors, and stay float64.
+VECTOR_MEMBERS = {"vectors", "matrix", "class_embeddings"}
 
 
 def index_config(index_type: str) -> IndexConfig:
@@ -67,13 +69,12 @@ def hit_tuples(hit_lists) -> List[List[tuple]]:
 
 
 def vector_members(root: Path) -> Dict[str, np.dtype]:
-    """Every vector-carrying npz member under ``root`` with its dtype."""
+    """Every vector-carrying npz array under ``root`` with its dtype."""
     found = {}
     for path in sorted(root.rglob("*.npz")):
-        with np.load(path) as archive:
-            for name in archive.files:
-                if name in VECTOR_MEMBERS:
-                    found[f"{path.relative_to(root)}:{name}"] = archive[name].dtype
+        for name, array in load_arrays(path).items():
+            if name in VECTOR_MEMBERS:
+                found[f"{path.relative_to(root)}:{name}"] = array.dtype
     return found
 
 

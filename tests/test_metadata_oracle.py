@@ -3,9 +3,11 @@
 The paper's relational side (§V-B) is a table of key frames and a table of
 patches keyed by id.  :class:`SQLiteOracle` is that schema in SQLite:
 ``INSERT OR REPLACE`` writes and ordered ``SELECT`` reads, with the column
-conversion :meth:`MetadataStore.to_arrays` promises.  Random write sequences
-(with ids re-added inside and across batches) must leave both with the same
-arrays, lookups, counts and missing-id errors.
+conversion :meth:`MetadataStore.to_arrays` promises.  Patch ids are not a
+column of those arrays: the caller passes the row order (a snapshot passes
+the vector collection's), here the oracle's ``ORDER BY`` order.  Random write
+sequences (with ids re-added inside and across batches) must leave both with
+the same arrays, lookups, counts and missing-id errors.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ class SQLiteOracle:
         return self.db.execute(f"SELECT * FROM patches {where} "
                                "ORDER BY frame_id, patch_index, patch_id", params).fetchall()
 
+    def patch_order(self) -> list:
+        return [row[0] for row in self.patches()]
+
     def to_arrays(self) -> dict:
         frames = list(zip(*self.frames())) or [()] * 4
         patches = list(zip(*self.patches())) or [()] * 9
@@ -65,7 +70,7 @@ class SQLiteOracle:
             "frame_ids": _strings(frames[0]), "frame_video_ids": _strings(frames[1]),
             "frame_indexes": np.asarray(frames[2], dtype=np.int64),
             "frame_timestamps": np.asarray(frames[3], dtype=np.float64),
-            "patch_ids": _strings(patches[0]), "patch_frame_ids": _strings(patches[1]),
+            "patch_frame_ids": _strings(patches[1]),
             "patch_video_ids": _strings(patches[2]),
             "patch_indexes": np.asarray(patches[3], dtype=np.int64),
             "patch_boxes": np.column_stack(patches[4:8]).astype(np.float64, copy=False),
@@ -115,7 +120,8 @@ def test_store_matches_relational_oracle(writes, requested):
             add_patch_records(store, records)
             oracle.add_patches(records)
 
-    got, expected = store.to_arrays(), oracle.to_arrays()
+    order = oracle.patch_order()
+    got, expected = store.to_arrays(order), oracle.to_arrays()
     assert got.keys() == expected.keys()
     for name in expected:
         assert got[name].dtype == expected[name].dtype, name
@@ -147,13 +153,13 @@ def test_store_matches_relational_oracle(writes, requested):
             store.patch_frames(requested)
         assert str(raised.value) == f"Patch {missing!r} not found in metadata store"
 
-    reloaded = MetadataStore.from_arrays(got)
-    for name, column in reloaded.to_arrays().items():
+    reloaded = MetadataStore.from_arrays(got, order)
+    for name, column in reloaded.to_arrays(order).items():
         assert column.dtype == got[name].dtype and np.array_equal(column, got[name]), name
 
 
 def test_from_arrays_keeps_the_last_row_of_a_repeated_id():
-    arrays = MetadataStore().to_arrays()
+    arrays = MetadataStore().to_arrays([])
     arrays.update(
         patch_ids=np.asarray(["p", "q", "p"]),
         patch_frame_ids=np.asarray(["f-long-frame-id", "f", "g"]),
@@ -167,4 +173,4 @@ def test_from_arrays_keeps_the_last_row_of_a_repeated_id():
     assert loaded.patch_frames(["q", "p"]) == {"q": ("f", "v"), "p": ("g", "w")}
     assert loaded.get_patch("p").objectness == 0.3
     # The replaced row's long frame id no longer sets the column's width.
-    assert loaded.to_arrays()["patch_frame_ids"].dtype == np.dtype("<U1")
+    assert loaded.to_arrays(["q", "p"])["patch_frame_ids"].dtype == np.dtype("<U1")

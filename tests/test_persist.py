@@ -47,6 +47,7 @@ from repro.persist.manifest import (
     write_manifest,
 )
 from repro.stream import StreamingIngestor
+from repro.utils.serialization import load_arrays
 from repro.utils.geometry import BoundingBox
 from repro.shard.database import ShardedCollection
 from repro.vectordb.collection import VectorCollection
@@ -484,7 +485,7 @@ def write_entity_metadata(root: Path, system: LOVO) -> None:
     paths = list((root / "storage" / "vectordb").rglob("collection.json"))
     assert paths
     for path in paths:
-        ids = [str(i) for i in np.load(path.parent / "entities.npz")["ids"].tolist()]
+        ids = [str(i) for i in load_arrays(path.parent / "entities.npz")["ids"].tolist()]
         rows = system.storage.metadata.patch_frames(ids)
         entries = [
             {"frame_id": rows[patch_id][0], "video_id": rows[patch_id][1]}
@@ -603,13 +604,13 @@ class TestVectorLayers:
             collection = VectorCollection("c", 16, IndexConfig(index_type=index_type))
             collection.insert([f"{index_type}{i}" for i in range(30)], vectors)
             collection.save(tmp_path / index_type)
-            entities = np.load(tmp_path / index_type / "entities.npz")
+            entities = load_arrays(tmp_path / index_type / "entities.npz")
             if index_type == "flat":
                 # A flat collection has no index state: the rows live here.
-                assert "vectors" in entities.files
+                assert "vectors" in entities
                 assert not (tmp_path / index_type / "index.npz").exists()
             else:
-                assert "vectors" not in entities.files  # carried by the index state
+                assert "vectors" not in entities  # carried by the index state
             loaded = VectorCollection.load(tmp_path / index_type)
             # Stored rows are the float32 rounding of the inserted vectors.
             assert np.array_equal(
@@ -669,6 +670,7 @@ class TestVectorLayers:
 
     def test_storage_load_rejects_a_mismatched_collection(self, tmp_path):
         storage = LOVOStorage(8, IndexConfig(index_type="flat"))
+        storage.metadata.add_patches(["p0"], ["f0"], ["v0"], [0], [(0.0, 0.0, 1.0, 1.0)], [0.5])
         storage.collection.insert(["p0"], np.ones((1, 8)))
         storage.save(tmp_path / "storage")
         path = tmp_path / "storage" / "storage.json"
@@ -727,23 +729,24 @@ class TestMetadataRoundTrip:
         store = MetadataStore()
         store.add_frames(frames)
         add_patch_records(store, patches)
-        loaded = MetadataStore.from_arrays(store.to_arrays())
+        order = [record.patch_id for record in reversed(patches)]
+        loaded = MetadataStore.from_arrays(store.to_arrays(order), order)
         assert sorted(loaded.list_frames(), key=lambda r: r.frame_id) == sorted(
             store.list_frames(), key=lambda r: r.frame_id
         )
-        before, after = store.to_arrays(), loaded.to_arrays()
+        before, after = store.to_arrays(order), loaded.to_arrays(order)
         for name in before:
             if name.startswith("patch_"):
                 assert after[name].dtype == before[name].dtype
                 assert np.array_equal(after[name], before[name])
 
     def test_empty_store_arrays_keep_their_dtypes(self):
-        arrays = MetadataStore().to_arrays()
+        arrays = MetadataStore().to_arrays([])
         assert all(value.shape[0] == 0 for value in arrays.values())
         assert arrays["patch_boxes"].shape == (0, 4)
         assert {name: value.dtype.kind for name, value in arrays.items()} == {
             "frame_ids": "U", "frame_video_ids": "U", "frame_indexes": "i",
-            "frame_timestamps": "f", "patch_ids": "U", "patch_frame_ids": "U",
+            "frame_timestamps": "f", "patch_frame_ids": "U",
             "patch_video_ids": "U", "patch_indexes": "i", "patch_boxes": "f",
             "patch_objectness": "f",
         }
@@ -754,17 +757,17 @@ class TestMetadataRoundTrip:
         add_patch_records(
             store, [PatchRecord("p0", "f0", "v0", 3, BoundingBox(0.1, 0.2, 0.3, 0.4), 0.9)]
         )
-        store.save(tmp_path / "meta.npz")
-        loaded = MetadataStore.load(tmp_path / "meta.npz")
+        store.save(tmp_path / "meta.npz", ["p0"])
+        loaded = MetadataStore.load(tmp_path / "meta.npz", ["p0"])
         assert loaded.get_patch("p0") == store.get_patch("p0")
         assert loaded.get_frame("f0") == store.get_frame("f0")
 
     def test_missing_column_rejected(self):
         store = MetadataStore()
-        arrays = store.to_arrays()
+        arrays = store.to_arrays([])
         del arrays["patch_boxes"]
         with pytest.raises(SnapshotCorruptionError):
-            MetadataStore.from_arrays(arrays)
+            MetadataStore.from_arrays(arrays, [])
 
 
 class TestVersionSingleSourcing:
@@ -801,7 +804,7 @@ class TestSchemaOneFixtures:
         assert read_manifest(fixtures / "snapshot").schema_version == 1
         assert (fixtures / "snapshot" / "frames.json").is_file()
         entities = fixtures.glob("**/entities.npz")
-        assert all(np.load(path)["vectors"].dtype == np.float64 for path in entities)
+        assert all(load_arrays(path)["vectors"].dtype == np.float64 for path in entities)
         delta = json.loads((fixtures / "deltastore/deltas/delta-000001/delta.json").read_text())
         assert delta["schema_version"] == 1
 
@@ -813,14 +816,16 @@ class TestSchemaOneFixtures:
         system = DeltaSnapshotStore(fixtures / "deltastore").load_system()
         assert_recorded_answer(fixture_answer(system, expected), expected["deltastore"])
 
-    def test_resave_writes_schema_two_with_the_same_answers(self, fixtures, expected, tmp_path):
+    def test_resave_writes_the_current_schema_with_the_same_answers(
+        self, fixtures, expected, tmp_path
+    ):
         loaded = LOVO.load(fixtures / "snapshot")
         stored = loaded.storage.collection
         rows = [stored.get_vector(external_id) for external_id in stored.ids()]
         assert all(row.dtype == np.float32 for row in rows)
         # Re-saving over the schema-1 directory leaves no schema-1 artifact.
         manifest = loaded.save(fixtures / "snapshot")
-        assert manifest.schema_version == SNAPSHOT_SCHEMA_VERSION == 2
+        assert manifest.schema_version == SNAPSHOT_SCHEMA_VERSION == 3
         assert "frames.json" not in manifest.artifacts
         assert "frames.json.gz" in manifest.artifacts
         reloaded = LOVO.load(fixtures / "snapshot")
@@ -832,12 +837,12 @@ class TestSchemaOneFixtures:
     def test_compacted_delta_store_answers_as_recorded(self, fixtures, expected):
         store = DeltaSnapshotStore(fixtures / "deltastore")
         compacted = store.compact()
-        assert read_manifest(store.base_path).schema_version == 2
+        assert read_manifest(store.base_path).schema_version == SNAPSHOT_SCHEMA_VERSION
         assert store.deltas() == []
         assert_recorded_answer(fixture_answer(compacted, expected), expected["deltastore"])
         assert_recorded_answer(fixture_answer(store.load_system(), expected), expected["deltastore"])
 
-    @pytest.mark.parametrize("version", [0, 3, -1])
+    @pytest.mark.parametrize("version", [0, 4, -1])
     def test_other_schema_versions_are_rejected(self, fixtures, version):
         manifest_path = fixtures / "snapshot" / "manifest.json"
         document = json.loads(manifest_path.read_text())
