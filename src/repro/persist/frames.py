@@ -22,7 +22,7 @@ from repro.utils.geometry import BoundingBox
 from repro.utils.serialization import load_json, load_json_gz, save_json_gz
 from repro.video.model import Frame, ObjectAnnotation
 
-#: The frame registry's file in a snapshot or delta directory (schema 2).
+#: The frame registry's file in a snapshot or delta directory (since schema 2).
 FRAMES_FILENAME = "frames.json.gz"
 #: Its schema-1 name: the same document as indented, uncompressed JSON.
 LEGACY_FRAMES_FILENAME = "frames.json"

@@ -208,10 +208,10 @@ def _deflate_cost(sample: np.ndarray) -> Tuple[int, bool]:
 
 def _members(name: str, array: np.ndarray) -> Iterator[Tuple[str, np.ndarray, bool]]:
     """``(member name, array, deflate?)`` for each zip member of ``array``."""
-    flat = array.reshape(-1)
     dtype = _PLANED_FLOATS.get(array.dtype.itemsize)
     if array.dtype.kind != "f" or dtype is None or array.ndim == 0 or array.size == 0:
-        yield name, array, _deflate_cost(flat[: max(1, _SAMPLE_BYTES // max(1, array.itemsize))])[1]
+        sampled = array.reshape(-1)[: max(1, _SAMPLE_BYTES // max(1, array.itemsize))]
+        yield name, array, _deflate_cost(sampled)[1]
         return
     little = np.ascontiguousarray(array, dtype=dtype)
     byte_columns = little.view(np.uint8).reshape(*array.shape, dtype.itemsize)
